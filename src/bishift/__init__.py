@@ -19,6 +19,7 @@ from .errors import (
     FieldSpecError,
     FloatFieldUnsupportedError,
     MixedFieldError,
+    NonFiniteValueError,
     ParseError,
     PeriodMismatchError,
     PolySyntaxError,
@@ -76,6 +77,7 @@ __all__ = [
     "KernelBasis",
     "LaurentPoly",
     "MixedFieldError",
+    "NonFiniteValueError",
     "ParseError",
     "PeriodMismatchError",
     "PeriodicSeq",

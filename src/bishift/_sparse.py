@@ -6,6 +6,10 @@ keep that map canonical: every key has the right length and no stored
 value is zero (within tolerance, for the float field).
 """
 
+from itertools import chain, repeat
+
+import numpy as np
+
 from .errors import MixedFieldError, RankMismatchError
 from .fields import FieldValue
 
@@ -39,6 +43,22 @@ def canonical_terms(rank, field, mapping):
         if not field.is_zero(fv):
             out[a] = fv
     return out
+
+
+def index_array(terms, rank):
+    """Index tuples of a sparse map as an (n, rank) int64 array, in map order."""
+    n = len(terms)
+    return np.fromiter(chain.from_iterable(terms), np.int64, n * rank).reshape(n, rank)
+
+
+def payload_array(terms):
+    """Float payloads of a sparse map as a float64 array, in map order."""
+    return np.fromiter((v.payload for v in terms.values()), np.float64, len(terms))
+
+
+def boxed_terms(field, keys, payloads):
+    """Sparse map from index tuples to already canonical payloads of ``field``."""
+    return dict(zip(keys, map(FieldValue, repeat(field), payloads)))
 
 
 def require_same_context(a, b):

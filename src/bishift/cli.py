@@ -17,7 +17,7 @@ from .fields import parse_field_spec
 from .parsing import parse_poly
 from .operators import scalar_product, shift
 from .selftest import DEFAULT_SEED, run_all
-from .sequences import FiniteSeq, SeqVector
+from .sequences import SeqVector
 from .systems import periodic_kernel_basis
 
 PARSE_ERROR = 2
@@ -44,13 +44,8 @@ def _cmd_pair(args) -> int:
 def _cmd_filter(args) -> int:
     field = parse_field_spec(args.field)
     if args.pgm:
-        if field.is_exact:
-            raise ValueError("image filtering needs a float field")
         kernel = parse_poly(args.kernel, 2, field)
-        seq, width, height, maxval = formats.read_pgm(args.input)
-        if seq.field != field:
-            # images load in the default float field; refit the tolerance
-            seq = FiniteSeq(2, field, dict(seq.terms))
+        seq, width, height, maxval = formats.read_pgm(args.input, field)
         formats.write_pgm(args.output, shift(kernel, seq), width, height, maxval)
         return 0
     kernel = parse_poly(args.kernel, args.rank, field)

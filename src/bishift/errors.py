@@ -29,6 +29,10 @@ class RaggedMatrixError(BishiftError):
     """Matrix rows have inconsistent lengths."""
 
 
+class NonFiniteValueError(BishiftError):
+    """A float-field value is NaN, infinite or beyond the float range."""
+
+
 class FloatFieldUnsupportedError(BishiftError):
     """The operation requires an exact field."""
 

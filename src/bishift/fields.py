@@ -28,6 +28,7 @@ from .errors import (
     DecimalInExactFieldError,
     FieldSpecError,
     MixedFieldError,
+    NonFiniteValueError,
     ZeroDenominatorError,
 )
 
@@ -164,6 +165,12 @@ class Field:
 
         Decimals are only accepted by the float field.
         """
+        try:
+            return self._parse_token(token)
+        except NonFiniteValueError as e:
+            raise BadValueTokenError(f"cannot read {token!r}: {e}") from None
+
+    def _parse_token(self, token: str) -> FieldValue:
         if _INT_RE.fullmatch(token):
             return self.value(int(token))
         m = _FRACTION_RE.fullmatch(token)
@@ -245,11 +252,31 @@ class RationalField(Field):
         return "rational"
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for ``n`` below ``_MR_LIMIT``."""
+    if n < 2:
         return False
-    for i in range(2, math.isqrt(p) + 1):
-        if p % i == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -261,6 +288,8 @@ class PrimeField(Field):
     p: int
 
     def __post_init__(self):
+        if isinstance(self.p, int) and self.p >= _MR_LIMIT:
+            raise ValueError(f"modulus {self.p} is too large to certify as prime")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"modulus {self.p!r} is not prime")
 
@@ -325,12 +354,16 @@ class FloatField(Field):
             raise ValueError("float field tolerance must be positive")
 
     def _normalize(self, x, den):
-        if isinstance(x, (int, float, Fraction)):
-            v = float(x)
-        else:
+        if not isinstance(x, (int, float, Fraction)):
             raise TypeError(f"cannot build a float value from {type(x).__name__}")
-        if den is not None:
-            v /= den
+        try:
+            v = float(x)
+            if den is not None:
+                v /= den
+        except OverflowError:
+            raise NonFiniteValueError("value out of float range") from None
+        if not math.isfinite(v):
+            raise NonFiniteValueError(f"float field values must be finite, got {v!r}")
         return v
 
     def _add(self, a, b):

@@ -17,10 +17,12 @@ from .errors import (
     BadMagicError,
     BadValueTokenError,
     DuplicateIndexError,
+    FloatFieldUnsupportedError,
     RankMismatchError,
     SchemaError,
     TruncatedPixelDataError,
 )
+from ._sparse import boxed_terms, index_array, payload_array
 from .fields import FloatField, parse_field_spec
 from .parsing import parse_system
 from .sequences import FiniteSeq, PeriodicSeq, SeqVector
@@ -86,14 +88,17 @@ def _pgm_tokens(data: bytes):
     return tokens, pos
 
 
-def read_pgm(path):
+def read_pgm(path, field=FloatField()):
     """Read a binary P5 image.
 
     Pixel at row y, column x becomes the sample at index (x, y) with
-    value gray / maxval in the default float field.  Returns
-    ``(seq, width, height, maxval)`` so a caller can write the image
-    back with identical geometry.
+    value gray / maxval in the given float field; samples the field
+    treats as zero are not stored.  Returns ``(seq, width, height,
+    maxval)`` so a caller can write the image back with identical
+    geometry.
     """
+    if field.is_exact:
+        raise FloatFieldUnsupportedError(f"images need a float field, not {field.spec()}")
     data = Path(path).read_bytes()
     tokens, pos = _pgm_tokens(data)
     if not tokens or tokens[0] != b"P5":
@@ -119,11 +124,10 @@ def read_pgm(path):
         raise TruncatedPixelDataError(f"{path}: trailing data after the raster")
     dtype = np.uint8 if sample_bytes == 1 else np.dtype(">u2")
     grays = np.frombuffer(raster[:expected], dtype=dtype).reshape(height, width)
-    field = FloatField()
-    terms = {}
-    for y, x in zip(*np.nonzero(grays)):
-        terms[(int(x), int(y))] = int(grays[y, x]) / maxval
-    return FiniteSeq(2, field, terms), width, height, maxval
+    values = grays / maxval  # float64, correctly rounded like int / int
+    ys, xs = np.nonzero(values > field.tolerance)
+    terms = boxed_terms(field, zip(xs.tolist(), ys.tolist()), values[ys, xs].tolist())
+    return FiniteSeq._wrap(2, field, terms), width, height, maxval
 
 
 def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) -> None:
@@ -136,11 +140,15 @@ def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) 
         raise RankMismatchError("image output needs a rank-2 signal")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval {maxval} outside 1..65535")
+    xs, ys = index_array(seq.terms, 2).T
+    values = payload_array(seq.terms)
+    inside = (0 <= xs) & (xs < width) & (0 <= ys) & (ys < height)
+    xs, ys, values = xs[inside], ys[inside], values[inside]
+    if np.isnan(values).any():
+        raise ValueError("cannot quantize a NaN sample")
     grays = np.zeros((height, width), dtype=np.uint32)
-    for (x, y), v in seq.terms.items():
-        if 0 <= x < width and 0 <= y < height:
-            value = min(max(float(v.payload), 0.0), 1.0)
-            grays[y, x] = int(value * maxval + 0.5)
+    # truncating the non-negative value is the floor of round-half-up
+    grays[ys, xs] = (np.clip(values, 0.0, 1.0) * maxval + 0.5).astype(np.uint32)
     dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
     Path(path).write_bytes(header + grays.astype(dtype).tobytes())
@@ -169,17 +177,39 @@ def write_kernel_report(kernel: KernelBasis, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_kernel_report(path) -> KernelBasis:
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
+def _read_lattice_doc(path, what, keys):
+    """Load a JSON document on a period lattice; check its field, rank and periods."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid kernel report: {e}") from None
-    for key in ("rank", "field", "periods", "dimension", "basis"):
+        raise SchemaError(f"{path}: invalid {what}: {e}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: {what} must be a JSON object")
+    for key in keys:
         if key not in doc:
-            raise SchemaError(f"{path}: kernel report is missing {key!r}")
-    rank = doc["rank"]
-    field = parse_field_spec(doc["field"])
-    periods = tuple(doc["periods"])
+            raise SchemaError(f"{path}: {what} is missing {key!r}")
+    rank, periods = doc["rank"], doc["periods"]
+    if not isinstance(doc["field"], str):
+        raise SchemaError(f"{path}: 'field' must be a field spec string")
+    if not _is_count(rank):
+        raise SchemaError(f"{path}: rank must be an int >= 1, got {rank!r}")
+    if not (
+        isinstance(periods, list)
+        and len(periods) == rank
+        and all(_is_count(n) for n in periods)
+    ):
+        raise SchemaError(f"{path}: periods must be {rank} ints >= 1, got {periods!r}")
+    return doc, rank, parse_field_spec(doc["field"]), tuple(periods)
+
+
+def read_kernel_report(path) -> KernelBasis:
+    doc, rank, field, periods = _read_lattice_doc(
+        path, "kernel report", ("rank", "field", "periods", "dimension", "basis")
+    )
     size = math.prod(periods)
     basis = []
     for row in doc["basis"]:
@@ -220,18 +250,13 @@ def write_periodic_json(path, signal) -> None:
 
 def read_periodic_json(path, components: int = 1) -> SeqVector:
     """Read a stacked periodic document with the given component count."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid periodic document: {e}") from None
-    for key in ("rank", "field", "periods", "values"):
-        if key not in doc:
-            raise SchemaError(f"{path}: periodic document is missing {key!r}")
-    rank = doc["rank"]
-    field = parse_field_spec(doc["field"])
-    periods = tuple(doc["periods"])
+    doc, rank, field, periods = _read_lattice_doc(
+        path, "periodic document", ("rank", "field", "periods", "values")
+    )
     size = math.prod(periods)
     values = doc["values"]
+    if not isinstance(values, list):
+        raise SchemaError(f"{path}: 'values' must be a list")
     if len(values) != components * size:
         raise SchemaError(
             f"{path}: {len(values)} values for {components} components of size {size}"

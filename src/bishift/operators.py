@@ -13,7 +13,11 @@ multiplication under the pairing).
 
 from __future__ import annotations
 
-from ._sparse import require_same_context
+import math
+
+import numpy as np
+
+from ._sparse import boxed_terms, index_array, payload_array, require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
 from .laurent import LaurentPoly, PolyMatrix
@@ -34,7 +38,7 @@ def scalar_product(d: LaurentPoly, w) -> FieldValue:
     return total
 
 
-def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
+def _shift_finite_sparse(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     field = d.field
     acc = {}
     for alpha, da in d.terms.items():
@@ -45,6 +49,75 @@ def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
             acc[beta] = p if cur is None else field.add(cur, p)
     terms = {k: v for k, v in acc.items() if not field.is_zero(v)}
     return FiniteSeq._wrap(w.rank, field, terms)
+
+
+def _index_bounds(terms, rank):
+    """Per-axis lowest and highest index, as lists of ints.
+
+    Raises OverflowError for an index of magnitude 2**62 or more, so
+    that the difference of two accepted indices fits in int64.
+    """
+    idx = index_array(terms, rank)
+    lo, hi = idx.min(axis=0).tolist(), idx.max(axis=0).tolist()
+    if min(lo) <= -(2**62) or max(hi) >= 2**62:
+        raise OverflowError("index too large for the dense float branch")
+    return lo, hi
+
+
+def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
+    """Float shift on the output's bounding box, one slice-add per kernel term.
+
+    The box is ``bbox(supp W) - bbox(supp d)``.  Each output sample is
+    summed in ``d.terms`` order, as in the sparse loop; box cells the
+    sparse loop never touches only add exact zeros, and the zero test is
+    the same, so the kept payloads are bit-identical to it.  Needs a
+    nonzero ``d`` and ``W``.
+    """
+    field, rank = d.field, w.rank
+    d_lo, d_hi = _index_bounds(d.terms, rank)
+    idx = index_array(w.terms, rank)
+    w_lo = idx.min(axis=0)
+    idx -= w_lo
+    w_box = np.zeros(tuple(idx.max(axis=0) + 1))
+    w_box[tuple(idx.T)] = payload_array(w.terms)
+    del idx  # arrays go as soon as they are done: boxing the output is the peak
+    out = np.zeros(tuple(m + h - lo for m, lo, h in zip(w_box.shape, d_lo, d_hi)))
+    product = np.empty_like(w_box)
+    for alpha, c in d.terms.items():
+        # output index beta reads W at beta + alpha: W's box sits at d_hi - alpha
+        at = tuple(slice(h - a, h - a + m) for h, a, m in zip(d_hi, alpha, w_box.shape))
+        np.multiply(w_box, c.payload, out=product)
+        out[at] += product
+    del w_box, product
+    keep = ~(np.abs(out) <= field.tolerance)
+    values = out[keep].tolist()
+    # box cell i holds output index w_lo - d_hi + i
+    axes = [(a + (lo - h)).tolist() for a, lo, h in zip(np.nonzero(keep), w_lo.tolist(), d_hi)]
+    del out, keep
+    terms = boxed_terms(field, zip(*axes), values)
+    return FiniteSeq._wrap(rank, field, terms)
+
+
+def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
+    """Run the dense float branch when its box is no larger than the sparse work.
+
+    ``len(d.terms) * len(w.terms)`` is the number of products the sparse
+    loop computes, so the dense branch never allocates more cells than the
+    sparse loop would work through.  Exact fields always run sparse.
+    """
+    if d.field.is_exact or not d.terms or not w.terms:
+        return _shift_finite_sparse(d, w)
+    try:
+        d_lo, d_hi = _index_bounds(d.terms, d.rank)
+        w_lo, w_hi = _index_bounds(w.terms, w.rank)
+    except OverflowError:  # indices beyond the dense branch's int64 range
+        return _shift_finite_sparse(d, w)
+    cells = math.prod(
+        wh - wl + dh - dl + 1 for wl, wh, dl, dh in zip(w_lo, w_hi, d_lo, d_hi)
+    )
+    if cells > len(d.terms) * len(w.terms):
+        return _shift_finite_sparse(d, w)
+    return _shift_finite_dense(d, w)
 
 
 def _shift_periodic(d: LaurentPoly, w: PeriodicSeq) -> PeriodicSeq:

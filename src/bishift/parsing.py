@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 
 from .errors import (
+    BadValueTokenError,
     DecimalInExactFieldError,
+    NonFiniteValueError,
     ParseError,
     PolySyntaxError,
     SchemaError,
@@ -159,7 +161,11 @@ def _parse_term(cur: _Cursor):
     if c == "X":
         return cur.field.one, _parse_mono(cur)
     if c == "-" or c in _DIGITS:
-        coeff = _parse_coeff(cur)
+        start = cur.pos
+        try:
+            coeff = _parse_coeff(cur)
+        except NonFiniteValueError as e:
+            cur.fail(f"coefficient out of range: {e}", pos=start, cls=BadValueTokenError)
         if cur.peek() == "*":
             cur.pos += 1
             return coeff, _parse_mono(cur)

@@ -144,6 +144,19 @@ class TestFilter:
         assert seq.coeff((1, 0)).payload == 0.0
         assert round(seq.coeff((2, 0)).payload * 255) == 100
 
+    def test_pgm_filtering_with_tolerance(self, tmp_path):
+        img = tmp_path / "img.pgm"
+        pixels = [0, 7, 200, 255, 13, 0, 90, 4, 1, 0, 66, 250]
+        img.write_bytes(b"P5\n4 3\n255\n" + bytes(pixels))
+        outputs = []
+        for spec in ("float", "float:1e-6"):
+            out = tmp_path / f"out-{spec}.pgm"
+            argv = ["filter", "--pgm", "--field", spec, "--input", str(img), "--output",
+                    str(out), "--kernel", "0.3*X1^-1 + 0.4 + 0.2*X2 - 0.1*X1*X2^-1"]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestKernel:
     def test_difference_dimension(self, difference_file, tmp_path, capsys):

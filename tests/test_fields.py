@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,14 @@ from bishift.errors import (
     DecimalInExactFieldError,
     FieldSpecError,
     MixedFieldError,
+    NonFiniteValueError,
     ZeroDenominatorError,
 )
 from bishift.fields import (
     FloatField,
     PrimeField,
     RationalField,
+    _is_prime,
     decimal_token,
     parse_field_spec,
 )
@@ -78,6 +82,49 @@ def test_primality_checked():
         PrimeField(1)
     PrimeField(2)
     PrimeField(97)
+
+
+def test_primality_matches_trial_division():
+    def by_trial_division(n):
+        return n > 1 and all(n % i for i in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 5000) if _is_prime(n)] == [
+        n for n in range(-3, 5000) if by_trial_division(n)
+    ]
+
+
+def test_large_prime_modulus_accepted_quickly():
+    start = time.perf_counter()
+    field = parse_field_spec("gf:2305843009213693951")  # 2^61 - 1
+    assert time.perf_counter() - start < 0.1
+    assert field.p == 2**61 - 1
+    assert (field.value(2**60) * field.value(2)).payload == 1
+
+
+def test_strong_pseudoprimes_and_composites_rejected():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5, 7
+    for n in (3215031751, 3825123056546413051, 561, 91, 4, 9, 1, 0):
+        assert not _is_prime(n)
+        with pytest.raises(FieldSpecError):
+            parse_field_spec(f"gf:{n}")
+    # beyond the bound where the fixed bases are proven exact
+    with pytest.raises(FieldSpecError):
+        parse_field_spec(f"gf:{2**89 - 1}")
+
+
+@pytest.mark.parametrize(
+    "x", [math.nan, math.inf, -math.inf, 10**400, Fraction(10**400, 3)]
+)
+def test_float_field_rejects_non_finite(x):
+    with pytest.raises(NonFiniteValueError):
+        FloatField().value(x)
+
+
+def test_float_token_out_of_range_is_a_parse_error():
+    with pytest.raises(BadValueTokenError):
+        FloatField().parse_token("9" * 400 + ".0")
+    with pytest.raises(BadValueTokenError):
+        FloatField().parse_token("1" + "0" * 400)
 
 
 def test_float_tolerance_must_be_positive():

@@ -8,6 +8,7 @@ from bishift.errors import (
     BadMagicError,
     BadValueTokenError,
     DuplicateIndexError,
+    FloatFieldUnsupportedError,
     RankMismatchError,
     SchemaError,
     TruncatedPixelDataError,
@@ -171,6 +172,28 @@ class TestPgm:
                 )
                 assert abs(out.coeff((x, y)).payload - expected) < 1e-12
 
+    def test_samples_within_tolerance_not_stored(self, tmp_path):
+        # gray 1 of 65535 is about 1.5e-5, below float:1e-3's tolerance
+        path = _write_pgm_bytes(tmp_path, 2, 1, 65535, [0, 1, 0xFF, 0xFF])
+        seq, w, h, maxval = formats.read_pgm(path, FloatField(1e-3))
+        assert seq.field == FloatField(1e-3)
+        assert seq.support() == {(1, 0)}
+        assert seq.coeff((1, 0)).payload == 1.0
+        again, _, _, _ = formats.read_pgm(path)
+        assert again.support() == {(0, 0), (1, 0)}
+        assert again.coeff((0, 0)).payload == 1 / 65535
+
+    def test_exact_field_rejected(self, tmp_path):
+        path = _write_pgm_bytes(tmp_path, 1, 1, 255, [9])
+        with pytest.raises(FloatFieldUnsupportedError):
+            formats.read_pgm(path, Q)
+
+    def test_write_skips_samples_outside_the_window(self, tmp_path):
+        seq = FiniteSeq(2, F, {(-1, 0): 0.5, (1, 1): 0.25, (2, 0): 1.0, (0, 2): 1.0})
+        out = tmp_path / "w.pgm"
+        formats.write_pgm(out, seq, 2, 2, 255)
+        assert out.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 0, 0, 64])
+
     def test_write_clamps_and_quantizes(self, tmp_path):
         seq = FiniteSeq(2, F, {(0, 0): 1.7, (1, 0): -0.4, (2, 0): 0.5019})
         out = tmp_path / "q.pgm"
@@ -240,6 +263,34 @@ class TestKernelReport:
         with pytest.raises(SchemaError):
             formats.read_kernel_report(path)
 
+    @pytest.mark.parametrize(
+        "rank, periods",
+        [(1, [0]), (1, [-2]), (1, ["a"]), (1, [2.0]), (1, [True]), (1, 2), (2, [2]), (0, [])],
+    )
+    def test_bad_lattice_rejected(self, tmp_path, rank, periods):
+        doc = {"rank": rank, "field": "gf:2", "periods": periods}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, "values": [], "dimension": 0, "basis": []}))
+        with pytest.raises(SchemaError):
+            formats.read_kernel_report(path)
+        with pytest.raises(SchemaError):
+            formats.read_periodic_json(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            {"rank": 1, "field": 7, "periods": [2], "values": [], "dimension": 0, "basis": []},
+        ],
+    )
+    def test_malformed_document_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            formats.read_kernel_report(path)
+        with pytest.raises(SchemaError):
+            formats.read_periodic_json(path)
+
 
 class TestPeriodicDocument:
     def test_round_trip_single(self, tmp_path):
@@ -267,5 +318,11 @@ class TestPeriodicDocument:
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"rank": 1, "periods": [2]}')
+        with pytest.raises(SchemaError):
+            formats.read_periodic_json(path)
+
+    def test_values_must_be_a_list(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"rank": 1, "field": "gf:2", "periods": [2], "values": 5}')
         with pytest.raises(SchemaError):
             formats.read_periodic_json(path)

@@ -6,6 +6,7 @@ from hypothesis import given
 from oracles import finite_shift_box, shift_by_definition
 from strategies import poly_with_seq
 
+from bishift import operators
 from bishift.errors import DimensionMismatchError, MixedFieldError, RankMismatchError
 from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly, PolyMatrix
@@ -100,6 +101,81 @@ class TestShiftFinite:
             w = random_finite_seq(rng, rank, field, max_terms=4, span=3)
             out = shift(d, w)
             assert dict(out.terms) == shift_by_definition(d, w, finite_shift_box(d, w))
+
+
+def _random_float_case(rng, field):
+    """A kernel and a signal over ``field`` with cancelling and near-zero sums.
+
+    Coefficients of +-1 against samples of +-1 and 1 + a fraction of the
+    tolerance make sums that cancel exactly or land within the
+    tolerance; a far outlier sample spreads the signal so wide that the
+    chooser keeps it on the sparse loop.
+    """
+    rank = rng.randint(1, 3)
+    tol = field.tolerance
+
+    def index(span):
+        return tuple(rng.randint(-span, span) for _ in range(rank))
+
+    coeffs = (1.0, -1.0, 0.5, rng.uniform(-1, 1))
+    samples = (1.0, -1.0, 1.0 + 0.4 * tol, -1.0 - 0.7 * tol, 0.5, rng.uniform(-2, 2))
+    d = LaurentPoly(
+        rank, field, {index(2): rng.choice(coeffs) for _ in range(rng.randint(1, 5))}
+    )
+    span = rng.choice((1, 2, 4))
+    terms = {index(span): rng.choice(samples) for _ in range(rng.randint(1, 40))}
+    if rng.random() < 0.3:
+        terms[index(30 // rank)] = rng.choice(samples)
+    return d, FiniteSeq(rank, field, terms)
+
+
+class TestDenseFloatShift:
+    @pytest.mark.parametrize("tol, seed", [(1e-9, 561), (1e-3, 562)])
+    def test_dense_matches_sparse_and_oracle(self, tol, seed, monkeypatch):
+        field = FloatField(tol)
+        rng = random.Random(seed)
+        dense, sparse = operators._shift_finite_dense, operators._shift_finite_sparse
+        chosen = []
+        monkeypatch.setattr(
+            operators, "_shift_finite_dense", lambda d, w: chosen.append("dense") or dense(d, w)
+        )
+        monkeypatch.setattr(
+            operators, "_shift_finite_sparse", lambda d, w: chosen.append("sparse") or sparse(d, w)
+        )
+        # a sample dropped for being within the tolerance may be kept by
+        # the oracle, whose sums run in another order, as a value a few
+        # ulps above it
+        bound = tol + 1e-12
+        for _ in range(200):
+            d, w = _random_float_case(rng, field)
+            a, b = sparse(d, w), dense(d, w)
+            assert a.terms.keys() == b.terms.keys()
+            assert all(a.terms[k].payload == b.terms[k].payload for k in a.terms)
+            assert shift(d, w) == a
+            oracle = shift_by_definition(d, w, finite_shift_box(d, w))
+            for k in oracle.keys() | a.terms.keys():
+                got = a.terms[k].payload if k in a.terms else 0.0
+                want = oracle[k].payload if k in oracle else 0.0
+                assert abs(got - want) <= bound
+        assert chosen.count("dense") > 40 and chosen.count("sparse") > 40
+
+    def test_indices_beyond_int64_stay_sparse(self, monkeypatch):
+        monkeypatch.setattr(operators, "_shift_finite_dense", None)
+        field = FloatField()
+        kernel = parse_poly("X + 0.5", 1, field)
+        # a box of 3 cells for 4 products would go dense but for the indices
+        for big in (2**62 - 1, 2**70, -(2**62)):
+            w = FiniteSeq(1, field, {(big,): 1.5, (big + 1,): 2.0})
+            expected = {(big - 1,): 1.5, (big,): 2.75, (big + 1,): 1.0}
+            assert shift(kernel, w) == FiniteSeq(1, field, expected)
+
+    def test_exact_fields_stay_sparse(self, monkeypatch):
+        monkeypatch.setattr(operators, "_shift_finite_dense", None)
+        rng = random.Random(563)
+        for field in (Q, GF7):
+            d = random_poly(rng, 2, field, max_terms=4, span=2)
+            w = random_finite_seq(rng, 2, field, max_terms=20, span=2)
+            assert dict(shift(d, w).terms) == shift_by_definition(d, w, finite_shift_box(d, w))
 
 
 class TestShiftPeriodic:

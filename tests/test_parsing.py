@@ -7,6 +7,7 @@ from hypothesis import given
 from strategies import single_polys
 
 from bishift.errors import (
+    BadValueTokenError,
     DecimalInExactFieldError,
     ParseError,
     PolySyntaxError,
@@ -87,6 +88,13 @@ class TestParseErrors:
             parse_poly("1/0*X", 1, Q)
         with pytest.raises(ZeroDenominatorError):
             parse_poly("1/7*X", 1, GF7)
+
+    def test_float_coefficient_out_of_range(self):
+        with pytest.raises(BadValueTokenError) as err:
+            parse_poly("X + " + "9" * 400 + ".5*X^2", 1, F)
+        assert err.value.position == 4
+        with pytest.raises(BadValueTokenError):
+            parse_poly("1" + "0" * 400, 1, F)
 
     def test_positions_are_byte_offsets(self):
         with pytest.raises(PolySyntaxError) as err:
