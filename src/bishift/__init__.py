@@ -18,6 +18,7 @@ from .errors import (
     DuplicateIndexError,
     FieldSpecError,
     FloatFieldUnsupportedError,
+    LatticeTooLargeError,
     MixedFieldError,
     NonFiniteValueError,
     ParseError,
@@ -75,6 +76,7 @@ __all__ = [
     "FloatField",
     "FloatFieldUnsupportedError",
     "KernelBasis",
+    "LatticeTooLargeError",
     "LaurentPoly",
     "MixedFieldError",
     "NonFiniteValueError",

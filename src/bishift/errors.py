@@ -37,6 +37,10 @@ class FloatFieldUnsupportedError(BishiftError):
     """The operation requires an exact field."""
 
 
+class LatticeTooLargeError(BishiftError):
+    """A period lattice needs a larger constraint matrix than the solver builds."""
+
+
 class ParseError(BishiftError):
     """Base class for text and file format errors.
 

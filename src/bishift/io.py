@@ -210,9 +210,15 @@ def read_kernel_report(path) -> KernelBasis:
     doc, rank, field, periods = _read_lattice_doc(
         path, "kernel report", ("rank", "field", "periods", "dimension", "basis")
     )
+    rows = doc["basis"]
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) and all(isinstance(t, str) for t in row) for row in rows)
+    ):
+        raise SchemaError(f"{path}: 'basis' must be a list of lists of value strings")
     size = math.prod(periods)
     basis = []
-    for row in doc["basis"]:
+    for row in rows:
         if len(row) % size:
             raise SchemaError(f"{path}: basis row length {len(row)} not a multiple of {size}")
         values = [field.parse_token(t) for t in row]

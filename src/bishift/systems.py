@@ -17,11 +17,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import FloatFieldUnsupportedError, RankMismatchError
-from .fields import PrimeField
+import numpy as np
+
+from .errors import FloatFieldUnsupportedError, LatticeTooLargeError, RankMismatchError
+from .fields import FieldValue, PrimeField
 from .laurent import PolyMatrix
 from .operators import shift_matrix
 from .sequences import FiniteSeq, PeriodicSeq, SeqVector
+
+# GF(p) elimination runs on int64 payloads below this modulus
+_ARRAY_MODULUS_LIMIT = 2**31
+# largest constraint matrix, in cells, that periodic_system_matrix builds
+MAX_MATRIX_CELLS = 2**24
 
 
 class System:
@@ -97,13 +104,21 @@ def periodic_system_matrix(system: System, periods):
     stacked the same way over (i, beta).  The entry at ((i, beta),
     (j, gamma)) sums the coefficients R_ij[a] over all a with
     (a + beta) mod periods = gamma.
+
+    Raises LatticeTooLargeError, before allocating anything, when M
+    would have more than MAX_MATRIX_CELLS cells.
     """
     periods = _check_periods(system, periods)
+    size = math.prod(periods)
+    if system.k * size * system.l * size > MAX_MATRIX_CELLS:
+        raise LatticeTooLargeError(
+            f"periods {','.join(map(str, periods))} need a {system.k * size} x "
+            f"{system.l * size} constraint matrix, more than {MAX_MATRIX_CELLS} cells"
+        )
     field = system.field
     zero = field.zero
     template = PeriodicSeq.zero(system.rank, field, periods)
     domain = list(template.domain())
-    size = len(domain)
     width = system.l * size
     rows = []
     for i in range(system.k):
@@ -125,7 +140,18 @@ def rref(rows, field):
     Returns the reduced rows (zero rows dropped) and the pivot column of
     each remaining row, in order.  The pivot is the first nonzero entry,
     so over exact fields this is elimination with row-swap pivoting.
+
+    Over GF(p) with p < 2**31 the rows are reduced as one int64 array;
+    rationals, larger primes and the empty matrix run the boxed loop.
+    Both branches follow the same pivot rule, and the reduced row
+    echelon form of a matrix is unique, so they return equal results.
     """
+    if rows and isinstance(field, PrimeField) and field.p < _ARRAY_MODULUS_LIMIT:
+        return _rref_mod_p(rows, field)
+    return _rref_boxed(rows, field)
+
+
+def _rref_boxed(rows, field):
     work = [list(r) for r in rows]
     if not work:
         return [], []
@@ -155,6 +181,38 @@ def rref(rows, field):
         if r == len(work):
             break
     return work[:r], pivots
+
+
+def _rref_mod_p(rows, field):
+    """The boxed loop on an int64 array of payloads, for p < 2**31.
+
+    Payloads lie in [0, p), so every product is below 2**62 and no step
+    overflows.  Rows at or below ``r`` are zero left of ``col``, so the
+    pivot row and the updates start at ``col``.
+    """
+    p = field.p
+    m, n = len(rows), len(rows[0])
+    a = np.fromiter((v.payload for row in rows for v in row), np.int64, m * n)
+    a = a.reshape(m, n)
+    pivots = []
+    r = 0
+    for col in range(n):
+        below = np.flatnonzero(a[r:, col])
+        if not below.size:
+            continue
+        i = r + int(below[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r, col:] = a[r, col:] * pow(int(a[r, col]), -1, p) % p
+        others = np.flatnonzero(a[:, col])
+        others = others[others != r]
+        if others.size:
+            a[others, col:] = (a[others, col:] - np.outer(a[others, col], a[r, col:])) % p
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return [list(map(FieldValue, itertools.repeat(field), row)) for row in a[:r].tolist()], pivots
 
 
 def nullspace_basis(rows, width, field):

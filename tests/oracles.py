@@ -116,3 +116,51 @@ def count_periodic_members(system, periods) -> int:
         else:
             count += 1
     return count
+
+
+def _trim_mod_p(coeffs, p):
+    """Coefficients reduced mod p, lowest degree first, without trailing zeros."""
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_rem_mod_p(a, b, p):
+    """Remainder of a divided by b over GF(p); both trimmed, b nonzero."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        q = a[-1] * inv % p
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - q * c) % p
+        a = _trim_mod_p(a, p)
+    return a
+
+
+def poly_gcd_mod_p(a, b, p):
+    """Monic gcd of two polynomials over GF(p) by Euclid's algorithm.
+
+    Polynomials are coefficient lists, lowest degree first.  The gcd of
+    two zero polynomials is the empty list.
+    """
+    a, b = _trim_mod_p(a, p), _trim_mod_p(b, p)
+    while b:
+        a, b = b, _poly_rem_mod_p(a, b, p)
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def rank1_kernel_dimension(coeffs, p, n):
+    """Kernel dimension of a 1x1 rank-1 system on period n over GF(p).
+
+    ``coeffs`` lists the coefficients of X^m * R, lowest degree first.
+    Indexing a period-n signal W by X^-b turns W -> R o W into
+    multiplication by R in GF(p)[X]/(X^n - 1), and X is a unit there,
+    so the kernel has dimension deg gcd(X^m * R, X^n - 1).
+    """
+    modulus = [-1] + [0] * (n - 1) + [1]
+    return len(poly_gcd_mod_p(coeffs, modulus, p)) - 1

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,14 @@ class TestKernel:
             )
         )
         assert main(["kernel", "--system", str(path), "--period", "2"]) == 2
+
+    def test_oversized_lattice_rejected_fast(self, difference_file, capsys):
+        start = time.perf_counter()
+        assert main(["kernel", "--system", str(difference_file), "--period", "100000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_bad_period_rejected(self, difference_file):
         assert main(["kernel", "--system", str(difference_file), "--period", "0"]) == 2

@@ -263,6 +263,14 @@ class TestKernelReport:
         with pytest.raises(SchemaError):
             formats.read_kernel_report(path)
 
+    @pytest.mark.parametrize("basis", [[5], [[1, 0]], "01", [["0", None]]])
+    def test_malformed_basis_rejected(self, tmp_path, basis):
+        doc = {"rank": 1, "field": "gf:2", "periods": [2], "dimension": 1, "basis": basis}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="'basis'"):
+            formats.read_kernel_report(path)
+
     @pytest.mark.parametrize(
         "rank, periods",
         [(1, [0]), (1, [-2]), (1, ["a"]), (1, [2.0]), (1, [True]), (1, 2), (2, [2]), (0, [])],

@@ -2,15 +2,21 @@ import random
 
 import pytest
 
-from oracles import count_periodic_members
+from oracles import count_periodic_members, rank1_kernel_dimension
 
-from bishift.errors import FloatFieldUnsupportedError, RankMismatchError
+from bishift import systems
+from bishift.errors import (
+    FloatFieldUnsupportedError,
+    LatticeTooLargeError,
+    RankMismatchError,
+)
 from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.parsing import parse_poly
 from bishift.selftest import random_poly
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
 from bishift.systems import (
+    MAX_MATRIX_CELLS,
     KernelBasis,
     System,
     enumerate_periodic_vectors,
@@ -19,6 +25,8 @@ from bishift.systems import (
     periodic_kernel_basis,
     periodic_system_matrix,
     rref,
+    _rref_boxed,
+    _rref_mod_p,
 )
 
 Q = RationalField()
@@ -263,3 +271,173 @@ class TestKernelSolver:
             tuple(v.payload for v in vec[0].values) for vec in result.basis
         )
         assert values == [(0, 1), (1, 0)]
+
+
+def payloads(rows):
+    return [[v.payload for v in row] for row in rows]
+
+
+def random_matrix(rng, field):
+    """A seeded matrix of 1x1 to 12x12, often rank-deficient.
+
+    Some rows are zero, some duplicate an earlier row and some are the
+    sum of two earlier rows; a few matrices are all zero.
+    """
+    height, width = rng.randint(1, 12), rng.randint(1, 12)
+    if rng.random() < 0.05:
+        return [[field.zero] * width for _ in range(height)]
+    density = rng.choice((0.2, 0.5, 1.0))
+    rows = []
+    for _ in range(height):
+        kind = rng.random() if rows else 1.0
+        if kind < 0.15:
+            row = [field.zero] * width
+        elif kind < 0.3:
+            row = list(rng.choice(rows))
+        elif kind < 0.45:
+            a, b = rng.choice(rows), rng.choice(rows)
+            row = [x + y for x, y in zip(a, b)]
+        else:
+            row = [
+                field.value(rng.randrange(field.p) if rng.random() < density else 0)
+                for _ in range(width)
+            ]
+        rows.append(row)
+    return rows
+
+
+class TestArrayElimination:
+    """The int64 mod-p branch of rref against the boxed loop it replaces."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    def test_array_branch_matches_boxed_branch(self, p):
+        field = PrimeField(p)
+        rng = random.Random(f"rref:{p}")
+        matrices = [[[field.one]], [[field.zero]], [[field.zero, field.one]] * 3]
+        matrices += [random_matrix(rng, field) for _ in range(150)]
+        for rows in matrices:
+            fast, fast_pivots = _rref_mod_p(rows, field)
+            slow, slow_pivots = _rref_boxed(rows, field)
+            assert fast_pivots == slow_pivots
+            assert payloads(fast) == payloads(slow)
+            assert all(type(v.payload) is int for row in fast for v in row)
+            assert all(v.field is field for row in fast for v in row)
+
+    def test_rref_chooses_the_array_branch_below_two_to_the_31(self, monkeypatch):
+        field = PrimeField(2**31 - 1)
+        calls = []
+
+        def record(rows, f):
+            calls.append(f)
+            return _rref_boxed(rows, f)
+
+        monkeypatch.setattr(systems, "_rref_mod_p", record)
+        rref([[field.one]], field)
+        rref([], field)
+        rref([[Q.one]], Q)
+        assert calls == [field]
+
+    def test_large_prime_takes_the_boxed_branch(self, monkeypatch):
+        field = PrimeField(2147483659)  # the first prime above 2**31
+        rng = random.Random(48)
+        matrices = [random_matrix(rng, field) for _ in range(60)]
+        expected = [_rref_boxed(rows, field) for rows in matrices]
+
+        def refuse(rows, f):
+            raise AssertionError("array branch used for a modulus above 2**31")
+
+        monkeypatch.setattr(systems, "_rref_mod_p", refuse)
+        for rows, (want, want_pivots) in zip(matrices, expected):
+            reduced, pivots = rref(rows, field)
+            assert pivots == want_pivots
+            assert payloads(reduced) == payloads(want)
+            # reduced echelon form spanning the same row space
+            for i, col in enumerate(pivots):
+                assert [row[col].payload for row in reduced] == [
+                    int(i == j) for j in range(len(pivots))
+                ]
+            _, stacked = _rref_boxed(reduced + rows, field)
+            assert stacked == pivots
+
+    @pytest.mark.parametrize("field", [GF2, PrimeField(7)])
+    def test_kernel_basis_same_with_either_branch(self, field, monkeypatch):
+        rng = random.Random(f"basis:{field.p}")
+        cases = []
+        for _ in range(8):
+            k, l = rng.randint(1, 2), rng.randint(1, 2)
+            grid = [
+                [random_poly(rng, 1, field, max_terms=3, span=3) for _ in range(l)]
+                for _ in range(k)
+            ]
+            cases.append((System(PolyMatrix(grid)), (rng.randint(1, 12),)))
+        for _ in range(4):
+            grid = [[random_poly(rng, 2, field, max_terms=3, span=2) for _ in range(2)]]
+            cases.append((System(PolyMatrix(grid)), (rng.randint(1, 4), rng.randint(1, 4))))
+
+        def solve_all():
+            out = []
+            for system, periods in cases:
+                result = periodic_kernel_basis(system, periods)
+                out.append(
+                    [[v.payload for comp in vec for v in comp.values] for vec in result.basis]
+                )
+            return out
+
+        fast = solve_all()
+        monkeypatch.setattr(systems, "_rref_mod_p", _rref_boxed)
+        assert solve_all() == fast
+        assert any(fast)
+
+
+class TestRankOneOracle:
+    """kernel_dimension of 1x1 rank-1 systems against a polynomial gcd mod p."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_dimension_is_degree_of_gcd(self, p):
+        field = PrimeField(p)
+        rng = random.Random(f"gcd:{p}")
+        for n in range(1, 41):
+            for _ in range(2):
+                low = rng.randint(-4, 2)
+                coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+                if rng.random() < 0.5:
+                    # times X^d - 1 for a divisor d of n, so the gcd is large
+                    d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+                    coeffs = [
+                        (coeffs[i - d] if 0 <= i - d < len(coeffs) else 0)
+                        - (coeffs[i] if i < len(coeffs) else 0)
+                        for i in range(len(coeffs) + d)
+                    ]
+                poly = LaurentPoly(1, field, {(low + i,): c for i, c in enumerate(coeffs)})
+                system = System(PolyMatrix([[poly]]))
+                assert kernel_dimension(system, (n,)) == rank1_kernel_dimension(coeffs, p, n)
+
+    def test_repeated_factor_when_p_divides_n(self):
+        # X^n - 1 is square-free when p does not divide n, and has the
+        # factor (X - 1)^p when it does, so (X - 1)^2 is seen in full only then
+        for p in (2, 3, 7):
+            field = PrimeField(p)
+            system = System(PolyMatrix([[P("X - 2 + X^-1", field=field)]]))
+            for n, dim in ((p, 2), (2 * p, 2), (p + 1, 1)):
+                assert rank1_kernel_dimension([1, -2, 1], p, n) == dim
+                assert kernel_dimension(system, (n,)) == dim
+
+
+class TestLatticeBudget:
+    def test_api_refuses_periods_20_20_20(self, monkeypatch):
+        system = System(PolyMatrix([[P("X1 - X2^-1 + X3", rank=3, field=GF2)]]))
+
+        def refuse(*args):
+            raise AssertionError("lattice allocated before the budget check")
+
+        monkeypatch.setattr(systems.PeriodicSeq, "zero", refuse)
+        for solve in (periodic_system_matrix, kernel_dimension, periodic_kernel_basis):
+            with pytest.raises(LatticeTooLargeError, match="8000 x 8000"):
+                solve(system, (20, 20, 20))
+
+    def test_budget_counts_both_matrix_sides(self):
+        size = 2049  # 2 x 2 blocks of 2049 rows and columns: just over 2**24
+        assert (2 * size) ** 2 > MAX_MATRIX_CELLS >= (2 * 2048) ** 2
+        with pytest.raises(LatticeTooLargeError):
+            periodic_system_matrix(two_variable_system(), (size,))
+        assert kernel_dimension(difference_system(GF2), (60,)) == 2
