@@ -8,10 +8,14 @@ coefficients.  Three concrete fields are provided:
 * :class:`FloatField`, 64-bit floats with tolerance-based comparison,
   meant for signal filtering rather than for the exact algebra.
 
-Scalars are :class:`FieldValue` instances that remember which field they
-belong to, so accidentally mixing coefficients from two different fields
-raises :class:`~bishift.errors.MixedFieldError` instead of producing a
-wrong number.
+Each field works on raw payloads (a ``Fraction``, an ``int`` in
+``[0, p)`` or a ``float``) through its payload hooks (``_add``, ``_mul``,
+...).  The containers store those payloads and call the hooks directly,
+after checking once per operation that their operands share a field.
+At the public API, scalars are :class:`FieldValue` instances that
+remember which field they belong to, so accidentally mixing coefficients
+from two different fields raises :class:`~bishift.errors.MixedFieldError`
+instead of producing a wrong number.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class Field:
 
     Subclasses implement the payload-level hooks (``_normalize``,
     ``_add``, ...); this base class wraps them with field-mismatch
-    checking and :class:`FieldValue` packaging.
+    checking and :class:`FieldValue` packaging for scalar arithmetic.
     """
 
     is_exact = True

@@ -22,9 +22,9 @@ from .errors import (
     SchemaError,
     TruncatedPixelDataError,
 )
-from ._sparse import boxed_terms, index_array, payload_array
-from .fields import FloatField, parse_field_spec
-from .parsing import parse_system
+from ._sparse import index_array, payload_array
+from .fields import FloatField
+from .parsing import document_field, parse_system, positive_int
 from .sequences import FiniteSeq, PeriodicSeq, SeqVector
 from .systems import KernelBasis, System
 
@@ -126,7 +126,7 @@ def read_pgm(path, field=FloatField()):
     grays = np.frombuffer(raster[:expected], dtype=dtype).reshape(height, width)
     values = grays / maxval  # float64, correctly rounded like int / int
     ys, xs = np.nonzero(values > field.tolerance)
-    terms = boxed_terms(field, zip(xs.tolist(), ys.tolist()), values[ys, xs].tolist())
+    terms = dict(zip(zip(xs.tolist(), ys.tolist()), values[ys, xs].tolist()))
     return FiniteSeq._wrap(2, field, terms), width, height, maxval
 
 
@@ -140,8 +140,8 @@ def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) 
         raise RankMismatchError("image output needs a rank-2 signal")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval {maxval} outside 1..65535")
-    xs, ys = index_array(seq.terms, 2).T
-    values = payload_array(seq.terms)
+    xs, ys = index_array(seq._terms, 2).T
+    values = payload_array(seq._terms)
     inside = (0 <= xs) & (xs < width) & (0 <= ys) & (ys < height)
     xs, ys, values = xs[inside], ys[inside], values[inside]
     if np.isnan(values).any():
@@ -177,10 +177,6 @@ def write_kernel_report(kernel: KernelBasis, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _is_count(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
-
-
 def _read_lattice_doc(path, what, keys):
     """Load a JSON document on a period lattice; check its field, rank and periods."""
     try:
@@ -192,18 +188,12 @@ def _read_lattice_doc(path, what, keys):
     for key in keys:
         if key not in doc:
             raise SchemaError(f"{path}: {what} is missing {key!r}")
-    rank, periods = doc["rank"], doc["periods"]
-    if not isinstance(doc["field"], str):
-        raise SchemaError(f"{path}: 'field' must be a field spec string")
-    if not _is_count(rank):
-        raise SchemaError(f"{path}: rank must be an int >= 1, got {rank!r}")
-    if not (
-        isinstance(periods, list)
-        and len(periods) == rank
-        and all(_is_count(n) for n in periods)
-    ):
-        raise SchemaError(f"{path}: periods must be {rank} ints >= 1, got {periods!r}")
-    return doc, rank, parse_field_spec(doc["field"]), tuple(periods)
+    rank = positive_int(doc["rank"], f"{path}: 'rank'")
+    periods = doc["periods"]
+    if not isinstance(periods, list) or len(periods) != rank:
+        raise SchemaError(f"{path}: 'periods' must be a list of {rank} ints, got {periods!r}")
+    periods = tuple(positive_int(n, f"{path}: period") for n in periods)
+    return doc, rank, document_field(doc["field"], f"{path}: 'field'"), periods
 
 
 def read_kernel_report(path) -> KernelBasis:
@@ -219,8 +209,10 @@ def read_kernel_report(path) -> KernelBasis:
     size = math.prod(periods)
     basis = []
     for row in rows:
-        if len(row) % size:
-            raise SchemaError(f"{path}: basis row length {len(row)} not a multiple of {size}")
+        if not row or len(row) % size:
+            raise SchemaError(
+                f"{path}: basis row length {len(row)} not a positive multiple of {size}"
+            )
         values = [field.parse_token(t) for t in row]
         comps = [
             PeriodicSeq(rank, field, periods, values[j * size : (j + 1) * size])

@@ -1,53 +1,23 @@
 """Sparse multivariate Laurent polynomials and matrices over them.
 
 A Laurent polynomial in ``r`` variables is a finite map from exponent
-vectors in Z^r to nonzero field values.  Exponents may be negative, so
-there is no natural dense layout; the sparse map is the representation
-of record, with lexicographically sorted exponents used whenever a
-deterministic order is needed.
+vectors in Z^r to nonzero field values, held in the sparse container
+that finite-support signals share (:mod:`bishift._sparse`).  Exponents
+may be negative, so there is no natural dense layout; the sparse map is
+the representation of record, with lexicographically sorted exponents
+used whenever a deterministic order is needed.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
-from ._sparse import (
-    add_terms,
-    canonical_terms,
-    exponent_tuple,
-    neg_terms,
-    require_same_context,
-    scale_terms,
-    terms_equal,
-)
+from ._sparse import SparseTerms, require_same_context
 from .errors import MixedFieldError, RaggedMatrixError, RankMismatchError
-from .fields import FieldValue
 
 
-class LaurentPoly:
+class LaurentPoly(SparseTerms):
     """Element of F[X_1, X_1^-1, ..., X_r, X_r^-1] in canonical sparse form."""
 
-    __slots__ = ("rank", "field", "_terms")
-
-    def __init__(self, rank, field, terms=None):
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError(f"rank must be a positive int, got {rank!r}")
-        self.rank = rank
-        self.field = field
-        self._terms = canonical_terms(rank, field, terms or {})
-
-    @classmethod
-    def _wrap(cls, rank, field, terms):
-        # trusted constructor: terms already canonical
-        obj = object.__new__(cls)
-        obj.rank = rank
-        obj.field = field
-        obj._terms = terms
-        return obj
-
-    @classmethod
-    def zero(cls, rank, field):
-        return cls(rank, field)
+    __slots__ = ()
 
     @classmethod
     def constant(cls, rank, field, value):
@@ -61,83 +31,22 @@ class LaurentPoly:
     def monomial(cls, rank, field, alpha, value=None):
         return cls(rank, field, {tuple(alpha): field.one if value is None else value})
 
-    @property
-    def terms(self):
-        return MappingProxyType(self._terms)
-
-    def coeff(self, alpha) -> FieldValue:
-        a = exponent_tuple(alpha, self.rank)
-        return self._terms.get(a, self.field.zero)
-
-    def support(self):
-        return frozenset(self._terms)
-
-    def sorted_support(self):
-        return sorted(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        require_same_context(self, other)
-        return LaurentPoly._wrap(
-            self.rank, self.field, add_terms(self.field, self._terms, other._terms)
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        require_same_context(self, other)
-        return LaurentPoly._wrap(
-            self.rank,
-            self.field,
-            add_terms(self.field, self._terms, other._terms, negate_b=True),
-        )
-
-    def __neg__(self):
-        return LaurentPoly._wrap(self.rank, self.field, neg_terms(self.field, self._terms))
-
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            require_same_context(self, other)
-            field = self.field
-            acc = {}
-            for a, ca in self._terms.items():
-                for b, cb in other._terms.items():
-                    k = tuple(x + y for x, y in zip(a, b))
-                    p = field.mul(ca, cb)
-                    cur = acc.get(k)
-                    acc[k] = p if cur is None else field.add(cur, p)
-            terms = {k: v for k, v in acc.items() if not field.is_zero(v)}
-            return LaurentPoly._wrap(self.rank, field, terms)
-        if isinstance(other, (FieldValue, int)):
-            c = self.field.value(other)
-            return LaurentPoly._wrap(
-                self.rank, self.field, scale_terms(self.field, self._terms, c)
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (FieldValue, int)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.rank != other.rank or self.field != other.field:
-            return False
-        return terms_equal(self.field, self._terms, other._terms)
-
-    __hash__ = None
-
-    def __repr__(self):
-        shown = {
-            k: self.field.format_value(v) for k, v in sorted(self._terms.items())
-        }
-        return f"LaurentPoly(rank={self.rank}, field={self.field.spec()}, terms={shown})"
+            return super().__mul__(other)
+        require_same_context(self, other)
+        field = self.field
+        add, mul, is_zero = field._add, field._mul, field._is_zero
+        acc = {}
+        for a, ca in self._terms.items():
+            for b, cb in other._terms.items():
+                k = tuple(x + y for x, y in zip(a, b))
+                p = mul(ca, cb)
+                cur = acc.get(k)
+                acc[k] = p if cur is None else add(cur, p)
+        return LaurentPoly._wrap(
+            self.rank, field, {k: v for k, v in acc.items() if not is_zero(v)}
+        )
 
     def __str__(self):
         from .parsing import format_poly

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._sparse import boxed_terms, index_array, payload_array, require_same_context
+from ._sparse import index_array, payload_array, require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
 from .laurent import LaurentPoly, PolyMatrix
@@ -32,22 +32,30 @@ def scalar_product(d: LaurentPoly, w) -> FieldValue:
         raise TypeError("second pairing argument must be a signal")
     require_same_context(d, w)
     field = d.field
-    total = field.zero
-    for alpha, c in d.terms.items():
-        total = field.add(total, field.mul(c, w.coeff(alpha)))
-    return total
+    add, mul = field._add, field._mul
+    total = zero = field.zero.payload
+    if isinstance(w, FiniteSeq):
+        sample = w._terms.get
+        for alpha, c in d._terms.items():
+            total = add(total, mul(c, sample(alpha, zero)))
+    else:
+        values, flat = w._values, w._flat
+        for alpha, c in d._terms.items():
+            total = add(total, mul(c, values[flat(alpha)]))
+    return FieldValue(field, total)
 
 
 def _shift_finite_sparse(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     field = d.field
+    add, mul, is_zero = field._add, field._mul, field._is_zero
     acc = {}
-    for alpha, da in d.terms.items():
-        for idx, wv in w.terms.items():
+    for alpha, da in d._terms.items():
+        for idx, wv in w._terms.items():
             beta = tuple(x - y for x, y in zip(idx, alpha))
-            p = field.mul(da, wv)
+            p = mul(da, wv)
             cur = acc.get(beta)
-            acc[beta] = p if cur is None else field.add(cur, p)
-    terms = {k: v for k, v in acc.items() if not field.is_zero(v)}
+            acc[beta] = p if cur is None else add(cur, p)
+    terms = {k: v for k, v in acc.items() if not is_zero(v)}
     return FiniteSeq._wrap(w.rank, field, terms)
 
 
@@ -74,19 +82,19 @@ def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     nonzero ``d`` and ``W``.
     """
     field, rank = d.field, w.rank
-    d_lo, d_hi = _index_bounds(d.terms, rank)
-    idx = index_array(w.terms, rank)
+    d_lo, d_hi = _index_bounds(d._terms, rank)
+    idx = index_array(w._terms, rank)
     w_lo = idx.min(axis=0)
     idx -= w_lo
     w_box = np.zeros(tuple(idx.max(axis=0) + 1))
-    w_box[tuple(idx.T)] = payload_array(w.terms)
-    del idx  # arrays go as soon as they are done: boxing the output is the peak
+    w_box[tuple(idx.T)] = payload_array(w._terms)
+    del idx  # arrays go as soon as they are done: building the output map is the peak
     out = np.zeros(tuple(m + h - lo for m, lo, h in zip(w_box.shape, d_lo, d_hi)))
     product = np.empty_like(w_box)
-    for alpha, c in d.terms.items():
+    for alpha, c in d._terms.items():
         # output index beta reads W at beta + alpha: W's box sits at d_hi - alpha
         at = tuple(slice(h - a, h - a + m) for h, a, m in zip(d_hi, alpha, w_box.shape))
-        np.multiply(w_box, c.payload, out=product)
+        np.multiply(w_box, c, out=product)
         out[at] += product
     del w_box, product
     keep = ~(np.abs(out) <= field.tolerance)
@@ -94,8 +102,7 @@ def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     # box cell i holds output index w_lo - d_hi + i
     axes = [(a + (lo - h)).tolist() for a, lo, h in zip(np.nonzero(keep), w_lo.tolist(), d_hi)]
     del out, keep
-    terms = boxed_terms(field, zip(*axes), values)
-    return FiniteSeq._wrap(rank, field, terms)
+    return FiniteSeq._wrap(rank, field, dict(zip(zip(*axes), values)))
 
 
 def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
@@ -105,31 +112,34 @@ def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     loop computes, so the dense branch never allocates more cells than the
     sparse loop would work through.  Exact fields always run sparse.
     """
-    if d.field.is_exact or not d.terms or not w.terms:
+    if d.field.is_exact or not d._terms or not w._terms:
         return _shift_finite_sparse(d, w)
     try:
-        d_lo, d_hi = _index_bounds(d.terms, d.rank)
-        w_lo, w_hi = _index_bounds(w.terms, w.rank)
+        d_lo, d_hi = _index_bounds(d._terms, d.rank)
+        w_lo, w_hi = _index_bounds(w._terms, w.rank)
     except OverflowError:  # indices beyond the dense branch's int64 range
         return _shift_finite_sparse(d, w)
     cells = math.prod(
         wh - wl + dh - dl + 1 for wl, wh, dl, dh in zip(w_lo, w_hi, d_lo, d_hi)
     )
-    if cells > len(d.terms) * len(w.terms):
+    if cells > len(d._terms) * len(w._terms):
         return _shift_finite_sparse(d, w)
     return _shift_finite_dense(d, w)
 
 
 def _shift_periodic(d: LaurentPoly, w: PeriodicSeq) -> PeriodicSeq:
     field = d.field
-    values = []
+    add, mul = field._add, field._mul
+    zero = field.zero.payload
+    values, flat = w._values, w._flat
+    kernel = d._terms.items()
+    out = []
     for beta in w.domain():
-        s = field.zero
-        for alpha, da in d.terms.items():
-            idx = tuple(a + b for a, b in zip(alpha, beta))
-            s = field.add(s, field.mul(da, w.coeff(idx)))
-        values.append(s)
-    return PeriodicSeq(w.rank, field, w.periods, values)
+        s = zero
+        for alpha, da in kernel:
+            s = add(s, mul(da, values[flat([a + b for a, b in zip(alpha, beta)])]))
+        out.append(s)
+    return PeriodicSeq._wrap(w.rank, field, w.periods, tuple(out))
 
 
 def shift(d: LaurentPoly, w):

@@ -31,7 +31,7 @@ from .errors import (
     VariableIndexOutOfRangeError,
     ZeroDenominatorError,
 )
-from .fields import parse_field_spec
+from .fields import FieldValue, parse_field_spec
 from .laurent import LaurentPoly, PolyMatrix
 from .systems import System
 
@@ -221,10 +221,11 @@ def _mono_text(alpha, rank) -> str:
 
 
 def _sign_split(field, v):
+    """Sign and boxed magnitude of a raw payload."""
     # canonical GF residues sit in [0, p) and never read as negative
-    if v.payload < 0:
-        return -1, field.neg(v)
-    return 1, v
+    if v < 0:
+        return -1, FieldValue(field, field._neg(v))
+    return 1, FieldValue(field, v)
 
 
 def format_poly(d: LaurentPoly) -> str:
@@ -234,7 +235,7 @@ def format_poly(d: LaurentPoly) -> str:
     field = d.field
     pieces = []
     for alpha in d.sorted_support():
-        sign, magnitude = _sign_split(field, d.terms[alpha])
+        sign, magnitude = _sign_split(field, d._terms[alpha])
         mono = _mono_text(alpha, d.rank)
         if not mono:
             body = field.format_value(magnitude)
@@ -258,11 +259,21 @@ def format_poly(d: LaurentPoly) -> str:
 _SYSTEM_KEYS = {"rank", "field", "k", "l", "entries"}
 
 
-def _require_positive_int(doc, key):
-    v = doc[key]
-    if type(v) is not int or v < 1:
-        raise SchemaError(f"{key!r} must be a positive integer, got {v!r}")
-    return v
+def positive_int(value, what):
+    """``value`` if it is an int >= 1, else SchemaError; booleans are refused."""
+    if type(value) is not int or value < 1:
+        raise SchemaError(f"{what} must be an int >= 1, got {value!r}")
+    return value
+
+
+def document_field(spec, what="'field'"):
+    """The field a document's field spec string names; SchemaError if not a string.
+
+    A string that names no field raises FieldSpecError.
+    """
+    if not isinstance(spec, str):
+        raise SchemaError(f"{what} must be a field spec string, got {spec!r}")
+    return parse_field_spec(spec)
 
 
 def parse_system(text: str) -> System:
@@ -279,12 +290,8 @@ def parse_system(text: str) -> System:
     extra = doc.keys() - _SYSTEM_KEYS
     if extra:
         raise SchemaError(f"system document has unknown keys {sorted(extra)}")
-    rank = _require_positive_int(doc, "rank")
-    k = _require_positive_int(doc, "k")
-    l = _require_positive_int(doc, "l")
-    if not isinstance(doc["field"], str):
-        raise SchemaError("'field' must be a field spec string")
-    field = parse_field_spec(doc["field"])
+    rank, k, l = (positive_int(doc[key], repr(key)) for key in ("rank", "k", "l"))
+    field = document_field(doc["field"])
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != k:
         raise SchemaError(f"'entries' must be a list of {k} rows")

@@ -205,7 +205,7 @@ def bilinearity_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
         if kind == "periodic":
             w2 = PeriodicSeq(
                 rank, field, w1.periods,
-                [random_value(rng, field) for _ in w1.values],
+                [random_value(rng, field) for _ in w1.domain()],
             )
         else:
             w2 = random_finite_seq(rng, rank, field)

@@ -18,18 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from types import MappingProxyType
 
-from ._sparse import (
-    add_terms,
-    canonical_terms,
-    coerce_value,
-    exponent_tuple,
-    neg_terms,
-    require_same_context,
-    scale_terms,
-    terms_equal,
-)
+from ._sparse import SparseTerms, exponent_tuple, require_same_context, to_payload
 from .errors import (
     MixedFieldError,
     PeriodMismatchError,
@@ -40,115 +30,36 @@ from .fields import FieldValue
 from .laurent import LaurentPoly
 
 
-class FiniteSeq:
+class FiniteSeq(SparseTerms):
     """Signal with finitely many nonzero samples, in canonical sparse form."""
 
-    __slots__ = ("rank", "field", "_terms")
+    __slots__ = ()
 
-    def __init__(self, rank, field, terms=None):
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError(f"rank must be a positive int, got {rank!r}")
-        self.rank = rank
-        self.field = field
-        self._terms = canonical_terms(rank, field, terms or {})
-
-    @classmethod
-    def _wrap(cls, rank, field, terms):
-        obj = object.__new__(cls)
-        obj.rank = rank
-        obj.field = field
-        obj._terms = terms
-        return obj
-
-    @classmethod
-    def zero(cls, rank, field):
-        return cls(rank, field)
+    # bound in the class body so that per-class tracing can wrap it
+    # (perfbench/spans.py wraps FiniteSeq.__dict__["__init__"])
+    __init__ = SparseTerms.__init__
 
     @classmethod
     def delta(cls, rank, field, alpha, value=None):
         """The Kronecker delta at ``alpha`` (scaled by ``value`` if given)."""
         return cls(rank, field, {tuple(alpha): field.one if value is None else value})
 
-    @property
-    def terms(self):
-        return MappingProxyType(self._terms)
-
-    def coeff(self, alpha) -> FieldValue:
-        a = exponent_tuple(alpha, self.rank)
-        return self._terms.get(a, self.field.zero)
-
-    def support(self):
-        return frozenset(self._terms)
-
-    def sorted_support(self):
-        return sorted(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        if not isinstance(other, FiniteSeq):
-            if isinstance(other, PeriodicSeq):
-                raise RepresentationMismatchError(
-                    "cannot add a periodic signal to a finite-support signal"
-                )
-            return NotImplemented
-        require_same_context(self, other)
-        return FiniteSeq._wrap(
-            self.rank, self.field, add_terms(self.field, self._terms, other._terms)
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, FiniteSeq):
-            if isinstance(other, PeriodicSeq):
-                raise RepresentationMismatchError(
-                    "cannot subtract a periodic signal from a finite-support signal"
-                )
-            return NotImplemented
-        require_same_context(self, other)
-        return FiniteSeq._wrap(
-            self.rank,
-            self.field,
-            add_terms(self.field, self._terms, other._terms, negate_b=True),
-        )
-
-    def __neg__(self):
-        return FiniteSeq._wrap(self.rank, self.field, neg_terms(self.field, self._terms))
-
-    def __mul__(self, other):
-        if isinstance(other, (FieldValue, int)):
-            c = self.field.value(other)
-            return FiniteSeq._wrap(
-                self.rank, self.field, scale_terms(self.field, self._terms, c)
+    def _refuse(self, other):
+        if isinstance(other, PeriodicSeq):
+            raise RepresentationMismatchError(
+                "cannot combine a periodic signal with a finite-support signal"
             )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteSeq):
-            return NotImplemented
-        if self.rank != other.rank or self.field != other.field:
-            return False
-        return terms_equal(self.field, self._terms, other._terms)
-
-    __hash__ = None
-
-    def __repr__(self):
-        shown = {
-            k: self.field.format_value(v) for k, v in sorted(self._terms.items())
-        }
-        return f"FiniteSeq(rank={self.rank}, field={self.field.spec()}, terms={shown})"
 
 
 class PeriodicSeq:
     """Signal invariant under the lattice N_1 Z x ... x N_r Z.
 
     Samples are stored densely over the fundamental domain
-    [0, N_1) x ... x [0, N_r) in row-major order, axis 1 slowest.
+    [0, N_1) x ... x [0, N_r) in row-major order, axis 1 slowest, as a
+    tuple of raw payloads; :attr:`values` boxes them.
     """
 
-    __slots__ = ("rank", "field", "periods", "values", "_strides")
+    __slots__ = ("rank", "field", "periods", "_values", "_strides")
 
     def __init__(self, rank, field, periods, values):
         if not isinstance(rank, int) or rank < 1:
@@ -162,15 +73,25 @@ class PeriodicSeq:
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"periods must be ints >= 1, got {n!r}")
         size = math.prod(periods)
-        vals = tuple(coerce_value(field, v) for v in values)
+        vals = tuple(to_payload(field, v) for v in values)
         if len(vals) != size:
             raise ValueError(
                 f"{len(vals)} values given for a fundamental domain of size {size}"
             )
+        self._fill(rank, field, periods, vals)
+
+    @classmethod
+    def _wrap(cls, rank, field, periods, values):
+        # trusted constructor: checked periods, a tuple of canonical payloads
+        obj = object.__new__(cls)
+        obj._fill(rank, field, periods, values)
+        return obj
+
+    def _fill(self, rank, field, periods, values):
         self.rank = rank
         self.field = field
         self.periods = periods
-        self.values = vals
+        self._values = values
         strides = [1] * rank
         for i in range(rank - 2, -1, -1):
             strides[i] = strides[i + 1] * periods[i + 1]
@@ -180,73 +101,66 @@ class PeriodicSeq:
     def zero(cls, rank, field, periods):
         return cls(rank, field, periods, [field.zero] * math.prod(tuple(periods)))
 
+    @property
+    def values(self):
+        """Samples over the fundamental domain, in storage order, as FieldValues."""
+        return tuple(map(FieldValue, itertools.repeat(self.field), self._values))
+
     def domain(self):
         """Fundamental-domain index tuples in storage order."""
         return itertools.product(*(range(n) for n in self.periods))
 
+    def _flat(self, alpha) -> int:
+        # storage position of an already checked index
+        return sum((x % n) * s for x, n, s in zip(alpha, self.periods, self._strides))
+
     def flat_index(self, alpha) -> int:
-        a = exponent_tuple(alpha, self.rank)
-        return sum(
-            (x % n) * s for x, n, s in zip(a, self.periods, self._strides)
-        )
+        return self._flat(exponent_tuple(alpha, self.rank))
 
     def coeff(self, alpha) -> FieldValue:
-        return self.values[self.flat_index(alpha)]
+        return FieldValue(self.field, self._values[self.flat_index(alpha)])
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(v) for v in self.values)
+        return all(map(self.field._is_zero, self._values))
 
-    def _require_compatible(self, other):
+    def _same_kind(self, other):
+        """Whether ``other`` is periodic; if so, check rank, field and periods."""
+        if not isinstance(other, PeriodicSeq):
+            if isinstance(other, FiniteSeq):
+                raise RepresentationMismatchError(
+                    "cannot combine a finite-support signal with a periodic signal"
+                )
+            return False
         require_same_context(self, other)
         if self.periods != other.periods:
             raise PeriodMismatchError(
                 f"periods {self.periods} do not match {other.periods}"
             )
+        return True
+
+    def _with(self, values):
+        return PeriodicSeq._wrap(self.rank, self.field, self.periods, tuple(values))
 
     def __add__(self, other):
-        if not isinstance(other, PeriodicSeq):
-            if isinstance(other, FiniteSeq):
-                raise RepresentationMismatchError(
-                    "cannot add a finite-support signal to a periodic signal"
-                )
+        if not self._same_kind(other):
             return NotImplemented
-        self._require_compatible(other)
-        f = self.field
-        return PeriodicSeq(
-            self.rank,
-            f,
-            self.periods,
-            [f.add(a, b) for a, b in zip(self.values, other.values)],
-        )
+        return self._with(map(self.field._add, self._values, other._values))
 
     def __sub__(self, other):
-        if not isinstance(other, PeriodicSeq):
-            if isinstance(other, FiniteSeq):
-                raise RepresentationMismatchError(
-                    "cannot subtract a finite-support signal from a periodic signal"
-                )
+        if not self._same_kind(other):
             return NotImplemented
-        self._require_compatible(other)
-        f = self.field
-        return PeriodicSeq(
-            self.rank,
-            f,
-            self.periods,
-            [f.sub(a, b) for a, b in zip(self.values, other.values)],
-        )
+        add, neg = self.field._add, self.field._neg
+        return self._with(add(a, neg(b)) for a, b in zip(self._values, other._values))
 
     def __neg__(self):
-        f = self.field
-        return PeriodicSeq(self.rank, f, self.periods, [f.neg(v) for v in self.values])
+        return self._with(map(self.field._neg, self._values))
 
     def __mul__(self, other):
-        if isinstance(other, (FieldValue, int)):
-            c = self.field.value(other)
-            f = self.field
-            return PeriodicSeq(
-                self.rank, f, self.periods, [f.mul(c, v) for v in self.values]
-            )
-        return NotImplemented
+        if not isinstance(other, (FieldValue, int)):
+            return NotImplemented
+        mul = self.field._mul
+        c = to_payload(self.field, other)
+        return self._with(mul(c, v) for v in self._values)
 
     __rmul__ = __mul__
 
@@ -259,9 +173,9 @@ class PeriodicSeq:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"tile factors must be ints >= 1, got {m!r}")
         new_periods = tuple(n * m for n, m in zip(self.periods, factors))
-        out = PeriodicSeq.zero(self.rank, self.field, new_periods)
-        values = [self.coeff(idx) for idx in out.domain()]
-        return PeriodicSeq(self.rank, self.field, new_periods, values)
+        domain = itertools.product(*(range(n) for n in new_periods))
+        values = tuple(self._values[self._flat(idx)] for idx in domain)
+        return PeriodicSeq._wrap(self.rank, self.field, new_periods, values)
 
     def __eq__(self, other):
         if not isinstance(other, PeriodicSeq):
@@ -272,7 +186,7 @@ class PeriodicSeq:
             or self.periods != other.periods
         ):
             return False
-        return all(self.field.eq(a, b) for a, b in zip(self.values, other.values))
+        return all(map(self.field._eq, self._values, other._values))
 
     __hash__ = None
 
@@ -353,12 +267,12 @@ class SeqVector:
 
 def poly_to_seq(d: LaurentPoly) -> FiniteSeq:
     """Read a Laurent polynomial as the finite-support signal X^a -> delta_a."""
-    return FiniteSeq._wrap(d.rank, d.field, dict(d.terms))
+    return FiniteSeq._wrap(d.rank, d.field, d._terms)
 
 
 def seq_to_poly(w: FiniteSeq) -> LaurentPoly:
     """Inverse of :func:`poly_to_seq`; exact on every finite-support signal."""
-    return LaurentPoly._wrap(w.rank, w.field, dict(w.terms))
+    return LaurentPoly._wrap(w.rank, w.field, w._terms)
 
 
 def periodize(w: FiniteSeq, periods) -> PeriodicSeq:
@@ -368,9 +282,9 @@ def periodize(w: FiniteSeq, periods) -> PeriodicSeq:
     samples of ``w`` congruent to it modulo the periods.
     """
     out = PeriodicSeq.zero(w.rank, w.field, tuple(periods))
-    field = w.field
-    acc = list(out.values)
-    for alpha, v in w.terms.items():
-        i = out.flat_index(alpha)
-        acc[i] = field.add(acc[i], v)
-    return PeriodicSeq(w.rank, field, out.periods, acc)
+    add = w.field._add
+    acc = list(out._values)
+    for alpha, v in w._terms.items():
+        i = out._flat(alpha)
+        acc[i] = add(acc[i], v)
+    return PeriodicSeq._wrap(w.rank, w.field, out.periods, tuple(acc))

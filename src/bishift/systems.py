@@ -116,20 +116,21 @@ def periodic_system_matrix(system: System, periods):
             f"{system.l * size} constraint matrix, more than {MAX_MATRIX_CELLS} cells"
         )
     field = system.field
-    zero = field.zero
+    add, zero = field._add, field.zero
     template = PeriodicSeq.zero(system.rank, field, periods)
     domain = list(template.domain())
     width = system.l * size
     rows = []
     for i in range(system.k):
-        for b, beta in enumerate(domain):
-            row = [zero] * width
+        for beta in domain:
+            acc = {}  # column -> payload; untouched cells share the boxed zero
             for j in range(system.l):
-                poly = system.matrix.entry(i, j)
-                for alpha, c in poly.terms.items():
-                    g = template.flat_index(tuple(a + x for a, x in zip(alpha, beta)))
-                    col = j * size + g
-                    row[col] = field.add(row[col], c)
+                for alpha, c in system.matrix.entry(i, j)._terms.items():
+                    col = j * size + template._flat([a + x for a, x in zip(alpha, beta)])
+                    acc[col] = add(acc.get(col, zero.payload), c)
+            row = [zero] * width
+            for col, v in acc.items():
+                row[col] = FieldValue(field, v)
             rows.append(row)
     return rows
 
