@@ -220,6 +220,11 @@ class Field:
         return not a
 
     def format_value(self, v: FieldValue) -> str:
+        """Text form of a value of this field; MixedFieldError for another field's."""
+        self._guard(v)
+        return self._format(v.payload)
+
+    def _format(self, a) -> str:
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -249,8 +254,8 @@ class RationalField(Field):
     def _inv(self, a):
         return 1 / a
 
-    def format_value(self, v):
-        return str(v.payload)
+    def _format(self, a):
+        return str(a)
 
     def spec(self):
         return "rational"
@@ -326,8 +331,8 @@ class PrimeField(Field):
     def _inv(self, a):
         return self._inv_int(a)
 
-    def format_value(self, v):
-        return str(v.payload)
+    def _format(self, a):
+        return str(a)
 
     def spec(self):
         return f"gf:{self.p}"
@@ -388,8 +393,8 @@ class FloatField(Field):
     def _is_zero(self, a):
         return abs(a) <= self.tolerance
 
-    def format_value(self, v):
-        return decimal_token(v.payload)
+    def _format(self, a):
+        return decimal_token(a)
 
     def spec(self):
         return f"float:{self.tolerance!r}"

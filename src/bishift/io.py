@@ -61,7 +61,7 @@ def write_seq_csv(path, seq: FiniteSeq) -> None:
     lines = []
     for idx in seq.sorted_support():
         cells = [str(x) for x in idx]
-        cells.append(field.format_value(seq.terms[idx]))
+        cells.append(field._format(seq._terms[idx]))
         lines.append(",".join(cells))
     Path(path).write_text("".join(line + "\n" for line in lines))
 
@@ -154,13 +154,6 @@ def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) 
     Path(path).write_bytes(header + grays.astype(dtype).tobytes())
 
 
-def _stacked_values(vec: SeqVector):
-    out = []
-    for comp in vec:
-        out.extend(comp.values)
-    return out
-
-
 def write_kernel_report(kernel: KernelBasis, path) -> None:
     """Write periods, dimension and the basis in stacked coordinate order."""
     field = kernel.field
@@ -170,7 +163,7 @@ def write_kernel_report(kernel: KernelBasis, path) -> None:
         "periods": list(kernel.periods),
         "dimension": kernel.dimension,
         "basis": [
-            [field.format_value(v) for v in _stacked_values(vec)]
+            [field._format(v) for comp in vec for v in comp._values]
             for vec in kernel.basis
         ],
     }
@@ -200,12 +193,16 @@ def read_kernel_report(path) -> KernelBasis:
     doc, rank, field, periods = _read_lattice_doc(
         path, "kernel report", ("rank", "field", "periods", "dimension", "basis")
     )
+    if type(doc["dimension"]) is not int:
+        raise SchemaError(f"{path}: 'dimension' must be an int, got {doc['dimension']!r}")
     rows = doc["basis"]
     if not (
         isinstance(rows, list)
         and all(isinstance(row, list) and all(isinstance(t, str) for t in row) for row in rows)
     ):
         raise SchemaError(f"{path}: 'basis' must be a list of lists of value strings")
+    if len({len(row) for row in rows}) > 1:
+        raise SchemaError(f"{path}: basis rows differ in length")
     size = math.prod(periods)
     basis = []
     for row in rows:
@@ -241,7 +238,7 @@ def write_periodic_json(path, signal) -> None:
         "rank": signal.rank,
         "field": field.spec(),
         "periods": list(signal.periods),
-        "values": [field.format_value(v) for v in _stacked_values(signal)],
+        "values": [field._format(v) for comp in signal for v in comp._values],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 

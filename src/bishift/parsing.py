@@ -31,9 +31,12 @@ from .errors import (
     VariableIndexOutOfRangeError,
     ZeroDenominatorError,
 )
-from .fields import FieldValue, parse_field_spec
+from .fields import parse_field_spec
 from .laurent import LaurentPoly, PolyMatrix
 from .systems import System
+
+# largest rank a polynomial or system document may have
+MAX_RANK = 64
 
 _WS = " \t\r\n"
 _DIGITS = "0123456789"
@@ -183,6 +186,8 @@ def parse_poly(text: str, rank: int = 1, field=None) -> LaurentPoly:
         raise TypeError("parse_poly needs a field")
     if not isinstance(rank, int) or rank < 1:
         raise ValueError(f"rank must be a positive int, got {rank!r}")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above the largest supported rank {MAX_RANK}")
     cur = _Cursor(text, rank, field)
     acc = {}
 
@@ -221,11 +226,11 @@ def _mono_text(alpha, rank) -> str:
 
 
 def _sign_split(field, v):
-    """Sign and boxed magnitude of a raw payload."""
+    """Sign and magnitude of a raw payload."""
     # canonical GF residues sit in [0, p) and never read as negative
     if v < 0:
-        return -1, FieldValue(field, field._neg(v))
-    return 1, FieldValue(field, v)
+        return -1, field._neg(v)
+    return 1, v
 
 
 def format_poly(d: LaurentPoly) -> str:
@@ -233,21 +238,22 @@ def format_poly(d: LaurentPoly) -> str:
     if d.is_zero():
         return "0"
     field = d.field
+    one = field.one.payload
     pieces = []
     for alpha in d.sorted_support():
         sign, magnitude = _sign_split(field, d._terms[alpha])
         mono = _mono_text(alpha, d.rank)
         if not mono:
-            body = field.format_value(magnitude)
-        elif field.eq(magnitude, field.one):
+            body = field._format(magnitude)
+        elif field._eq(magnitude, one):
             body = mono
         else:
-            body = f"{field.format_value(magnitude)}*{mono}"
+            body = f"{field._format(magnitude)}*{mono}"
         if not pieces:
             if sign < 0:
                 # keep the leading term inside the grammar: "-X" is not a term
                 if body == mono:
-                    body = f"{field.format_value(magnitude)}*{mono}"
+                    body = f"{field._format(magnitude)}*{mono}"
                 pieces.append(f"-{body}")
             else:
                 pieces.append(body)
@@ -291,6 +297,8 @@ def parse_system(text: str) -> System:
     if extra:
         raise SchemaError(f"system document has unknown keys {sorted(extra)}")
     rank, k, l = (positive_int(doc[key], repr(key)) for key in ("rank", "k", "l"))
+    if rank > MAX_RANK:
+        raise SchemaError(f"'rank' {rank} is above the largest supported rank {MAX_RANK}")
     field = document_field(doc["field"])
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != k:

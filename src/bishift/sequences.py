@@ -191,7 +191,7 @@ class PeriodicSeq:
     __hash__ = None
 
     def __repr__(self):
-        shown = [self.field.format_value(v) for v in self.values]
+        shown = [self.field._format(v) for v in self._values]
         return (
             f"PeriodicSeq(rank={self.rank}, field={self.field.spec()}, "
             f"periods={self.periods}, values={shown})"

@@ -7,8 +7,14 @@ restricted to a fixed period lattice it becomes the nullspace of a
 finite matrix over the coefficient field: each monomial X^a acts on the
 fundamental domain as the permutation b -> (a + b) mod periods, so each
 matrix entry folds the polynomial's coefficients along that rule.  The
-nullspace is then computed by exact Gaussian elimination, which is why
-kernel work is restricted to exact fields.
+nullspace is then computed by exact Gauss-Jordan elimination, which is
+why kernel work is restricted to exact fields.
+
+The matrix is one numpy array of raw payloads from construction to the
+kernel report: int64 residues over GF(p) with p < 2**31, and an object
+array of ``Fraction``s (over Q) or Python ints (larger primes)
+otherwise.  One elimination loop, :func:`rref`, serves every exact
+field by running the field's payload hooks on whole rows.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatFieldUnsupportedError, LatticeTooLargeError, RankMismatchError
-from .fields import FieldValue, PrimeField
+from .fields import PrimeField
 from .laurent import PolyMatrix
 from .operators import shift_matrix
 from .sequences import FiniteSeq, PeriodicSeq, SeqVector
 
-# GF(p) elimination runs on int64 payloads below this modulus
-_ARRAY_MODULUS_LIMIT = 2**31
+# GF(p) constraint matrices hold int64 payloads below this modulus
+_INT64_MODULUS_LIMIT = 2**31
 # largest constraint matrix, in cells, that periodic_system_matrix builds
 MAX_MATRIX_CELLS = 2**24
 
@@ -105,137 +111,99 @@ def periodic_system_matrix(system: System, periods):
     (j, gamma)) sums the coefficients R_ij[a] over all a with
     (a + beta) mod periods = gamma.
 
-    Raises LatticeTooLargeError, before allocating anything, when M
-    would have more than MAX_MATRIX_CELLS cells.
+    M is a 2-D numpy array of payloads: int64 over GF(p) with p < 2**31,
+    otherwise an object array of the field's own payloads (``Fraction``
+    over Q, ``int`` for larger primes).  Raises LatticeTooLargeError,
+    before allocating anything, when M would have more than
+    MAX_MATRIX_CELLS cells.
     """
     periods = _check_periods(system, periods)
     size = math.prod(periods)
-    if system.k * size * system.l * size > MAX_MATRIX_CELLS:
+    height, width = system.k * size, system.l * size
+    if height * width > MAX_MATRIX_CELLS:
         raise LatticeTooLargeError(
-            f"periods {','.join(map(str, periods))} need a {system.k * size} x "
-            f"{system.l * size} constraint matrix, more than {MAX_MATRIX_CELLS} cells"
+            f"periods {','.join(map(str, periods))} need a {height} x "
+            f"{width} constraint matrix, more than {MAX_MATRIX_CELLS} cells"
         )
     field = system.field
-    add, zero = field._add, field.zero
-    template = PeriodicSeq.zero(system.rank, field, periods)
-    domain = list(template.domain())
-    width = system.l * size
-    rows = []
+    if isinstance(field, PrimeField) and field.p < _INT64_MODULUS_LIMIT:
+        matrix = np.zeros((height, width), np.int64)
+    else:
+        matrix = np.full((height, width), field.zero.payload, dtype=object)
+    lengths = np.array(periods)
+    strides = np.array([math.prod(periods[i + 1 :]) for i in range(system.rank)])
+    domain = np.indices(periods).reshape(system.rank, size).T  # row b: the beta at flat(beta) = b
+    flat = np.arange(size)
     for i in range(system.k):
-        for beta in domain:
-            acc = {}  # column -> payload; untouched cells share the boxed zero
-            for j in range(system.l):
-                for alpha, c in system.matrix.entry(i, j)._terms.items():
-                    col = j * size + template._flat([a + x for a, x in zip(alpha, beta)])
-                    acc[col] = add(acc.get(col, zero.payload), c)
-            row = [zero] * width
-            for col, v in acc.items():
-                row[col] = FieldValue(field, v)
-            rows.append(row)
-    return rows
+        rows = i * size + flat
+        for j in range(system.l):
+            for alpha, c in system.matrix.entry(i, j)._terms.items():
+                # X^alpha sends beta to (alpha + beta) mod periods: a permutation
+                offset = [a % n for a, n in zip(alpha, periods)]
+                cols = j * size + ((domain + offset) % lengths) @ strides
+                matrix[rows, cols] = field._add(matrix[rows, cols], c)
+    return matrix
 
 
-def rref(rows, field):
+def rref(matrix, field):
     """Reduced row echelon form by exact Gauss-Jordan elimination.
 
-    Returns the reduced rows (zero rows dropped) and the pivot column of
-    each remaining row, in order.  The pivot is the first nonzero entry,
-    so over exact fields this is elimination with row-swap pivoting.
+    ``matrix`` is a 2-D payload array as :func:`periodic_system_matrix`
+    builds it, and is reduced in place.  Returns the nonzero rows of the
+    reduced form (a view of ``matrix``) and the pivot column of each, in
+    order.  The pivot is the first nonzero entry at or below the current
+    row; its row is scaled by the pivot's inverse and every other row is
+    cleared.  Rows at or below the current one are zero left of the
+    pivot column, so each step starts at that column.
 
-    Over GF(p) with p < 2**31 the rows are reduced as one int64 array;
-    rationals, larger primes and the empty matrix run the boxed loop.
-    Both branches follow the same pivot rule, and the reduced row
-    echelon form of a matrix is unique, so they return equal results.
+    The field's payload hooks run on whole rows, so the one loop serves
+    every exact field: over GF(p) ``_add`` and ``_mul`` reduce mod p,
+    and with int64 payloads below 2**31 no product exceeds 2**62.
     """
-    if rows and isinstance(field, PrimeField) and field.p < _ARRAY_MODULUS_LIMIT:
-        return _rref_mod_p(rows, field)
-    return _rref_boxed(rows, field)
-
-
-def _rref_boxed(rows, field):
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    width = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if not field.is_zero(work[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = field.inv(work[r][col])
-        work[r] = [field.mul(inv, v) for v in work[r]]
-        for i in range(len(work)):
-            if i == r or field.is_zero(work[i][col]):
-                continue
-            factor = work[i][col]
-            work[i] = [
-                field.sub(a, field.mul(factor, b)) for a, b in zip(work[i], work[r])
-            ]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def _rref_mod_p(rows, field):
-    """The boxed loop on an int64 array of payloads, for p < 2**31.
-
-    Payloads lie in [0, p), so every product is below 2**62 and no step
-    overflows.  Rows at or below ``r`` are zero left of ``col``, so the
-    pivot row and the updates start at ``col``.
-    """
-    p = field.p
-    m, n = len(rows), len(rows[0])
-    a = np.fromiter((v.payload for row in rows for v in row), np.int64, m * n)
-    a = a.reshape(m, n)
+    m, n = matrix.shape
     pivots = []
     r = 0
     for col in range(n):
-        below = np.flatnonzero(a[r:, col])
+        below = np.flatnonzero(matrix[r:, col])
         if not below.size:
             continue
         i = r + int(below[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r, col:] = a[r, col:] * pow(int(a[r, col]), -1, p) % p
-        others = np.flatnonzero(a[:, col])
+            matrix[[r, i]] = matrix[[i, r]]
+        matrix[r, col:] = field._mul(matrix[r, col:], field._inv(matrix.item(r, col)))
+        others = np.flatnonzero(matrix[:, col])
         others = others[others != r]
         if others.size:
-            a[others, col:] = (a[others, col:] - np.outer(a[others, col], a[r, col:])) % p
+            factors = field._neg(matrix[others, col])
+            matrix[others, col:] = field._add(
+                matrix[others, col:], np.outer(factors, matrix[r, col:])
+            )
         pivots.append(col)
         r += 1
         if r == m:
             break
-    return [list(map(FieldValue, itertools.repeat(field), row)) for row in a[:r].tolist()], pivots
+    return matrix[:r], pivots
 
 
-def nullspace_basis(rows, width, field):
-    """Basis of {w : rows . w = 0}, normalized to reduced echelon form.
+def nullspace_basis(matrix, field):
+    """Basis of {w : matrix . w = 0}, as the rows of a payload array in RREF.
 
-    One vector per free column of the reduced system; the final
-    renormalization orders the basis rows by pivot position and makes
-    the output reproducible regardless of how the constraints were
-    assembled.
+    ``matrix`` is reduced in place.  Each free column f of the reduced
+    system gives one vector: 1 at f, minus column f of the reduced rows
+    at the pivot columns, 0 elsewhere.  The final renormalization orders
+    the basis rows by pivot position and makes the output reproducible
+    regardless of how the constraints were assembled.
     """
-    reduced, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [field.zero] * width
-        v[f] = field.one
-        for i, p in enumerate(pivots):
-            v[p] = field.neg(reduced[i][f])
-        vectors.append(v)
-    if not vectors:
-        return []
+    width = matrix.shape[1]
+    reduced, pivots = rref(matrix, field)
+    is_free = np.ones(width, bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    vectors = np.full((free.size, width), field.zero.payload, dtype=matrix.dtype)
+    if not free.size:
+        return vectors
+    vectors[np.arange(free.size), free] = field.one.payload
+    vectors[:, pivots] = field._neg(reduced[:, free].T)
     normalized, _ = rref(vectors, field)
     return normalized
 
@@ -245,8 +213,7 @@ def kernel_dimension(system: System, periods) -> int:
     periods = _check_periods(system, periods)
     if not system.field.is_exact:
         raise FloatFieldUnsupportedError("kernel computation needs an exact field")
-    rows = periodic_system_matrix(system, periods)
-    _, pivots = rref(rows, system.field)
+    _, pivots = rref(periodic_system_matrix(system, periods), system.field)
     return system.l * math.prod(periods) - len(pivots)
 
 
@@ -256,23 +223,21 @@ def periodic_kernel_basis(system: System, periods) -> KernelBasis:
     if not system.field.is_exact:
         raise FloatFieldUnsupportedError("kernel computation needs an exact field")
     field = system.field
-    rows = periodic_system_matrix(system, periods)
     size = math.prod(periods)
-    width = system.l * size
-    vectors = nullspace_basis(rows, width, field)
-    basis = []
-    for v in vectors:
-        comps = [
-            PeriodicSeq(system.rank, field, periods, v[j * size : (j + 1) * size])
+    vectors = nullspace_basis(periodic_system_matrix(system, periods), field)
+    basis = tuple(
+        SeqVector(
+            PeriodicSeq._wrap(system.rank, field, periods, tuple(row[j * size : (j + 1) * size]))
             for j in range(system.l)
-        ]
-        basis.append(SeqVector(comps))
+        )
+        for row in vectors.tolist()
+    )
     return KernelBasis(
         rank=system.rank,
         field=field,
         periods=periods,
         dimension=len(basis),
-        basis=tuple(basis),
+        basis=basis,
     )
 
 

@@ -164,3 +164,43 @@ def rank1_kernel_dimension(coeffs, p, n):
     """
     modulus = [-1] + [0] * (n - 1) + [1]
     return len(poly_gcd_mod_p(coeffs, modulus, p)) - 1
+
+
+def rref_boxed(rows, field):
+    """Reduced row echelon form of FieldValue rows by boxed Gauss-Jordan.
+
+    The row-list elimination the library used before it reduced payload
+    arrays: the pivot is the first nonzero entry at or below row r, and
+    every scalar step goes through the field's checked FieldValue
+    arithmetic.  Returns the reduced rows (zero rows dropped) and the
+    pivot column of each.
+    """
+    work = [list(r) for r in rows]
+    if not work:
+        return [], []
+    width = len(work[0])
+    pivots = []
+    r = 0
+    for col in range(width):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if not field.is_zero(work[i][col]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = field.inv(work[r][col])
+        work[r] = [field.mul(inv, v) for v in work[r]]
+        for i in range(len(work)):
+            if i == r or field.is_zero(work[i][col]):
+                continue
+            factor = work[i][col]
+            work[i] = [
+                field.sub(a, field.mul(factor, b)) for a, b in zip(work[i], work[r])
+            ]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots

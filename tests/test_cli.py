@@ -50,6 +50,14 @@ class TestPair:
         assert code == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_huge_rank_rejected_fast(self, tmp_path, capsys):
+        seq = tmp_path / "w.csv"
+        seq.write_text("0,5\n")
+        start = time.perf_counter()
+        assert main(["pair", "--rank", "100000000", "--poly", "1", "--seq", str(seq)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         seq = tmp_path / "w.csv"
         seq.write_text("0,5\n")
@@ -211,6 +219,18 @@ class TestKernel:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_huge_rank_rejected_fast(self, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        doc = {"rank": 10**9, "field": "gf:7", "k": 1, "l": 2, "entries": [["1", "2"]]}
+        path.write_text(json.dumps(doc))
+        assert len(path.read_bytes()) <= 100
+        start = time.perf_counter()
+        assert main(["kernel", "--system", str(path), "--period", "2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_bad_period_rejected(self, difference_file):
         assert main(["kernel", "--system", str(difference_file), "--period", "0"]) == 2

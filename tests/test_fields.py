@@ -225,3 +225,16 @@ def test_token_round_trip_through_format():
         assert Q.parse_token(Q.format_value(v)) == v
         g = GF7.value(rng.randint(0, 6))
         assert GF7.parse_token(GF7.format_value(g)) == g
+
+
+def test_format_value_refuses_another_fields_value():
+    for field, value in [
+        (Q, GF7.value(3)),
+        (FloatField(), Q.value(1, 3)),
+        (GF7, PrimeField(5).value(3)),
+        (Q, FloatField().value(0.5)),
+    ]:
+        with pytest.raises(MixedFieldError):
+            field.format_value(value)
+    assert FloatField().format_value(FloatField().value(0.5)) == "0.5"
+    assert Q.format_value(Q.value(1, 3)) == "1/3"

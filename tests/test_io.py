@@ -271,6 +271,24 @@ class TestKernelReport:
         with pytest.raises(SchemaError, match="'basis'"):
             formats.read_kernel_report(path)
 
+    def test_boolean_dimension_rejected(self, tmp_path):
+        doc = {"rank": 1, "field": "gf:2", "periods": [2], "dimension": 1, "basis": [["1", "1"]]}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert formats.read_kernel_report(path).dimension == 1
+        path.write_text(json.dumps({**doc, "dimension": True}))
+        with pytest.raises(SchemaError, match="'dimension'"):
+            formats.read_kernel_report(path)
+
+    def test_ragged_basis_rows_rejected(self, tmp_path):
+        # rows of 2 and 4 values on periods [2] would read as 1 and 2 components
+        doc = {"rank": 1, "field": "gf:2", "periods": [2], "dimension": 2,
+               "basis": [["1", "1"], ["1", "0", "0", "1"]]}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="differ in length"):
+            formats.read_kernel_report(path)
+
     @pytest.mark.parametrize(
         "rank, periods",
         [(1, [0]), (1, [-2]), (1, ["a"]), (1, [2.0]), (1, [True]), (1, 2), (2, [2]), (0, [])],

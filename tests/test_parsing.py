@@ -16,7 +16,7 @@ from bishift.errors import (
     ZeroDenominatorError,
 )
 from bishift.fields import FloatField, PrimeField, RationalField
-from bishift.parsing import format_poly, format_system, parse_poly, parse_system
+from bishift.parsing import MAX_RANK, format_poly, format_system, parse_poly, parse_system
 from bishift.selftest import random_poly
 
 Q = RationalField()
@@ -54,6 +54,12 @@ class TestParsePoly:
         assert parse_poly("X1", 1, Q) == parse_poly("X", 1, Q)
         with pytest.raises(VariableIndexOutOfRangeError):
             parse_poly("X", 2, Q)
+
+    def test_rank_bounded(self):
+        assert parse_poly(f"X{MAX_RANK}", MAX_RANK, Q).support() == {(0,) * (MAX_RANK - 1) + (1,)}
+        for rank in (0, MAX_RANK + 1, 10**8):
+            with pytest.raises(ValueError, match="rank"):
+                parse_poly("1", rank, Q)
 
     def test_whitespace_tolerated_around_terms(self):
         assert parse_poly("  5*X^-1   -  3*X^2 ", 1, Q) == parse_poly(
@@ -210,6 +216,15 @@ class TestParseSystem:
         mutate(doc)
         with pytest.raises(SchemaError):
             parse_system(json.dumps(doc))
+
+    def test_rank_above_bound_refused_before_entries(self):
+        doc = {"rank": MAX_RANK, "field": "gf:7", "k": 1, "l": 2, "entries": [["1", "2"]]}
+        assert parse_system(json.dumps(doc)).rank == MAX_RANK
+        # the entry would not parse; the rank is refused first
+        for rank in (MAX_RANK + 1, 10**9):
+            doc.update(rank=rank, entries=[["1", "X^"]])
+            with pytest.raises(SchemaError, match="rank"):
+                parse_system(json.dumps(doc))
 
     def test_not_json(self):
         with pytest.raises(SchemaError):

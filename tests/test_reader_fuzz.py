@@ -4,7 +4,8 @@ Each reader gets a few hundred inputs drawn from a fixed seed: documents
 whose keys hold random JSON values, CSV files of junk rows, and P5 images
 with mutated headers and rasters.  A reader may accept an input or raise
 a BishiftError; any other exception fails the test.  Counts and periods
-are drawn small, so a document the readers accept stays cheap to build.
+are drawn small, so a document the readers accept stays cheap to build;
+ranks also reach past the readers' bound, which must refuse them cheaply.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 from bishift import io as formats
 from bishift.errors import BishiftError
 from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.parsing import MAX_RANK
 
 SEED = 8
 CASES = 800
@@ -54,6 +56,8 @@ def _mutated_doc(rng, valid):
         action = rng.random()
         if action < 0.15:
             doc.pop(key, None)
+        elif action < 0.25 and key == "rank":
+            doc[key] = rng.choice([rng.randint(MAX_RANK - 1, MAX_RANK + 2), 10**9, 2**63])
         elif action < 0.5 and isinstance(doc.get(key), list) and doc[key]:
             items = doc[key]
             items[rng.randrange(len(items))] = _json_value(rng)

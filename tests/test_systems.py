@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from oracles import count_periodic_members, rank1_kernel_dimension
+from oracles import count_periodic_members, rank1_kernel_dimension, rref_boxed
 
 from bishift import systems
 from bishift.errors import (
@@ -10,7 +12,7 @@ from bishift.errors import (
     LatticeTooLargeError,
     RankMismatchError,
 )
-from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.fields import FieldValue, FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.parsing import parse_poly
 from bishift.selftest import random_poly
@@ -25,13 +27,33 @@ from bishift.systems import (
     periodic_kernel_basis,
     periodic_system_matrix,
     rref,
-    _rref_boxed,
-    _rref_mod_p,
 )
 
 Q = RationalField()
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
+BIG = PrimeField(2147483659)  # the first prime above 2**31
+
+
+def payload_matrix(rows, field, width=None):
+    """A payload array of FieldValue or raw rows, in the dtype the solver uses."""
+    dtype = np.int64 if isinstance(field, PrimeField) and field.p < 2**31 else object
+    cells = [[v.payload if isinstance(v, FieldValue) else field._normalize(v, None) for v in row]
+             for row in rows]
+    return np.array(cells, dtype=dtype).reshape(len(cells), width or len(cells[0]))
+
+
+def field_of(p):
+    return Q if p is None else PrimeField(p)
+
+
+def assert_payload_types(values, field):
+    """Fractions over Q; Python ints in [0, p) over GF(p), never numpy scalars."""
+    for v in values:
+        if field == Q:
+            assert type(v) is Fraction
+        else:
+            assert type(v) is int and 0 <= v < field.p
 
 
 def P(text, rank=1, field=Q):
@@ -76,19 +98,18 @@ class TestMembership:
 
 class TestConstraintMatrix:
     def test_difference_system_folds_to_zero_matrix(self):
-        rows = periodic_system_matrix(difference_system(), (2,))
-        assert all(v.is_zero() for row in rows for v in row)
+        matrix = periodic_system_matrix(difference_system(), (2,))
+        assert all(v == 0 for v in matrix.flat)
 
     def test_identity_system(self):
-        rows = periodic_system_matrix(System(PolyMatrix([[P("1")]])), (3,))
-        for i, row in enumerate(rows):
+        matrix = periodic_system_matrix(System(PolyMatrix([[P("1")]])), (3,))
+        for i, row in enumerate(matrix.tolist()):
             for j, v in enumerate(row):
-                assert v == (Q.one if i == j else Q.zero)
+                assert v == (1 if i == j else 0)
 
     def test_monomial_gives_cyclic_permutation(self):
-        rows = periodic_system_matrix(System(PolyMatrix([[P("X")]])), (3,))
-        got = [[v.payload for v in row] for row in rows]
-        assert got == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        matrix = periodic_system_matrix(System(PolyMatrix([[P("X")]])), (3,))
+        assert matrix.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
     def test_monomial_rows_are_permutations(self):
         rng = random.Random(42)
@@ -96,43 +117,52 @@ class TestConstraintMatrix:
             e = rng.randint(-5, 5)
             n = rng.randint(1, 6)
             mono = LaurentPoly.monomial(1, Q, (e,))
-            rows = periodic_system_matrix(System(PolyMatrix([[mono]])), (n,))
-            for row in rows:
-                nonzero = [v for v in row if not v.is_zero()]
-                assert len(nonzero) == 1 and nonzero[0] == Q.one
+            matrix = periodic_system_matrix(System(PolyMatrix([[mono]])), (n,))
+            for row in matrix.tolist():
+                nonzero = [v for v in row if v != 0]
+                assert len(nonzero) == 1 and nonzero[0] == 1
 
     def test_matrix_is_additive_in_the_operator(self):
         rng = random.Random(43)
         for _ in range(20):
             a = random_poly(rng, 1, GF3, max_terms=4)
             b = random_poly(rng, 1, GF3, max_terms=4)
-            rows_sum = periodic_system_matrix(System(PolyMatrix([[a + b]])), (4,))
-            rows_a = periodic_system_matrix(System(PolyMatrix([[a]])), (4,))
-            rows_b = periodic_system_matrix(System(PolyMatrix([[b]])), (4,))
-            for ra, rb, rs in zip(rows_a, rows_b, rows_sum):
-                for va, vb, vs in zip(ra, rb, rs):
-                    assert vs == va + vb
+            sum_ = periodic_system_matrix(System(PolyMatrix([[a + b]])), (4,))
+            part_a = periodic_system_matrix(System(PolyMatrix([[a]])), (4,))
+            part_b = periodic_system_matrix(System(PolyMatrix([[b]])), (4,))
+            assert sum_.tolist() == ((part_a + part_b) % 3).tolist()
 
     def test_period_arity_checked(self):
         with pytest.raises(RankMismatchError):
             periodic_system_matrix(difference_system(), (2, 2))
 
+    @pytest.mark.parametrize(
+        "p, dtype",
+        [(7, np.int64), (2**31 - 1, np.int64), (2147483659, object),
+         pytest.param(None, object, id="rational-object")],
+    )
+    def test_dtype_and_payload_types(self, p, dtype):
+        field = field_of(p)
+        system = System(PolyMatrix([[P("3*X - 1/2 + X^-2", field=field), P("X", field=field)]]))
+        matrix = periodic_system_matrix(system, (5,))
+        assert matrix.dtype == dtype and matrix.shape == (5, 10)
+        if dtype is object:
+            # every cell, zeros included, holds the field's own payload type
+            assert_payload_types(matrix.flat, field)
+        want = [field._normalize(c, None) for c in (Fraction(-1, 2), 3, 0, 1, 0, 0, 1, 0, 0, 0)]
+        assert matrix.tolist()[0] == want
+
 
 class TestExactElimination:
     def test_rref_golden(self):
-        rows = [
-            [Q.value(0), Q.value(2), Q.value(4)],
-            [Q.value(1), Q.value(1), Q.value(1)],
-        ]
-        reduced, pivots = rref(rows, Q)
+        matrix = payload_matrix([[0, 2, 4], [1, 1, 1]], Q)
+        reduced, pivots = rref(matrix, Q)
         assert pivots == [0, 1]
-        got = [[v.payload for v in row] for row in reduced]
-        assert got == [[1, 0, -1], [0, 1, 2]]
+        assert reduced.tolist() == [[1, 0, -1], [0, 1, 2]]
 
     def test_nullspace_rows_are_reduced(self):
-        rows = [[Q.value(1), Q.value(1)]]
-        basis = nullspace_basis(rows, 2, Q)
-        assert [[v.payload for v in vec] for vec in basis] == [[1, -1]]
+        basis = nullspace_basis(payload_matrix([[1, 1]], Q), Q)
+        assert basis.tolist() == [[1, -1]]
 
     def test_nullspace_solves(self):
         rng = random.Random(44)
@@ -142,21 +172,19 @@ class TestExactElimination:
             width = rng.randint(1, 5)
             rows = [
                 [
-                    field.value(rng.randint(0, 2))
-                    if isinstance(field, PrimeField)
-                    else field.value(rng.randint(-3, 3))
+                    rng.randint(0, 2) if isinstance(field, PrimeField) else rng.randint(-3, 3)
                     for _ in range(width)
                 ]
                 for _ in range(height)
             ]
-            basis = nullspace_basis(rows, width, field)
-            _, pivots = rref(rows, field)
+            basis = nullspace_basis(payload_matrix(rows, field), field)
+            _, pivots = rref(payload_matrix(rows, field), field)
             assert len(basis) == width - len(pivots)
-            for vec in basis:
+            for vec in basis.tolist():
                 for row in rows:
                     total = field.zero
                     for a, x in zip(row, vec):
-                        total = field.add(total, field.mul(a, x))
+                        total = field.add(total, field.mul(field.value(a), field.value(x)))
                     assert total.is_zero()
 
 
@@ -223,7 +251,7 @@ class TestKernelSolver:
         stacked = [
             [v for comp in vec for v in comp.values] for vec in basis.basis
         ]
-        _, pivots = rref(stacked, GF3)
+        _, pivots = rref(payload_matrix(stacked, GF3), GF3)
         assert len(pivots) == basis.dimension
 
     def test_completeness_against_enumeration(self):
@@ -277,8 +305,18 @@ def payloads(rows):
     return [[v.payload for v in row] for row in rows]
 
 
+def random_value(rng, field, density):
+    if rng.random() >= density:
+        return field.zero
+    if isinstance(field, PrimeField):
+        return field.value(rng.randrange(field.p))
+    # small rationals, and some with numerator and denominator above 2**62
+    bound = rng.choice((4, 4, 2**70))
+    return field.value(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
 def random_matrix(rng, field):
-    """A seeded matrix of 1x1 to 12x12, often rank-deficient.
+    """A seeded matrix of 1x1 to 12x12 FieldValues, often rank-deficient.
 
     Some rows are zero, some duplicate an earlier row and some are the
     sum of two earlier rows; a few matrices are all zero.
@@ -298,70 +336,70 @@ def random_matrix(rng, field):
             a, b = rng.choice(rows), rng.choice(rows)
             row = [x + y for x, y in zip(a, b)]
         else:
-            row = [
-                field.value(rng.randrange(field.p) if rng.random() < density else 0)
-                for _ in range(width)
-            ]
+            row = [random_value(rng, field, density) for _ in range(width)]
         rows.append(row)
     return rows
 
 
+def oracle_rref(matrix, field):
+    """systems.rref's contract, computed by the boxed oracle."""
+    rows = [[FieldValue(field, v) for v in row] for row in matrix.tolist()]
+    reduced, pivots = rref_boxed(rows, field)
+    return payload_matrix(reduced, field, matrix.shape[1]), pivots
+
+
+FIELDS = [2, 3, 7, 2**31 - 1, 2147483659, pytest.param(None, id="rational")]
+
+
 class TestArrayElimination:
-    """The int64 mod-p branch of rref against the boxed loop it replaces."""
+    """The one elimination loop on payload arrays against the boxed oracle.
 
-    @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+    The test names predate the single loop: "array branch" is
+    systems.rref and "boxed branch" is oracles.rref_boxed.
+    """
+
+    @pytest.mark.parametrize("p", FIELDS)
     def test_array_branch_matches_boxed_branch(self, p):
-        field = PrimeField(p)
-        rng = random.Random(f"rref:{p}")
+        field = field_of(p)
+        rng = random.Random(f"rref:{p or 'rational'}")
         matrices = [[[field.one]], [[field.zero]], [[field.zero, field.one]] * 3]
-        matrices += [random_matrix(rng, field) for _ in range(150)]
+        matrices += [random_matrix(rng, field) for _ in range(150 if p else 60)]
+        if p is None:
+            assert any(
+                abs(v.payload.numerator) > 2**62 and v.payload.denominator > 2**62
+                for rows in matrices for row in rows for v in row
+            )
         for rows in matrices:
-            fast, fast_pivots = _rref_mod_p(rows, field)
-            slow, slow_pivots = _rref_boxed(rows, field)
-            assert fast_pivots == slow_pivots
-            assert payloads(fast) == payloads(slow)
-            assert all(type(v.payload) is int for row in fast for v in row)
-            assert all(v.field is field for row in fast for v in row)
-
-    def test_rref_chooses_the_array_branch_below_two_to_the_31(self, monkeypatch):
-        field = PrimeField(2**31 - 1)
-        calls = []
-
-        def record(rows, f):
-            calls.append(f)
-            return _rref_boxed(rows, f)
-
-        monkeypatch.setattr(systems, "_rref_mod_p", record)
-        rref([[field.one]], field)
-        rref([], field)
-        rref([[Q.one]], Q)
-        assert calls == [field]
-
-    def test_large_prime_takes_the_boxed_branch(self, monkeypatch):
-        field = PrimeField(2147483659)  # the first prime above 2**31
-        rng = random.Random(48)
-        matrices = [random_matrix(rng, field) for _ in range(60)]
-        expected = [_rref_boxed(rows, field) for rows in matrices]
-
-        def refuse(rows, f):
-            raise AssertionError("array branch used for a modulus above 2**31")
-
-        monkeypatch.setattr(systems, "_rref_mod_p", refuse)
-        for rows, (want, want_pivots) in zip(matrices, expected):
-            reduced, pivots = rref(rows, field)
+            matrix = payload_matrix(rows, field)
+            want, want_pivots = rref_boxed(rows, field)
+            reduced, pivots = rref(matrix, field)
+            assert reduced.dtype == matrix.dtype
             assert pivots == want_pivots
-            assert payloads(reduced) == payloads(want)
+            assert reduced.tolist() == payloads(want)
+            assert_payload_types([v for row in reduced.tolist() for v in row], field)
             # reduced echelon form spanning the same row space
             for i, col in enumerate(pivots):
-                assert [row[col].payload for row in reduced] == [
-                    int(i == j) for j in range(len(pivots))
-                ]
-            _, stacked = _rref_boxed(reduced + rows, field)
+                assert reduced[:, col].tolist() == [int(i == j) for j in range(len(pivots))]
+            _, stacked = rref_boxed(want + rows, field)
             assert stacked == pivots
 
-    @pytest.mark.parametrize("field", [GF2, PrimeField(7)])
+    @pytest.mark.parametrize("p", FIELDS)
+    def test_kernel_basis_payload_types(self, p):
+        field = field_of(p)
+        rng = random.Random(f"types:{field.spec()}")
+        seen = 0
+        for _ in range(6):
+            grid = [[random_poly(rng, 1, field, max_terms=3, span=2) for _ in range(2)]]
+            result = periodic_kernel_basis(System(PolyMatrix(grid)), (rng.randint(1, 6),))
+            for vec in result.basis:
+                for comp in vec:
+                    assert_payload_types(comp._values, field)
+                    seen += len(comp._values)
+        assert seen
+
+    @pytest.mark.parametrize("field", [GF2, PrimeField(7), Q, BIG])
     def test_kernel_basis_same_with_either_branch(self, field, monkeypatch):
-        rng = random.Random(f"basis:{field.p}")
+        rng = random.Random(f"basis:{getattr(field, 'p', 'rational')}")
         cases = []
         for _ in range(8):
             k, l = rng.randint(1, 2), rng.randint(1, 2)
@@ -384,7 +422,7 @@ class TestArrayElimination:
             return out
 
         fast = solve_all()
-        monkeypatch.setattr(systems, "_rref_mod_p", _rref_boxed)
+        monkeypatch.setattr(systems, "rref", oracle_rref)
         assert solve_all() == fast
         assert any(fast)
 
@@ -427,10 +465,11 @@ class TestLatticeBudget:
     def test_api_refuses_periods_20_20_20(self, monkeypatch):
         system = System(PolyMatrix([[P("X1 - X2^-1 + X3", rank=3, field=GF2)]]))
 
-        def refuse(*args):
-            raise AssertionError("lattice allocated before the budget check")
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError("lattice allocated before the budget check")
 
-        monkeypatch.setattr(systems.PeriodicSeq, "zero", refuse)
+        monkeypatch.setattr(systems, "np", NoArrays())
         for solve in (periodic_system_matrix, kernel_dimension, periodic_kernel_basis):
             with pytest.raises(LatticeTooLargeError, match="8000 x 8000"):
                 solve(system, (20, 20, 20))
