@@ -58,9 +58,10 @@ def _cmd_kernel(args) -> int:
     system = formats.read_system(args.system)
     periods = _parse_periods(args.period)
     basis = periodic_kernel_basis(system, periods)
-    print(f"dimension: {basis.dimension}")
+    # write first, so a report that cannot be written leaves stdout empty
     if args.report:
         formats.write_kernel_report(basis, args.report)
+    print(f"dimension: {basis.dimension}")
     return 0
 
 

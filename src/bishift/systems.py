@@ -12,9 +12,18 @@ why kernel work is restricted to exact fields.
 
 The matrix is one numpy array of raw payloads from construction to the
 kernel report: int64 residues over GF(p) with p < 2**31, and an object
-array of ``Fraction``s (over Q) or Python ints (larger primes)
-otherwise.  One elimination loop, :func:`rref`, serves every exact
-field by running the field's payload hooks on whole rows.
+array of Python ints for larger primes.  One elimination loop,
+:func:`rref`, serves every field by running the field's payload hooks on
+whole rows.
+
+Over Q no elimination runs on ``Fraction``s.  Each row of R is cleared
+of denominators, and the kernel is solved modulo 31-bit primes on the
+int64 loop.  A prime whose kernel is larger, or whose pivots sit
+further right, than another prime's is unlucky and dropped.  The
+residues of the others are combined by CRT and rational reconstruction,
+and the result is certified by an exact check of R o w = 0 (see
+:func:`_rational_kernel`).  :func:`periodic_system_matrix` still builds
+the ``Fraction`` matrix over Q for callers that want it.
 """
 
 from __future__ import annotations
@@ -22,12 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import FloatFieldUnsupportedError, LatticeTooLargeError, RankMismatchError
-from .fields import PrimeField
-from .laurent import PolyMatrix
+from .fields import PrimeField, _is_prime
+from .laurent import LaurentPoly, PolyMatrix
 from .operators import shift_matrix
 from .sequences import FiniteSeq, PeriodicSeq, SeqVector
 
@@ -130,19 +140,28 @@ def periodic_system_matrix(system: System, periods):
         matrix = np.zeros((height, width), np.int64)
     else:
         matrix = np.full((height, width), field.zero.payload, dtype=object)
-    lengths = np.array(periods)
-    strides = np.array([math.prod(periods[i + 1 :]) for i in range(system.rank)])
-    domain = np.indices(periods).reshape(system.rank, size).T  # row b: the beta at flat(beta) = b
+    fold = _folding(periods)
     flat = np.arange(size)
     for i in range(system.k):
         rows = i * size + flat
         for j in range(system.l):
             for alpha, c in system.matrix.entry(i, j)._terms.items():
-                # X^alpha sends beta to (alpha + beta) mod periods: a permutation
-                offset = [a % n for a, n in zip(alpha, periods)]
-                cols = j * size + ((domain + offset) % lengths) @ strides
+                cols = j * size + fold(alpha)
                 matrix[rows, cols] = field._add(matrix[rows, cols], c)
     return matrix
+
+
+def _folding(periods):
+    """Map from X^alpha to the flat domain index of (alpha + beta) mod periods, per beta.
+
+    X^alpha acts on the fundamental domain as this permutation; entry b
+    of the returned array is the image of the b-th point of the
+    row-major enumeration.
+    """
+    lengths = np.array(periods)
+    strides = np.array([math.prod(periods[i + 1 :]) for i in range(len(periods))])
+    domain = np.indices(periods).reshape(len(periods), -1).T  # row b: the beta at flat(beta) = b
+    return lambda alpha: ((domain + [a % n for a, n in zip(alpha, periods)]) % lengths) @ strides
 
 
 def rref(matrix, field):
@@ -208,29 +227,187 @@ def nullspace_basis(matrix, field):
     return normalized
 
 
-def kernel_dimension(system: System, periods) -> int:
-    """Dimension of the behaviour on a period lattice, without a basis."""
-    periods = _check_periods(system, periods)
+def _cleared_rows(system: System):
+    """Integer coefficient maps of R, row i scaled by the lcm of its denominators.
+
+    Scaling a row of R by a nonzero constant leaves its kernel unchanged.
+    """
+    rows = []
+    for i in range(system.k):
+        terms = [system.matrix.entry(i, j)._terms for j in range(system.l)]
+        scale = math.lcm(*(c.denominator for t in terms for c in t.values()))
+        rows.append([{a: c.numerator * (scale // c.denominator) for a, c in t.items()} for t in terms])
+    return rows
+
+
+def _primes():
+    """Primes below 2**31, downward from 2**31 - 1."""
+    p = _INT64_MODULUS_LIMIT - 1
+    while True:
+        if _is_prime(p):
+            yield p
+        p -= 2
+
+
+def _crt(residues, modulus, image, p):
+    """The residues mod modulus * p congruent to residues mod modulus and to image mod p."""
+    step = (image - (residues % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
+    return residues + modulus * step.astype(object)
+
+
+def _wang_denominator(u, modulus, bound):
+    """Denominator d of the n/d = u mod modulus with |n|, d <= bound (Wang 1981), or None."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return abs(t1)
+
+
+def _reconstruct(residues, modulus):
+    """Rationals y / den congruent to residues, with |y|, den <= sqrt(modulus / 2).
+
+    One denominator serves every entry.  The first entry whose residue
+    times ``den`` is not that small is reconstructed on its own, and its
+    denominator joins ``den``.  Returns ``(den, y)`` with ``y`` the flat
+    list of ints, or None when an entry has no reconstruction or ``den``
+    stops growing or outgrows the bound: more primes are needed.
+    """
+    bound = math.isqrt(modulus // 2)
+    flat = residues.ravel()
+    den = 1
+    while True:
+        y = flat * den % modulus
+        y = np.where(y > modulus // 2, y - modulus, y)
+        large = np.flatnonzero(np.abs(y) > bound)
+        if not large.size:
+            return den, y.tolist()
+        d = _wang_denominator(flat[large[0]], modulus, bound)
+        if d is None or den % d == 0:
+            return None
+        den = math.lcm(den, d)
+        if den > bound:
+            return None
+
+
+def _certifies(cleared, periods, rows):
+    """Exact check that R o w = 0 on the lattice for every integer row w of ``rows``.
+
+    Each polynomial term adds one permuted slice of the rows, in Python
+    ints, so the dense constraint matrix is never multiplied out.
+    """
+    size = math.prod(periods)
+    fold = _folding(periods)
+    for entries in cleared:
+        total = np.zeros((len(rows), size), dtype=object)
+        for j, terms in enumerate(entries):
+            for alpha, c in terms.items():
+                total += c * rows[:, j * size + fold(alpha)]
+        if (total != 0).any():
+            return False
+    return True
+
+
+def _rational_kernel(system: System, periods):
+    """RREF kernel basis over Q as rows of ``Fraction``s, by multi-modular elimination.
+
+    Each prime p, downward from 2**31 - 1, gives the kernel's RREF over
+    GF(p) from the int64 loop.  A prime's signature is (dimension, pivot
+    tuple); the true one is the smallest possible, so a prime with a
+    larger signature is unlucky and dropped, and a smaller one restarts
+    the residues.  The residues of the non-pivot columns are combined by
+    CRT and reconstructed; once two successive reconstructions agree,
+    the rows are checked exactly against R.  The rows are in RREF by
+    construction and number l|D| - rank_p >= dim_Q, so passing the check
+    proves they are the unique RREF basis over Q.
+
+    Entries of that basis are ratios of minors of the cleared matrix, so
+    below the Hadamard bound H.  Unlucky primes divide one such minor.
+    Once the primes tried exceed 2 H^5, the kept ones exceed 2 H^4 and the
+    reconstruction is exact; failing the check then is a bug.
+    """
+    cleared = _cleared_rows(system)
+    size = math.prod(periods)
+    width = system.l * size
+    # H < 2**height_bits: each row of the cleared matrix has 2-norm at most
+    # the 1-norm of its row of R, and there are |D| rows per row of R
+    height_bits = size * sum(
+        sum(abs(c) for terms in entries for c in terms.values()).bit_length()
+        for entries in cleared
+    )
+    best = candidate = None
+    tried = 1
+    for p in _primes():
+        field = PrimeField(p)
+        image = System(PolyMatrix(
+            [[LaurentPoly(system.rank, field, terms) for terms in entries] for entries in cleared]
+        ))
+        vectors = nullspace_basis(periodic_system_matrix(image, periods), field)
+        pivots = (vectors != 0).argmax(axis=1)
+        signature = (len(pivots), tuple(pivots.tolist()))
+        tried *= p
+        capped = tried.bit_length() > 5 * height_bits + 1
+        agreed = False
+        if best is None or signature <= best:
+            if best is None or signature < best:
+                # the first prime, or every kept one was unlucky: start over
+                best, candidate = signature, None
+                free = np.flatnonzero(~np.isin(np.arange(width), pivots))
+                residues, modulus = vectors[:, free].astype(object), p
+            else:
+                residues, modulus = _crt(residues, modulus, vectors[:, free], p), modulus * p
+            previous, candidate = candidate, _reconstruct(residues, modulus)
+            agreed = candidate is not None and candidate == previous
+        if candidate is not None and (agreed or capped):
+            (dimension, leads), (den, numerators) = best, candidate
+            rows = np.zeros((dimension, width), dtype=object)
+            rows[:, free] = np.array(numerators, dtype=object).reshape(dimension, free.size)
+            rows[np.arange(dimension), list(leads)] = den
+            if _certifies(cleared, periods, rows):
+                zero = Fraction(0)
+                return [[Fraction(v, den) if v else zero for v in row] for row in rows.tolist()]
+        if capped:
+            raise RuntimeError(
+                f"no certified kernel over Q after primes down to {p}: the Hadamard bound is wrong"
+            )
+
+
+def _kernel_rows(system: System, periods):
+    """The kernel's RREF basis on the lattice, as rows of payloads."""
     if not system.field.is_exact:
         raise FloatFieldUnsupportedError("kernel computation needs an exact field")
-    _, pivots = rref(periodic_system_matrix(system, periods), system.field)
-    return system.l * math.prod(periods) - len(pivots)
+    if isinstance(system.field, PrimeField):
+        return nullspace_basis(periodic_system_matrix(system, periods), system.field).tolist()
+    return _rational_kernel(system, periods)
+
+
+def kernel_dimension(system: System, periods) -> int:
+    """Dimension of the behaviour on a period lattice.
+
+    Over GF(p) one elimination gives it; over Q it is the size of the
+    certified basis.
+    """
+    periods = _check_periods(system, periods)
+    field = system.field
+    if isinstance(field, PrimeField):
+        _, pivots = rref(periodic_system_matrix(system, periods), field)
+        return system.l * math.prod(periods) - len(pivots)
+    return len(_kernel_rows(system, periods))
 
 
 def periodic_kernel_basis(system: System, periods) -> KernelBasis:
     """Exact basis of the behaviour restricted to a period lattice."""
     periods = _check_periods(system, periods)
-    if not system.field.is_exact:
-        raise FloatFieldUnsupportedError("kernel computation needs an exact field")
     field = system.field
     size = math.prod(periods)
-    vectors = nullspace_basis(periodic_system_matrix(system, periods), field)
     basis = tuple(
         SeqVector(
             PeriodicSeq._wrap(system.rank, field, periods, tuple(row[j * size : (j + 1) * size]))
             for j in range(system.l)
         )
-        for row in vectors.tolist()
+        for row in _kernel_rows(system, periods)
     )
     return KernelBasis(
         rank=system.rank,

@@ -204,3 +204,23 @@ def rref_boxed(rows, field):
         if r == len(work):
             break
     return work[:r], pivots
+
+
+def nullspace_boxed(rows, field, width):
+    """RREF basis of {w : rows . w = 0} from FieldValue rows, by the boxed loop.
+
+    Each free column f of the reduced rows gives one vector: 1 at f,
+    minus column f of the reduced rows at the pivot columns, 0
+    elsewhere; a second boxed reduction puts those vectors in RREF.
+    """
+    reduced, pivots = rref_boxed(rows, field)
+    vectors = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [field.zero] * width
+        v[f] = field.one
+        for row, col in zip(reduced, pivots):
+            v[col] = field.neg(row[f])
+        vectors.append(v)
+    return rref_boxed(vectors, field)[0]

@@ -179,6 +179,17 @@ class TestKernel:
         doc = json.loads(report.read_text())
         assert doc["dimension"] == 2
 
+    def test_unwritable_report_prints_nothing(self, difference_file, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.json"
+        code = main(
+            ["kernel", "--system", str(difference_file), "--period", "4",
+             "--report", str(report)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_identity_system(self, tmp_path, capsys):
         path = tmp_path / "sys.json"
         path.write_text(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import count_periodic_members, rank1_kernel_dimension, rref_boxed
+from oracles import count_periodic_members, nullspace_boxed, rank1_kernel_dimension, rref_boxed
 
 from bishift import systems
 from bishift.errors import (
@@ -12,7 +12,7 @@ from bishift.errors import (
     LatticeTooLargeError,
     RankMismatchError,
 )
-from bishift.fields import FieldValue, FloatField, PrimeField, RationalField
+from bishift.fields import FieldValue, FloatField, PrimeField, RationalField, _is_prime
 from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.parsing import parse_poly
 from bishift.selftest import random_poly
@@ -348,6 +348,20 @@ def oracle_rref(matrix, field):
     return payload_matrix(reduced, field, matrix.shape[1]), pivots
 
 
+def basis_payloads(system, periods):
+    return [
+        [v.payload for comp in vec for v in comp.values]
+        for vec in periodic_kernel_basis(system, periods).basis
+    ]
+
+
+def oracle_kernel(system, periods):
+    """periodic_kernel_basis's rows by the boxed oracle on the field's constraint matrix."""
+    matrix = periodic_system_matrix(system, periods)
+    rows = [[FieldValue(system.field, v) for v in row] for row in matrix.tolist()]
+    return payloads(nullspace_boxed(rows, system.field, matrix.shape[1]))
+
+
 FIELDS = [2, 3, 7, 2**31 - 1, 2147483659, pytest.param(None, id="rational")]
 
 
@@ -412,19 +426,120 @@ class TestArrayElimination:
             grid = [[random_poly(rng, 2, field, max_terms=3, span=2) for _ in range(2)]]
             cases.append((System(PolyMatrix(grid)), (rng.randint(1, 4), rng.randint(1, 4))))
 
-        def solve_all():
-            out = []
-            for system, periods in cases:
-                result = periodic_kernel_basis(system, periods)
-                out.append(
-                    [[v.payload for comp in vec for v in comp.values] for vec in result.basis]
-                )
-            return out
+        def solve_all(solve):
+            return [solve(system, periods) for system, periods in cases]
 
-        fast = solve_all()
-        monkeypatch.setattr(systems, "rref", oracle_rref)
-        assert solve_all() == fast
+        fast = solve_all(basis_payloads)
+        if field == Q:
+            # over Q the solver eliminates only mod p, so compare with the boxed oracle
+            slow = solve_all(oracle_kernel)
+        else:
+            monkeypatch.setattr(systems, "rref", oracle_rref)
+            slow = solve_all(basis_payloads)
+        assert slow == fast
         assert any(fast)
+
+
+def rational_poly(rng, rank, big):
+    """Three seeded terms; with ``big``, numerators and denominators up to 2**70."""
+    bound = 2**70 if big else 5
+    return LaurentPoly(rank, Q, {
+        tuple(rng.randint(-2, 2) for _ in range(rank)):
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, bound), rng.randint(1, bound))
+        for _ in range(3)
+    })
+
+
+def seeded_rational_system(rng, rank, k, l, big):
+    """A k x l system over Q whose kernel on the returned periods is often nonzero.
+
+    The first row is sometimes multiplied by X1^d - 1 with d | N1, which
+    every signal of period d in X1 satisfies; a second row is sometimes
+    a Laurent multiple of the first.
+    """
+    periods = (rng.randint(1, 8),) if rank == 1 else (rng.randint(2, 3), rng.randint(2, 3))
+    first = [rational_poly(rng, rank, big) for _ in range(l)]
+    if l == 1 or rng.random() < 0.5:
+        d = rng.choice([d for d in range(1, periods[0] + 1) if periods[0] % d == 0])
+        factor = LaurentPoly(rank, Q, {(d,) + (0,) * (rank - 1): 1, (0,) * rank: -1})
+        first = [factor * e for e in first]
+    grid = [first]
+    if k == 2:
+        q = rational_poly(rng, rank, big)
+        if rng.random() < 0.5:
+            grid.append([q * e for e in first])
+        else:
+            grid.append([rational_poly(rng, rank, big) for _ in range(l)])
+    return System(PolyMatrix(grid)), periods
+
+
+def leading_columns(rows):
+    return [next(i for i, v in enumerate(row) if v) for row in rows]
+
+
+FIRST_PRIMES = [p for p in range(2**31 - 1, 2**31 - 400, -2) if _is_prime(p)][:3]
+
+
+class TestRationalKernel:
+    """The multi-modular solver over Q against the boxed oracle over Q."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_boxed_oracle(self, rank):
+        rng = random.Random(f"multimodular:{rank}")
+        cases = [(System(PolyMatrix([[LaurentPoly.zero(rank, Q)] * 2])), (3,) * rank)]
+        for k, l in ((1, 1), (1, 2), (2, 2)):
+            for big in (False, True, True):
+                cases.append(seeded_rational_system(rng, rank, k, l, big))
+        dims, heights = [], [0]
+        for system, periods in cases:
+            want = oracle_kernel(system, periods)
+            assert basis_payloads(system, periods) == want
+            assert kernel_dimension(system, periods) == len(want)
+            dims.append(len(want))
+            heights += [max(abs(v.numerator), v.denominator) for row in want for v in row]
+        assert dims[0] == 2 * 3**rank  # the zero system constrains nothing
+        assert sum(d > 0 for d in dims) > len(dims) // 2
+        assert max(heights) > 2**62  # entries that need several primes
+
+    @pytest.mark.parametrize(
+        "entries, periods, unlucky",
+        [
+            # mod 2**31 - 1 this is X - 1, with the constants as kernel; over Q it is 0
+            (["2147483648*X - 1"], (5,), FIRST_PRIMES[0]),
+            # same dimension, but mod the prime the kernel pivot moves to column 1
+            (["1", "2147483647"], (1,), FIRST_PRIMES[0]),
+            (["1", "2147483647"], (4,), FIRST_PRIMES[0]),
+            # mod 2**31 - 1 the leading term vanishes, but the second entry still
+            # acts invertibly (determinant 3**6 there), so that prime is lucky
+            (["X - 2147483647", "2147483647*X^2 + 3"], (6,), None),
+            # a lucky first prime, then an unlucky one
+            (["1", str(FIRST_PRIMES[1])], (3,), FIRST_PRIMES[1]),
+        ],
+    )
+    def test_unlucky_primes(self, entries, periods, unlucky):
+        system = System(PolyMatrix([[P(e) for e in entries]]))
+        want = oracle_kernel(system, periods)
+        assert basis_payloads(system, periods) == want
+        assert kernel_dimension(system, periods) == len(want)
+        if unlucky:
+            image = System(PolyMatrix([[P(e, field=PrimeField(unlucky)) for e in entries]]))
+            mod_p = basis_payloads(image, periods)
+            assert (len(mod_p), leading_columns(mod_p)) > (len(want), leading_columns(want))
+
+    def test_agreeing_wrong_reconstructions_fail_the_check(self):
+        # c is 1 modulo each of the first three primes, so the reconstructions
+        # from one, two and three primes all read -1 where the kernel has -c
+        p1, p2, p3 = FIRST_PRIMES
+        c = 1 + p1 * p2 * p3
+        system = System(PolyMatrix([[P(str(c)), P("1")]]))
+        basis = basis_payloads(system, (2,))
+        assert basis == oracle_kernel(system, (2,))
+        assert basis == [[1, 0, -c, 0], [0, 1, 0, -c]]
+
+    def test_cap_raises_when_nothing_certifies(self, monkeypatch):
+        monkeypatch.setattr(systems, "_certifies", lambda *args: False)
+        with pytest.raises(RuntimeError, match="Hadamard"):
+            kernel_dimension(System(PolyMatrix([[P("X - 2")]])), (2,))
 
 
 class TestRankOneOracle:
