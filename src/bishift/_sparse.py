@@ -17,8 +17,6 @@ public boundary: :meth:`SparseTerms.coeff` and the :attr:`terms` view.
 from collections.abc import Mapping
 from itertools import chain
 
-import numpy as np
-
 from .errors import MixedFieldError, RankMismatchError
 from .fields import FieldValue
 
@@ -58,12 +56,16 @@ def canonical_terms(rank, field, mapping):
 
 def index_array(terms, rank):
     """Index tuples of a sparse map as an (n, rank) int64 array, in map order."""
+    import numpy as np
+
     n = len(terms)
     return np.fromiter(chain.from_iterable(terms), np.int64, n * rank).reshape(n, rank)
 
 
 def payload_array(terms):
     """Float payloads of a sparse map as a float64 array, in map order."""
+    import numpy as np
+
     return np.fromiter(terms.values(), np.float64, len(terms))
 
 

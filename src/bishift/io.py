@@ -11,8 +11,6 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     BadMagicError,
     BadValueTokenError,
@@ -97,6 +95,8 @@ def read_pgm(path, field=FloatField()):
     maxval)`` so a caller can write the image back with identical
     geometry.
     """
+    import numpy as np
+
     if field.is_exact:
         raise FloatFieldUnsupportedError(f"images need a float field, not {field.spec()}")
     data = Path(path).read_bytes()
@@ -136,6 +136,8 @@ def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) 
     Samples are clamped to [0, 1] and quantized to round(v * maxval)
     half up; anything outside the window is not written.
     """
+    import numpy as np
+
     if seq.rank != 2:
         raise RankMismatchError("image output needs a rank-2 signal")
     if not 1 <= maxval <= 65535:

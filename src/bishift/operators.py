@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ._sparse import index_array, payload_array, require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
@@ -81,6 +79,8 @@ def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     the same, so the kept payloads are bit-identical to it.  Needs a
     nonzero ``d`` and ``W``.
     """
+    import numpy as np
+
     field, rank = d.field, w.rank
     d_lo, d_hi = _index_bounds(d._terms, rank)
     idx = index_array(w._terms, rank)

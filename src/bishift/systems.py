@@ -10,6 +10,13 @@ matrix entry folds the polynomial's coefficients along that rule.  The
 nullspace is then computed by exact Gauss-Jordan elimination, which is
 why kernel work is restricted to exact fields.
 
+Rank-1 systems build no matrix.  A period-N signal is a polynomial in
+F[X]/(X^N - 1), where the shift by R is multiplication, so the kernel
+follows from the invariant factors of R and a Hermite basis over F[X]
+(see :func:`_rank1_structure` and :mod:`bishift._univariate`), in pure
+Python, with RREF rows written in time of the order of the output.  The
+rest of this docstring is about rank 2 and above.
+
 The matrix is one numpy array of raw payloads from construction to the
 kernel report: int64 residues over GF(p) with p < 2**31, and an object
 array of Python ints for larger primes.  One elimination loop,
@@ -33,8 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._univariate import PolyRing
 from .errors import FloatFieldUnsupportedError, LatticeTooLargeError, RankMismatchError
 from .fields import PrimeField, _is_prime
 from .laurent import LaurentPoly, PolyMatrix
@@ -45,6 +51,13 @@ from .sequences import FiniteSeq, PeriodicSeq, SeqVector
 _INT64_MODULUS_LIMIT = 2**31
 # largest constraint matrix, in cells, that periodic_system_matrix builds
 MAX_MATRIX_CELLS = 2**24
+# largest basis, in cells (dimension x l x N), that the rank-1 path builds
+MAX_KERNEL_CELLS = 2**17
+# largest k * l * (D + 1)**2 * bit length of N, for entries of degree D, that
+# the rank-1 path takes on: about its coefficient operations before the
+# basis.  Every system within MAX_MATRIX_CELLS has N <= 4096 and D < N, so
+# it stays admitted.
+MAX_POLY_WORK = 2**28
 
 
 class System:
@@ -106,7 +119,7 @@ def _check_periods(system: System, periods) -> tuple:
             f"{len(periods)} periods given for rank {system.rank}"
         )
     for n in periods:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"periods must be ints >= 1, got {n!r}")
     return periods
 
@@ -127,6 +140,8 @@ def periodic_system_matrix(system: System, periods):
     before allocating anything, when M would have more than
     MAX_MATRIX_CELLS cells.
     """
+    import numpy as np
+
     periods = _check_periods(system, periods)
     size = math.prod(periods)
     height, width = system.k * size, system.l * size
@@ -158,6 +173,8 @@ def _folding(periods):
     of the returned array is the image of the b-th point of the
     row-major enumeration.
     """
+    import numpy as np
+
     lengths = np.array(periods)
     strides = np.array([math.prod(periods[i + 1 :]) for i in range(len(periods))])
     domain = np.indices(periods).reshape(len(periods), -1).T  # row b: the beta at flat(beta) = b
@@ -179,6 +196,8 @@ def rref(matrix, field):
     every exact field: over GF(p) ``_add`` and ``_mul`` reduce mod p,
     and with int64 payloads below 2**31 no product exceeds 2**62.
     """
+    import numpy as np
+
     m, n = matrix.shape
     pivots = []
     r = 0
@@ -213,6 +232,8 @@ def nullspace_basis(matrix, field):
     the basis rows by pivot position and makes the output reproducible
     regardless of how the constraints were assembled.
     """
+    import numpy as np
+
     width = matrix.shape[1]
     reduced, pivots = rref(matrix, field)
     is_free = np.ones(width, bool)
@@ -251,6 +272,8 @@ def _primes():
 
 def _crt(residues, modulus, image, p):
     """The residues mod modulus * p congruent to residues mod modulus and to image mod p."""
+    import numpy as np
+
     step = (image - (residues % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
     return residues + modulus * step.astype(object)
 
@@ -275,6 +298,8 @@ def _reconstruct(residues, modulus):
     list of ints, or None when an entry has no reconstruction or ``den``
     stops growing or outgrows the bound: more primes are needed.
     """
+    import numpy as np
+
     bound = math.isqrt(modulus // 2)
     flat = residues.ravel()
     den = 1
@@ -298,6 +323,8 @@ def _certifies(cleared, periods, rows):
     Each polynomial term adds one permuted slice of the rows, in Python
     ints, so the dense constraint matrix is never multiplied out.
     """
+    import numpy as np
+
     size = math.prod(periods)
     fold = _folding(periods)
     for entries in cleared:
@@ -328,6 +355,8 @@ def _rational_kernel(system: System, periods):
     Once the primes tried exceed 2 H^5, the kept ones exceed 2 H^4 and the
     reconstruction is exact; failing the check then is a bug.
     """
+    import numpy as np
+
     cleared = _cleared_rows(system)
     size = math.prod(periods)
     width = system.l * size
@@ -374,10 +403,89 @@ def _rational_kernel(system: System, periods):
             )
 
 
+def _rank1_structure(system: System, n: int):
+    """The rank-1 system as a polynomial matrix, with its kernel dimension on period n.
+
+    Reading a period-n signal w as the polynomial w^ = sum of w_b X^-b in
+    F[X]/(X^n - 1) turns d o w into d * w^, so the behaviour is the kernel
+    of R over that ring.  Row i of R is multiplied by X^-m_i, m_i its
+    lowest exponent, and its exponents are folded mod n: X is a unit of
+    the ring and X^n = 1 there, so neither changes the kernel.  The
+    kernel's dimension is the sum of deg gcd(s_i, X^n - 1) over the
+    invariant factors s_1, ..., s_r of the resulting polynomial matrix,
+    plus n for each of its l - r free directions.
+
+    Returns ``(ring, matrix, gcds, dimension)``, ``gcds`` holding
+    gcd(s_i, X^n - 1) for i = 1..r.  Raises
+    LatticeTooLargeError, before building any polynomial, when the work
+    estimate exceeds MAX_POLY_WORK.
+    """
+    add, zero = system.field._add, system.field.zero.payload
+    folded = []
+    for i in range(system.k):
+        row = [system.matrix.entry(i, j)._terms for j in range(system.l)]
+        m = min((a for terms in row for (a,) in terms), default=0)
+        entries = []
+        for terms in row:
+            entry = {}
+            for (a,), c in terms.items():
+                e = (a - m) % n
+                entry[e] = add(entry.get(e, zero), c)
+            entries.append(entry)
+        folded.append(entries)
+    degree = max((e for row in folded for entry in row for e in entry), default=0)
+    work = system.k * system.l * (degree + 1) ** 2 * n.bit_length()
+    if work > MAX_POLY_WORK:
+        raise LatticeTooLargeError(
+            f"period {n} with entries of degree up to {degree} needs about {work} "
+            f"coefficient operations, more than {MAX_POLY_WORK}"
+        )
+    ring = PolyRing(system.field)
+    matrix = [[ring.from_exponents(entry) for entry in entries] for entries in folded]
+    gcds = [ring.cyclic_gcd(s, n) for s in ring.smith_invariants(matrix)]
+    dimension = sum(len(g) - 1 for g in gcds) + n * (system.l - len(gcds))
+    return ring, matrix, gcds, dimension
+
+
+def _rank1_kernel_rows(system: System, n: int):
+    """The kernel's RREF basis on period n of a rank-1 system, as rows of payloads.
+
+    The kernel is K~ / (X^n - 1) F[X]^l for the F[X]-module K~ of
+    polynomial vectors v with R v = 0 mod X^n - 1.  When R has full column
+    rank r = l, every element of the kernel is c u for c = (X^n - 1) / L
+    and L = gcd(s_r, X^n - 1), which every gcd(s_i, X^n - 1) divides, so
+    K~ = c {u : R u = 0 mod L} and its Hermite basis comes from one over
+    the small modulus L.  Otherwise the kernel has at least n dimensions
+    and the Hermite basis is computed mod X^n - 1 itself.
+
+    Raises LatticeTooLargeError, before any row exists, when the basis
+    would have more than MAX_KERNEL_CELLS cells.
+    """
+    ring, matrix, gcds, dimension = _rank1_structure(system, n)
+    cells = dimension * system.l * n
+    if cells > MAX_KERNEL_CELLS:
+        raise LatticeTooLargeError(
+            f"period {n} gives a kernel of dimension {dimension} in l = {system.l} "
+            f"components: {cells} basis cells, more than {MAX_KERNEL_CELLS}"
+        )
+    if not dimension:
+        return []
+    modulus = ring.cyclic(n)
+    if len(gcds) == system.l:
+        small = gcds[-1]
+        c = ring.divmod(modulus, small)[0]
+        basis = [[ring.mul(c, e) for e in row] for row in ring.kernel_hermite(matrix, small)]
+    else:
+        basis = ring.kernel_hermite(matrix, modulus)
+    return ring.rref_rows(basis, n)
+
+
 def _kernel_rows(system: System, periods):
     """The kernel's RREF basis on the lattice, as rows of payloads."""
     if not system.field.is_exact:
         raise FloatFieldUnsupportedError("kernel computation needs an exact field")
+    if system.rank == 1:
+        return _rank1_kernel_rows(system, periods[0])
     if isinstance(system.field, PrimeField):
         return nullspace_basis(periodic_system_matrix(system, periods), system.field).tolist()
     return _rational_kernel(system, periods)
@@ -386,11 +494,14 @@ def _kernel_rows(system: System, periods):
 def kernel_dimension(system: System, periods) -> int:
     """Dimension of the behaviour on a period lattice.
 
-    Over GF(p) one elimination gives it; over Q it is the size of the
-    certified basis.
+    For rank 1 it comes from the invariant factors of R, without a basis.
+    Otherwise, over GF(p) one elimination gives it; over Q it is the size
+    of the certified basis.
     """
     periods = _check_periods(system, periods)
     field = system.field
+    if system.rank == 1 and field.is_exact:
+        return _rank1_structure(system, periods[0])[-1]
     if isinstance(field, PrimeField):
         _, pivots = rref(periodic_system_matrix(system, periods), field)
         return system.l * math.prod(periods) - len(pivots)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,68 @@ class TestKernel:
     def test_bad_period_rejected(self, difference_file):
         assert main(["kernel", "--system", str(difference_file), "--period", "0"]) == 2
         assert main(["kernel", "--system", str(difference_file), "--period", "x"]) == 2
+
+    def test_period_65536_rank_one(self, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(dict(DIFFERENCE_DOC, field="gf:7")))
+        report = tmp_path / "report.json"
+        argv = ["kernel", "--system", str(path), "--period", "65536", "--report", str(report)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "dimension: 2\n"
+        kernel = formats.read_kernel_report(report)
+        system = formats.read_system(path)
+        assert kernel.dimension == len(kernel.basis) == 2
+        for vec in kernel.basis:
+            assert system.contains(vec)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# runs the CLI in a fresh interpreter and reports on stderr whether numpy was imported
+NUMPY_PROBE = (
+    "import sys\n"
+    "from bishift.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_probe(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return "numpy imported: True" in result.stderr
+
+
+class TestNumpyImport:
+    """numpy is imported only by the commands that build arrays."""
+
+    def test_exact_commands_do_not_import_numpy(self, tmp_path):
+        for spec in ("gf:7", "rational"):
+            path = tmp_path / f"{spec[:2]}.json"
+            path.write_text(json.dumps(dict(DIFFERENCE_DOC, field=spec)))
+            report = tmp_path / f"{spec[:2]}-report.json"
+            argv = ["kernel", "--system", str(path), "--period", "12", "--report", str(report)]
+            assert not run_probe(argv, tmp_path)
+            assert json.loads(report.read_text())["dimension"] == 2
+            assert not run_probe(["selftest", "--trials", "2", "--field", spec], tmp_path)
+        assert not run_probe(["--help"], tmp_path)
+
+    def test_array_commands_still_run(self, tmp_path):
+        img = tmp_path / "img.pgm"
+        img.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 10, 200, 255, 7, 1]))
+        out = tmp_path / "out.pgm"
+        argv = ["filter", "--pgm", "--field", "float", "--kernel", "0.5 + 0.25*X1",
+                "--input", str(img), "--output", str(out)]
+        assert run_probe(argv, tmp_path)
+        assert out.read_bytes().startswith(b"P5\n3 2\n255\n")
+        path = tmp_path / "rank2.json"
+        doc = {"rank": 2, "field": "gf:7", "k": 1, "l": 2, "entries": [["X1 - X2^-1", "2"]]}
+        path.write_text(json.dumps(doc))
+        assert run_probe(["kernel", "--system", str(path), "--period", "3,2"], tmp_path)
 
 
 class TestMember:

@@ -17,7 +17,9 @@ from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.parsing import parse_poly
 from bishift.selftest import random_poly
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
+from bishift._univariate import PolyRing
 from bishift.systems import (
+    MAX_KERNEL_CELLS,
     MAX_MATRIX_CELLS,
     KernelBasis,
     System,
@@ -135,6 +137,13 @@ class TestConstraintMatrix:
     def test_period_arity_checked(self):
         with pytest.raises(RankMismatchError):
             periodic_system_matrix(difference_system(), (2, 2))
+
+    def test_boolean_periods_refused(self):
+        rank2 = System(PolyMatrix([[P("X1 - X2", rank=2)]]))
+        for system, periods in ((difference_system(GF2), (True,)), (rank2, (2, False))):
+            for solve in (periodic_system_matrix, kernel_dimension, periodic_kernel_basis):
+                with pytest.raises(ValueError, match="periods must be ints"):
+                    solve(system, periods)
 
     @pytest.mark.parametrize(
         "p, dtype",
@@ -501,28 +510,31 @@ class TestRationalKernel:
         assert sum(d > 0 for d in dims) > len(dims) // 2
         assert max(heights) > 2**62  # entries that need several primes
 
+    # Rank-1 systems take the polynomial path, so these pin rank-2 systems
+    # with period 1 along X2: their constraint matrices are those of the
+    # rank-1 systems in X1 on the first period.
     @pytest.mark.parametrize(
         "entries, periods, unlucky",
         [
             # mod 2**31 - 1 this is X - 1, with the constants as kernel; over Q it is 0
-            (["2147483648*X - 1"], (5,), FIRST_PRIMES[0]),
+            (["2147483648*X1 - 1"], (5, 1), FIRST_PRIMES[0]),
             # same dimension, but mod the prime the kernel pivot moves to column 1
-            (["1", "2147483647"], (1,), FIRST_PRIMES[0]),
-            (["1", "2147483647"], (4,), FIRST_PRIMES[0]),
+            (["1", "2147483647"], (1, 1), FIRST_PRIMES[0]),
+            (["1", "2147483647"], (4, 1), FIRST_PRIMES[0]),
             # mod 2**31 - 1 the leading term vanishes, but the second entry still
             # acts invertibly (determinant 3**6 there), so that prime is lucky
-            (["X - 2147483647", "2147483647*X^2 + 3"], (6,), None),
+            (["X1 - 2147483647", "2147483647*X1^2 + 3"], (6, 1), None),
             # a lucky first prime, then an unlucky one
-            (["1", str(FIRST_PRIMES[1])], (3,), FIRST_PRIMES[1]),
+            (["1", str(FIRST_PRIMES[1])], (3, 1), FIRST_PRIMES[1]),
         ],
     )
     def test_unlucky_primes(self, entries, periods, unlucky):
-        system = System(PolyMatrix([[P(e) for e in entries]]))
+        system = System(PolyMatrix([[P(e, rank=2) for e in entries]]))
         want = oracle_kernel(system, periods)
         assert basis_payloads(system, periods) == want
         assert kernel_dimension(system, periods) == len(want)
         if unlucky:
-            image = System(PolyMatrix([[P(e, field=PrimeField(unlucky)) for e in entries]]))
+            image = System(PolyMatrix([[P(e, rank=2, field=PrimeField(unlucky)) for e in entries]]))
             mod_p = basis_payloads(image, periods)
             assert (len(mod_p), leading_columns(mod_p)) > (len(want), leading_columns(want))
 
@@ -531,25 +543,25 @@ class TestRationalKernel:
         # from one, two and three primes all read -1 where the kernel has -c
         p1, p2, p3 = FIRST_PRIMES
         c = 1 + p1 * p2 * p3
-        system = System(PolyMatrix([[P(str(c)), P("1")]]))
-        basis = basis_payloads(system, (2,))
-        assert basis == oracle_kernel(system, (2,))
+        system = System(PolyMatrix([[P(str(c), rank=2), P("1", rank=2)]]))
+        basis = basis_payloads(system, (2, 1))
+        assert basis == oracle_kernel(system, (2, 1))
         assert basis == [[1, 0, -c, 0], [0, 1, 0, -c]]
 
     def test_cap_raises_when_nothing_certifies(self, monkeypatch):
         monkeypatch.setattr(systems, "_certifies", lambda *args: False)
         with pytest.raises(RuntimeError, match="Hadamard"):
-            kernel_dimension(System(PolyMatrix([[P("X - 2")]])), (2,))
+            kernel_dimension(System(PolyMatrix([[P("X1 - 2", rank=2)]])), (2, 2))
 
 
 class TestRankOneOracle:
-    """kernel_dimension of 1x1 rank-1 systems against a polynomial gcd mod p."""
+    """Dimension and basis size of 1x1 rank-1 systems against a polynomial gcd mod p."""
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_dimension_is_degree_of_gcd(self, p):
         field = PrimeField(p)
         rng = random.Random(f"gcd:{p}")
-        for n in range(1, 41):
+        for n in range(1, 61):
             for _ in range(2):
                 low = rng.randint(-4, 2)
                 coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
@@ -563,7 +575,9 @@ class TestRankOneOracle:
                     ]
                 poly = LaurentPoly(1, field, {(low + i,): c for i, c in enumerate(coeffs)})
                 system = System(PolyMatrix([[poly]]))
-                assert kernel_dimension(system, (n,)) == rank1_kernel_dimension(coeffs, p, n)
+                dim = rank1_kernel_dimension(coeffs, p, n)
+                assert kernel_dimension(system, (n,)) == dim
+                assert len(basis_payloads(system, (n,))) == dim
 
     def test_repeated_factor_when_p_divides_n(self):
         # X^n - 1 is square-free when p does not divide n, and has the
@@ -576,18 +590,136 @@ class TestRankOneOracle:
                 assert kernel_dimension(system, (n,)) == dim
 
 
+RANK1_SHAPES = ["1x1", "2x2 upper", "2x2 dense", "1x2", "2x1", "rank-deficient", "zero"]
+
+
+def rank1_system(rng, field, shape, n):
+    """A seeded rank-1 system; entries often carry X^d - 1 for a divisor d of n."""
+
+    def entry():
+        poly = random_poly(rng, 1, field, max_terms=3, span=3)
+        if rng.random() < 0.5:
+            d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            poly = poly * LaurentPoly(1, field, {(d,): 1, (0,): -1})
+        return poly
+
+    zero = LaurentPoly.zero(1, field)
+    if shape == "1x1":
+        grid = [[entry()]]
+    elif shape == "2x2 upper":
+        grid = [[entry(), entry()], [zero, entry()]]
+    elif shape == "2x2 dense":
+        grid = [[entry(), entry()], [entry(), entry()]]
+    elif shape == "1x2":
+        grid = [[entry(), entry()]]
+    elif shape == "2x1":
+        grid = [[entry()], [entry()]]
+    elif shape == "rank-deficient":
+        first, q = [entry(), entry()], random_poly(rng, 1, field, max_terms=2, span=2)
+        grid = [first, [q * e for e in first]]
+    else:
+        grid = [[zero, zero]]
+    return System(PolyMatrix(grid))
+
+
+def dense_kernel(system, n):
+    """The kernel's RREF rows by elimination on the constraint matrix."""
+    return nullspace_basis(periodic_system_matrix(system, (n,)), system.field).tolist()
+
+
+class TestRankOnePath:
+    """The polynomial rank-1 solver against elimination on the constraint matrix."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 2147483659, pytest.param(None, id="rational")])
+    @pytest.mark.parametrize("shape", RANK1_SHAPES)
+    def test_matches_dense_elimination(self, p, shape):
+        field = field_of(p)
+        rng = random.Random(f"rank1:{shape}:{p or 'rational'}")
+        # every n from 1 to 60 over GF(p) (multiples of p included); a sample
+        # over Q, where the dense side eliminates on Fractions
+        periods = range(1, 61) if p else rng.sample(range(1, 41), 6)
+        dims = []
+        for n in periods:
+            if shape not in ("1x1", "2x1") and n > 30 and n % 3:
+                continue  # keep the 2-component eliminations small
+            system = rank1_system(rng, field, shape, n)
+            want = dense_kernel(system, n)
+            assert basis_payloads(system, (n,)) == want
+            assert kernel_dimension(system, (n,)) == len(want)
+            dims.append(len(want))
+        assert any(dims)
+        if shape in ("1x2", "rank-deficient", "zero"):
+            assert all(dims)  # l > rank R leaves a free direction
+
+    @pytest.mark.parametrize(
+        "poly, periods, dims",
+        [
+            # Phi_4, Phi_8 and Phi_9: phi(d) equals the degree, the edge of the
+            # orders that can divide n over Q
+            ("X + X^-1", (4, 8, 12, 6, 2), (2, 2, 2, 0, 0)),
+            ("X^2 + X^-2", (8, 16, 4, 24), (4, 4, 0, 4)),
+            ("X^3 + 1 + X^-3", (9, 18, 3, 27), (6, 6, 0, 6)),
+            ("X^4 + X^3 + X^2 + X + 1", (5, 10, 4), (4, 4, 0)),
+        ],
+    )
+    def test_cyclotomic_factors_over_q(self, poly, periods, dims):
+        system = System(PolyMatrix([[P(poly)]]))
+        for n, dim in zip(periods, dims):
+            assert kernel_dimension(system, (n,)) == dim
+            assert basis_payloads(system, (n,)) == dense_kernel(system, n)
+
+    def test_payload_types_over_q(self):
+        system = System(PolyMatrix([[P("1/2*X - 1/2*X^-1"), P("3*X^2")]]))
+        for vec in periodic_kernel_basis(system, (6,)).basis:
+            for comp in vec:
+                assert_payload_types(comp._values, Q)
+
+    def test_large_period_without_elimination(self, monkeypatch):
+        monkeypatch.setattr(systems, "rref", None)  # any elimination would fail
+        system = difference_system(PrimeField(7))
+        result = periodic_kernel_basis(system, (65536,))
+        assert result.dimension == 2
+        for vec in result.basis:
+            assert system.contains(vec)
+        # 2 has order 3 mod 7, so X - 2 divides X^n - 1 exactly when 3 | n
+        x_minus_2 = System(PolyMatrix([[P("X - 2", field=PrimeField(7))]]))
+        assert kernel_dimension(x_minus_2, (3 * 10**17,)) == 1
+        assert kernel_dimension(x_minus_2, (10**18,)) == 0
+
+
 class TestLatticeBudget:
     def test_api_refuses_periods_20_20_20(self, monkeypatch):
         system = System(PolyMatrix([[P("X1 - X2^-1 + X3", rank=3, field=GF2)]]))
 
-        class NoArrays:
-            def __getattr__(self, name):
-                raise AssertionError("lattice allocated before the budget check")
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("lattice allocated before the budget check")
 
-        monkeypatch.setattr(systems, "np", NoArrays())
+        for name in ("zeros", "full", "arange", "indices", "array"):
+            monkeypatch.setattr(np, name, no_arrays)
         for solve in (periodic_system_matrix, kernel_dimension, periodic_kernel_basis):
             with pytest.raises(LatticeTooLargeError, match="8000 x 8000"):
                 solve(system, (20, 20, 20))
+
+    def test_rank1_basis_refused_before_any_row(self, monkeypatch):
+        # X^2 - 1 divides X^n - 1 for even n: dimension 2, so 2 * n cells
+        system = difference_system(PrimeField(7))
+        n = MAX_KERNEL_CELLS // 2 + 2
+
+        def no_rows(*args):
+            raise AssertionError("basis built before the budget check")
+
+        monkeypatch.setattr(PolyRing, "kernel_hermite", no_rows)
+        monkeypatch.setattr(PolyRing, "rref_rows", no_rows)
+        monkeypatch.setattr(PolyRing, "cyclic", no_rows)
+        with pytest.raises(LatticeTooLargeError, match=f"{2 * n} basis cells"):
+            periodic_kernel_basis(system, (n,))
+        assert kernel_dimension(system, (n,)) == 2  # the dimension builds no basis
+
+    def test_rank1_degree_bounded(self):
+        system = System(PolyMatrix([[P("X^100000 - 1", field=GF2)]]))
+        with pytest.raises(LatticeTooLargeError, match="coefficient operations"):
+            kernel_dimension(system, (10**12,))
+        assert kernel_dimension(system, (100000,)) == 100000  # folds to 0
 
     def test_budget_counts_both_matrix_sides(self):
         size = 2049  # 2 x 2 blocks of 2049 rows and columns: just over 2**24

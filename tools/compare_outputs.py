@@ -1,0 +1,86 @@
+"""Byte comparison of kernel job outputs between a parent commit and the working tree.
+
+Run from anywhere inside a checkout:
+
+    python3 tools/compare_outputs.py --parent HEAD --seeds 10
+
+For each seed from 1 to ``--seeds``, every job shape of the workloads named
+by ``--workload`` (``kernel_rank1`` and ``kernel_rank2`` by default) is
+written once by ``perfbench/inputs.py``, which this script imports and does
+not change.  The job then runs as ``python -m bishift.cli ...`` against the
+``src`` of each side.  Exit code, stdout and the report bytes must be equal
+on both sides.  The parent's tree is exported with ``git archive`` under the
+git-ignored ``.perfbench/`` and removed at the end.
+
+Prints one line per job and a summary line; exits 1 if any job differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tools"))
+
+import inputs  # noqa: E402  (perfbench/inputs.py)
+from bench_pairs import export_tree, git  # noqa: E402
+
+
+def run_job(root: Path, job) -> tuple:
+    """Exit code, stdout and report bytes of one CLI job on the sources under ``root``."""
+    if job.output.exists():
+        job.output.unlink()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "bishift.cli", *job.argv], env=env, cwd=root,
+        capture_output=True, timeout=600,
+    )
+    report = job.output.read_bytes() if job.output.exists() else None
+    return result.returncode, result.stdout, report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit to compare the working tree with")
+    parser.add_argument("--seeds", type=int, default=10, help="run seeds 1..SEEDS")
+    parser.add_argument("--workload", action="append", choices=sorted(inputs.WORKLOADS),
+                        help="workload to compare (repeatable; default kernel_rank1 and kernel_rank2)")
+    args = parser.parse_args(argv)
+    workloads = args.workload or ["kernel_rank1", "kernel_rank2"]
+
+    parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    parent_root = ROOT / ".perfbench" / f"compare-{parent[:12]}"
+    roots = {"parent": parent_root, "change": ROOT}
+    export_tree(parent, parent_root)
+    differing = jobs = 0
+    try:
+        with tempfile.TemporaryDirectory(dir=ROOT / ".perfbench") as work:
+            for name in workloads:
+                workload = inputs.WORKLOADS[name]
+                for seed in range(1, args.seeds + 1):
+                    for index in range(len(workload.shapes)):
+                        job = inputs.make_job(workload, seed, index, Path(work))
+                        outcomes = {side: run_job(root, job) for side, root in roots.items()}
+                        same = outcomes["parent"] == outcomes["change"]
+                        code, stdout, report = outcomes["change"]
+                        jobs += 1
+                        differing += not same
+                        print(f"{name} seed {seed} job {index}: "
+                              f"{'identical' if same else 'DIFFERENT'} (exit {code}, "
+                              f"stdout {len(stdout)} B, report "
+                              f"{'none' if report is None else f'{len(report)} B'})", flush=True)
+    finally:
+        shutil.rmtree(parent_root, ignore_errors=True)
+    print(f"{jobs - differing} of {jobs} jobs identical to {parent[:12]}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
