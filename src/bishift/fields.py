@@ -12,6 +12,8 @@ Each field works on raw payloads (a ``Fraction``, an ``int`` in
 ``[0, p)`` or a ``float``) through its payload hooks (``_add``, ``_mul``,
 ...).  The containers store those payloads and call the hooks directly,
 after checking once per operation that their operands share a field.
+Sums of products go through one hook, ``_dot``, which an exact field
+evaluates with a single reduction per sum.
 At the public API, scalars are :class:`FieldValue` instances that
 remember which field they belong to, so accidentally mixing coefficients
 from two different fields raises :class:`~bishift.errors.MixedFieldError`
@@ -20,7 +22,9 @@ instead of producing a wrong number.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -213,6 +217,10 @@ class Field:
     def _inv(self, a):
         raise NotImplementedError
 
+    def _dot(self, cs, xs):
+        """Payload of the sum of ``c * x`` over paired payloads, taken in order."""
+        raise NotImplementedError
+
     def _eq(self, a, b):
         return a == b
 
@@ -253,6 +261,17 @@ class RationalField(Field):
 
     def _inv(self, a):
         return 1 / a
+
+    def _dot(self, cs, xs):
+        # one integer sum over the lcm of this sum's own term denominators,
+        # then one reduction to lowest terms
+        nums, dens = [], []
+        for c, x in zip(cs, xs):
+            nums.append(c.numerator * x.numerator)
+            dens.append(c.denominator * x.denominator)
+        den = math.lcm(*dens)
+        scales = map(operator.floordiv, itertools.repeat(den), dens)
+        return Fraction(sum(map(operator.mul, nums, scales)), den)
 
     def _format(self, a):
         return str(a)
@@ -331,6 +350,9 @@ class PrimeField(Field):
     def _inv(self, a):
         return self._inv_int(a)
 
+    def _dot(self, cs, xs):
+        return sum(map(operator.mul, cs, xs)) % self.p
+
     def _format(self, a):
         return str(a)
 
@@ -386,6 +408,13 @@ class FloatField(Field):
 
     def _inv(self, a):
         return 1.0 / a
+
+    def _dot(self, cs, xs):
+        # the plain in-order chain: builtin sum() may compensate rounding
+        s = 0.0
+        for c, x in zip(cs, xs):
+            s += c * x
+        return s
 
     def _eq(self, a, b):
         return abs(a - b) <= self.tolerance

@@ -10,7 +10,7 @@ used whenever a deterministic order is needed.
 
 from __future__ import annotations
 
-from ._sparse import SparseTerms, require_same_context
+from ._sparse import SparseTerms, convolve, require_same_context
 from .errors import MixedFieldError, RaggedMatrixError, RankMismatchError
 
 
@@ -35,17 +35,8 @@ class LaurentPoly(SparseTerms):
         if not isinstance(other, LaurentPoly):
             return super().__mul__(other)
         require_same_context(self, other)
-        field = self.field
-        add, mul, is_zero = field._add, field._mul, field._is_zero
-        acc = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                k = tuple(x + y for x, y in zip(a, b))
-                p = mul(ca, cb)
-                cur = acc.get(k)
-                acc[k] = p if cur is None else add(cur, p)
         return LaurentPoly._wrap(
-            self.rank, field, {k: v for k, v in acc.items() if not is_zero(v)}
+            self.rank, self.field, convolve(self.field, self._terms, other._terms)
         )
 
     def __str__(self):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ._sparse import index_array, payload_array, require_same_context
+from ._sparse import convolve, index_array, payload_array, require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
 from .laurent import LaurentPoly, PolyMatrix
@@ -30,31 +30,27 @@ def scalar_product(d: LaurentPoly, w) -> FieldValue:
         raise TypeError("second pairing argument must be a signal")
     require_same_context(d, w)
     field = d.field
-    add, mul = field._add, field._mul
-    total = zero = field.zero.payload
     if isinstance(w, FiniteSeq):
-        sample = w._terms.get
+        # only the common support contributes
+        samples = w._terms
+        cs, xs = [], []
         for alpha, c in d._terms.items():
-            total = add(total, mul(c, sample(alpha, zero)))
+            x = samples.get(alpha)
+            if x is not None:
+                cs.append(c)
+                xs.append(x)
     else:
         values, flat = w._values, w._flat
-        for alpha, c in d._terms.items():
-            total = add(total, mul(c, values[flat(alpha)]))
-    return FieldValue(field, total)
+        cs = d._terms.values()
+        xs = [values[flat(alpha)] for alpha in d._terms]
+    return FieldValue(field, field._dot(cs, xs))
 
 
 def _shift_finite_sparse(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
-    field = d.field
-    add, mul, is_zero = field._add, field._mul, field._is_zero
-    acc = {}
-    for alpha, da in d._terms.items():
-        for idx, wv in w._terms.items():
-            beta = tuple(x - y for x, y in zip(idx, alpha))
-            p = mul(da, wv)
-            cur = acc.get(beta)
-            acc[beta] = p if cur is None else add(cur, p)
-    terms = {k: v for k, v in acc.items() if not is_zero(v)}
-    return FiniteSeq._wrap(w.rank, field, terms)
+    # (d o W)_beta collects d_alpha * W_idx at beta = idx - alpha: the
+    # product of W with d reflected through the origin, in d's term order
+    reflected = {tuple(-x for x in alpha): c for alpha, c in d._terms.items()}
+    return FiniteSeq._wrap(w.rank, d.field, convolve(d.field, reflected, w._terms))
 
 
 def _index_bounds(terms, rank):
@@ -128,18 +124,21 @@ def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
 
 
 def _shift_periodic(d: LaurentPoly, w: PeriodicSeq) -> PeriodicSeq:
-    field = d.field
-    add, mul = field._add, field._mul
-    zero = field.zero.payload
-    values, flat = w._values, w._flat
-    kernel = d._terms.items()
-    out = []
-    for beta in w.domain():
-        s = zero
-        for alpha, da in kernel:
-            s = add(s, mul(da, values[flat([a + b for a, b in zip(alpha, beta)])]))
-        out.append(s)
-    return PeriodicSeq._wrap(w.rank, field, w.periods, tuple(out))
+    field, values = d.field, w._values
+    if not d._terms:
+        return PeriodicSeq._wrap(w.rank, field, w.periods, (field.zero.payload,) * len(values))
+    # column alpha holds W_(alpha + beta) for every beta in storage order,
+    # gathered through one rolled index list per kernel term
+    columns = []
+    for alpha in d._terms:
+        flat = [0]
+        for a, n, stride in zip(alpha, w.periods, w._strides):
+            axis = [(a + j) % n * stride for j in range(n)]
+            flat = [i + k for i in flat for k in axis]
+        columns.append(list(map(values.__getitem__, flat)))
+    dot, cs = field._dot, list(d._terms.values())
+    out = tuple(dot(cs, xs) for xs in zip(*columns))
+    return PeriodicSeq._wrap(w.rank, field, w.periods, out)
 
 
 def shift(d: LaurentPoly, w):

@@ -17,13 +17,14 @@ tolerances that defeat the point.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import operators
 from .errors import FloatFieldUnsupportedError
-from .fields import Field, PrimeField, RationalField
+from .fields import Field, FieldValue, PrimeField, RationalField
 from .laurent import LaurentPoly
 from .parsing import format_poly
 from .sequences import FiniteSeq, PeriodicSeq
@@ -34,57 +35,61 @@ _RANKS = (1, 2, 3)
 _KINDS = ("finite", "periodic")
 
 
-def random_value(rng: random.Random, field: Field, nonzero: bool = False):
+def _random_payload(rng: random.Random, field: Field, nonzero: bool = False):
+    # randrange(a, b + 1) draws the same stream as randint(a, b)
     if isinstance(field, PrimeField):
-        lo = 1 if nonzero else 0
-        return field.value(rng.randint(lo, field.p - 1))
+        return rng.randrange(1 if nonzero else 0, field.p)
     if isinstance(field, RationalField):
         while True:
-            v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            v = Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
             if v or not nonzero:
-                return field.value(v)
+                return v
     while True:
-        v = rng.randint(-8, 8) / 4.0
+        v = rng.randrange(-8, 9) / 4.0
         if v or not nonzero:
-            return field.value(v)
+            return v
+
+
+def random_value(rng: random.Random, field: Field, nonzero: bool = False):
+    return FieldValue(field, _random_payload(rng, field, nonzero))
 
 
 def random_exponent(rng: random.Random, rank: int, span: int = 4):
-    return tuple(rng.randint(-span, span) for _ in range(rank))
+    return tuple([rng.randrange(-span, span + 1) for _ in range(rank)])
+
+
+def _random_terms(rng, rank, field, max_terms, span):
+    """A canonical payload map: later draws at a repeated index overwrite."""
+    terms = {}
+    for _ in range(rng.randrange(0, max_terms + 1)):
+        terms[random_exponent(rng, rank, span)] = _random_payload(rng, field)
+    is_zero = field._is_zero
+    return {k: v for k, v in terms.items() if not is_zero(v)}
 
 
 def random_poly(rng, rank, field, max_terms: int = 6, span: int = 4) -> LaurentPoly:
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        terms[random_exponent(rng, rank, span)] = random_value(rng, field)
-    return LaurentPoly(rank, field, terms)
+    return LaurentPoly._wrap(rank, field, _random_terms(rng, rank, field, max_terms, span))
 
 
 def random_finite_seq(rng, rank, field, max_terms: int = 6, span: int = 4) -> FiniteSeq:
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        terms[random_exponent(rng, rank, span)] = random_value(rng, field)
-    return FiniteSeq(rank, field, terms)
+    return FiniteSeq._wrap(rank, field, _random_terms(rng, rank, field, max_terms, span))
 
 
 def random_periods(rng, rank, max_size: int = 24):
     # keep the fundamental domain small enough for thousand-trial runs
     while True:
-        periods = tuple(rng.randint(1, 4) for _ in range(rank))
-        size = 1
-        for n in periods:
-            size *= n
-        if size <= max_size:
+        periods = tuple([rng.randrange(1, 5) for _ in range(rank)])
+        if math.prod(periods) <= max_size:
             return periods
 
 
+def _random_samples(rng, field, periods) -> PeriodicSeq:
+    values = tuple([_random_payload(rng, field) for _ in range(math.prod(periods))])
+    return PeriodicSeq._wrap(len(periods), field, periods, values)
+
+
 def random_periodic_seq(rng, rank, field) -> PeriodicSeq:
-    periods = random_periods(rng, rank)
-    size = 1
-    for n in periods:
-        size *= n
-    values = [random_value(rng, field) for _ in range(size)]
-    return PeriodicSeq(rank, field, periods, values)
+    return _random_samples(rng, field, random_periods(rng, rank))
 
 
 def random_signal(rng, rank, field, kind: str):
@@ -203,10 +208,7 @@ def bilinearity_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
         kind = rng.choice(_KINDS)
         w1 = random_signal(rng, rank, field, kind)
         if kind == "periodic":
-            w2 = PeriodicSeq(
-                rank, field, w1.periods,
-                [random_value(rng, field) for _ in w1.domain()],
-            )
+            w2 = _random_samples(rng, field, w1.periods)
         else:
             w2 = random_finite_seq(rng, rank, field)
         return {

@@ -70,7 +70,7 @@ class PeriodicSeq:
                 f"{len(periods)} periods given for rank {rank}"
             )
         for n in periods:
-            if not isinstance(n, int) or n < 1:
+            if type(n) is not int or n < 1:
                 raise ValueError(f"periods must be ints >= 1, got {n!r}")
         size = math.prod(periods)
         vals = tuple(to_payload(field, v) for v in values)
@@ -170,7 +170,7 @@ class PeriodicSeq:
         if len(factors) != self.rank:
             raise RankMismatchError(f"{len(factors)} factors given for rank {self.rank}")
         for m in factors:
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise ValueError(f"tile factors must be ints >= 1, got {m!r}")
         new_periods = tuple(n * m for n, m in zip(self.periods, factors))
         domain = itertools.product(*(range(n) for n in new_periods))

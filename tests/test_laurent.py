@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from oracles import dense_mul
-from strategies import poly_triples
+from strategies import WIDE_Q, poly_triples, wide_rationals
 
 from bishift.errors import MixedFieldError, RaggedMatrixError, RankMismatchError
 from bishift.fields import PrimeField, RationalField
@@ -14,6 +14,8 @@ from bishift.parsing import parse_poly
 Q = RationalField()
 GF2 = PrimeField(2)
 GF7 = PrimeField(7)
+GF_P31 = PrimeField(2147483659)
+GF_M61 = PrimeField(2**61 - 1)
 
 
 def P(text, rank=1, field=Q):
@@ -93,26 +95,43 @@ def test_no_zero_coefficients_stored():
         assert all(not v.is_zero() for v in d.terms.values())
 
 
-@pytest.mark.parametrize("field", [Q, GF7])
+@pytest.mark.parametrize(
+    "field",
+    [
+        Q,
+        GF7,
+        pytest.param(GF_P31, id="gf2147483659"),
+        pytest.param(GF_M61, id="gf2305843009213693951"),
+        pytest.param(WIDE_Q, id="rational-wide"),
+    ],
+)
 def test_ring_axioms_randomized(field):
     rng = random.Random(902)
 
     def rand_poly(rank):
+        count = rng.randint(0, 6)
+        wide = wide_rationals(rng, count) if field is WIDE_Q else None
         terms = {}
-        for _ in range(rng.randint(0, 6)):
+        for i in range(count):
             alpha = tuple(rng.randint(-4, 4) for _ in range(rank))
-            if isinstance(field, PrimeField):
+            if wide:
+                terms[alpha] = wide[i]
+            elif isinstance(field, PrimeField):
                 terms[alpha] = rng.randint(0, field.p - 1)
             else:
                 terms[alpha] = field.value(rng.randint(-9, 9), rng.randint(1, 9))
         return LaurentPoly(rank, field, terms)
 
+    zero = LaurentPoly.zero(1, field)
     for _ in range(1000):
         rank = rng.choice((1, 2, 3))
         a, b, c = rand_poly(rank), rand_poly(rank), rand_poly(rank)
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        if rank == 1:
+            assert dict((a * b).terms) == dense_mul(a, b)
+            assert (a * zero).is_zero() and (zero * a).is_zero()
 
 
 def test_mul_against_dense_oracle_randomized():

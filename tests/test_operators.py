@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given
 
-from oracles import finite_shift_box, shift_by_definition
-from strategies import poly_with_seq
+from oracles import dense_mul, finite_shift_box, shift_by_definition
+from strategies import WIDE_Q, poly_with_seq, widen
 
 from bishift import operators
 from bishift.errors import DimensionMismatchError, MixedFieldError, RankMismatchError
@@ -16,15 +16,37 @@ from bishift.selftest import (
     random_finite_seq,
     random_periodic_seq,
     random_poly,
+    random_value,
 )
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector, poly_to_seq
 
 Q = RationalField()
 GF7 = PrimeField(7)
 
+# Q and GF7 keep pytest's default ids, field0 and field1, so their test ids stay stable
+ORACLE_FIELDS = [
+    Q,
+    GF7,
+    pytest.param(PrimeField(2147483659), id="gf2147483659"),
+    pytest.param(PrimeField(2**61 - 1), id="gf2305843009213693951"),
+    pytest.param(WIDE_Q, id="rational-wide"),
+]
+
 
 def P(text, rank=1, field=Q):
     return parse_poly(text, rank, field)
+
+
+def widened(rng, field, *xs):
+    """``xs`` as drawn, or widened when ``field`` asks for wide rationals."""
+    return [widen(rng, x) for x in xs] if field is WIDE_Q else list(xs)
+
+
+def periodic_by_definition(d, w):
+    """``shift_by_definition`` over the fundamental domain, in storage order."""
+    box = ([0] * w.rank, [n - 1 for n in w.periods])
+    out = shift_by_definition(d, w, box)
+    return [out.get(beta, d.field.zero) for beta in w.domain()]
 
 
 class TestScalarProduct:
@@ -265,7 +287,7 @@ class TestAdjoint:
             assert scalar_product(d, w) == shift(d, w).coeff((0,))
             assert check_adjoint(one, d, w)
 
-    @pytest.mark.parametrize("field", [Q, GF7])
+    @pytest.mark.parametrize("field", ORACLE_FIELDS)
     def test_random_triples(self, field):
         rng = random.Random(556)
         for _ in range(200):
@@ -273,9 +295,13 @@ class TestAdjoint:
             c = random_poly(rng, rank, field)
             d = random_poly(rng, rank, field)
             w = random_finite_seq(rng, rank, field)
+            c, d, w = widened(rng, field, c, d, w)
             assert check_adjoint(c, d, w)
             wp = random_periodic_seq(rng, rank, field)
+            (wp,) = widened(rng, field, wp)
             assert check_adjoint(c, d, wp)
+            if rank == 1:
+                assert dict((c * d).terms) == dense_mul(c, d)
 
 
 class TestDuality:
@@ -313,7 +339,7 @@ class TestDuality:
 
 
 class TestModuleAction:
-    @pytest.mark.parametrize("field", [Q, GF7])
+    @pytest.mark.parametrize("field", ORACLE_FIELDS)
     def test_composition(self, field):
         rng = random.Random(560)
         for _ in range(100):
@@ -321,9 +347,24 @@ class TestModuleAction:
             c = random_poly(rng, rank, field)
             d = random_poly(rng, rank, field)
             w = random_finite_seq(rng, rank, field)
+            c, d, w = widened(rng, field, c, d, w)
             assert shift(c, shift(d, w)) == shift(c * d, w)
+            assert dict(shift(d, w).terms) == shift_by_definition(d, w, finite_shift_box(d, w))
             wp = random_periodic_seq(rng, rank, field)
+            (wp,) = widened(rng, field, wp)
             assert shift(c, shift(d, wp)) == shift(c * d, wp)
+            assert list(shift(d, wp).values) == periodic_by_definition(d, wp)
+        # rank 3 with a period of 1, read by a kernel with negative exponents
+        d = LaurentPoly(3, field, {(-1, 0, -2): 1, (2, -3, 1): -2, (0, -1, 0): 3})
+        wp = PeriodicSeq(3, field, (1, 3, 2), [random_value(rng, field) for _ in range(6)])
+        d, wp = widened(rng, field, d, wp)
+        assert list(shift(d, wp).values) == periodic_by_definition(d, wp)
+        # the empty kernel gives the field's zero payload at every output
+        empty = LaurentPoly.zero(3, field)
+        assert shift(empty, wp) == PeriodicSeq.zero(3, field, wp.periods)
+        assert shift(empty, poly_to_seq(d)).is_zero()
+        assert scalar_product(empty, wp) == field.zero
+        assert (empty * d).is_zero() and (d * empty).is_zero()
 
     def test_identity(self):
         rng = random.Random(561)

@@ -1,17 +1,25 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 import bishift.operators
 from bishift.errors import FloatFieldUnsupportedError
 from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.laurent import LaurentPoly
 from bishift.selftest import (
     adjoint_suite,
     bilinearity_suite,
     extraction_suite,
     module_action_suite,
+    random_finite_seq,
+    random_periodic_seq,
+    random_poly,
+    random_value,
     run_all,
     support_bound_suite,
 )
-from bishift.sequences import FiniteSeq
+from bishift.sequences import FiniteSeq, PeriodicSeq
 
 GF7 = PrimeField(7)
 Q = RationalField()
@@ -24,6 +32,56 @@ def test_adjoint_suite_passes(field, kind):
     assert result.passed
     assert result.trials == 100
     assert result.example is None
+
+
+class PublicDraws:
+    """The selftest draws made with randint, FieldValue boxing and public constructors."""
+
+    def __init__(self, rng, field):
+        self.rng, self.field = rng, field
+
+    def value(self, nonzero=False):
+        rng, field = self.rng, self.field
+        if isinstance(field, PrimeField):
+            return field.value(rng.randint(1 if nonzero else 0, field.p - 1))
+        while True:
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if v or not nonzero:
+                return field.value(v)
+
+    def terms(self, rank):
+        terms = {}
+        for _ in range(self.rng.randint(0, 6)):
+            terms[tuple(self.rng.randint(-4, 4) for _ in range(rank))] = self.value()
+        return terms
+
+    def periodic(self, rank):
+        while True:
+            periods = tuple(self.rng.randint(1, 4) for _ in range(rank))
+            size = 1
+            for n in periods:
+                size *= n
+            if size <= 24:
+                break
+        return PeriodicSeq(rank, self.field, periods, [self.value() for _ in range(size)])
+
+
+@pytest.mark.parametrize("field", [Q, GF7, PrimeField(2147483659)])
+def test_draws_match_public_constructors(field):
+    fast, slow = random.Random(23), random.Random(23)
+    public = PublicDraws(slow, field)
+    for trial in range(300):
+        rank = trial % 3 + 1
+        pairs = [
+            (random_poly(fast, rank, field), LaurentPoly(rank, field, public.terms(rank))),
+            (random_finite_seq(fast, rank, field), FiniteSeq(rank, field, public.terms(rank))),
+        ]
+        for got, want in pairs:
+            assert got == want
+            assert list(got.terms) == list(want.terms)  # same term order
+        assert random_periodic_seq(fast, rank, field) == public.periodic(rank)
+        assert random_value(fast, field, nonzero=True) == public.value(nonzero=True)
+    assert fast.getstate() == slow.getstate()
 
 
 def test_all_suites_pass_small():

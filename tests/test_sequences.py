@@ -114,6 +114,15 @@ def test_tile_preserves_samples():
         assert tiled.coeff(alpha) == w.coeff(alpha)
 
 
+def test_bool_periods_rejected():
+    with pytest.raises(ValueError):
+        PeriodicSeq(1, GF3, (True,), [1])
+    with pytest.raises(ValueError):
+        PeriodicSeq(2, GF3, (2, False), [])
+    with pytest.raises(ValueError):
+        PeriodicSeq(1, GF3, (2,), [1, 0]).tile((True,))
+
+
 def test_mixed_representation_rejected():
     fin = FiniteSeq.delta(1, Q, (0,))
     per = PeriodicSeq(1, Q, (2,), [1, 0])

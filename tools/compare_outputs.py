@@ -1,4 +1,4 @@
-"""Byte comparison of kernel job outputs between a parent commit and the working tree.
+"""Byte comparison of CLI job outputs between a parent commit and the working tree.
 
 Run from anywhere inside a checkout:
 
@@ -8,9 +8,10 @@ For each seed from 1 to ``--seeds``, every job shape of the workloads named
 by ``--workload`` (``kernel_rank1`` and ``kernel_rank2`` by default) is
 written once by ``perfbench/inputs.py``, which this script imports and does
 not change.  The job then runs as ``python -m bishift.cli ...`` against the
-``src`` of each side.  Exit code, stdout and the report bytes must be equal
-on both sides.  The parent's tree is exported with ``git archive`` under the
-git-ignored ``.perfbench/`` and removed at the end.
+``src`` of each side.  Exit code, stdout and the output file's bytes must be
+equal on both sides; a job that writes no file (``selftest``) compares its
+exit code and stdout only.  The parent's tree is exported with ``git
+archive`` under the git-ignored ``.perfbench/`` and removed at the end.
 
 Prints one line per job and a summary line; exits 1 if any job differs.
 """
@@ -34,15 +35,20 @@ from bench_pairs import export_tree, git  # noqa: E402
 
 
 def run_job(root: Path, job) -> tuple:
-    """Exit code, stdout and report bytes of one CLI job on the sources under ``root``."""
-    if job.output.exists():
-        job.output.unlink()
+    """Exit code, stdout and output bytes of one CLI job on the sources under ``root``.
+
+    The output bytes are None for a job that names no output file or did not
+    write it.
+    """
+    output = job.output
+    if output is not None and output.exists():
+        output.unlink()
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run(
         [sys.executable, "-m", "bishift.cli", *job.argv], env=env, cwd=root,
         capture_output=True, timeout=600,
     )
-    report = job.output.read_bytes() if job.output.exists() else None
+    report = output.read_bytes() if output is not None and output.exists() else None
     return result.returncode, result.stdout, report
 
 
@@ -74,7 +80,7 @@ def main(argv=None) -> int:
                         differing += not same
                         print(f"{name} seed {seed} job {index}: "
                               f"{'identical' if same else 'DIFFERENT'} (exit {code}, "
-                              f"stdout {len(stdout)} B, report "
+                              f"stdout {len(stdout)} B, output "
                               f"{'none' if report is None else f'{len(report)} B'})", flush=True)
     finally:
         shutil.rmtree(parent_root, ignore_errors=True)
