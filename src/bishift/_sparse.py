@@ -140,7 +140,7 @@ class SparseTerms:
     __slots__ = ("rank", "field", "_terms")
 
     def __init__(self, rank, field, terms=None):
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise ValueError(f"rank must be a positive int, got {rank!r}")
         self.rank = rank
         self.field = field

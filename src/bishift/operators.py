@@ -19,7 +19,7 @@ from ._sparse import convolve, index_array, payload_array, require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
 from .laurent import LaurentPoly, PolyMatrix
-from .sequences import FiniteSeq, PeriodicSeq, SeqVector
+from .sequences import FiniteSeq, PeriodicSeq, SeqVector, rolled_indices
 
 
 def scalar_product(d: LaurentPoly, w) -> FieldValue:
@@ -129,13 +129,10 @@ def _shift_periodic(d: LaurentPoly, w: PeriodicSeq) -> PeriodicSeq:
         return PeriodicSeq._wrap(w.rank, field, w.periods, (field.zero.payload,) * len(values))
     # column alpha holds W_(alpha + beta) for every beta in storage order,
     # gathered through one rolled index list per kernel term
-    columns = []
-    for alpha in d._terms:
-        flat = [0]
-        for a, n, stride in zip(alpha, w.periods, w._strides):
-            axis = [(a + j) % n * stride for j in range(n)]
-            flat = [i + k for i in flat for k in axis]
-        columns.append(list(map(values.__getitem__, flat)))
+    columns = [
+        list(map(values.__getitem__, flat))
+        for flat in rolled_indices(d._terms, w.periods, w._strides)
+    ]
     dot, cs = field._dot, list(d._terms.values())
     out = tuple(dot(cs, xs) for xs in zip(*columns))
     return PeriodicSeq._wrap(w.rank, field, w.periods, out)

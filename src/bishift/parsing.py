@@ -184,7 +184,7 @@ def parse_poly(text: str, rank: int = 1, field=None) -> LaurentPoly:
     """
     if field is None:
         raise TypeError("parse_poly needs a field")
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise ValueError(f"rank must be a positive int, got {rank!r}")
     if rank > MAX_RANK:
         raise ValueError(f"rank {rank} is above the largest supported rank {MAX_RANK}")

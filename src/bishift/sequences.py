@@ -62,7 +62,7 @@ class PeriodicSeq:
     __slots__ = ("rank", "field", "periods", "_values", "_strides")
 
     def __init__(self, rank, field, periods, values):
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise ValueError(f"rank must be a positive int, got {rank!r}")
         periods = tuple(periods)
         if len(periods) != rank:
@@ -263,6 +263,18 @@ class SeqVector:
 
     def __repr__(self):
         return f"SeqVector({list(self.components)!r})"
+
+
+def rolled_indices(alphas, periods, strides):
+    """Per exponent alpha, the storage position of (alpha + beta) mod periods for each beta."""
+    rolled = []
+    for alpha in alphas:
+        flat = [0]
+        for a, n, stride in zip(alpha, periods, strides):
+            axis = [(a + j) % n * stride for j in range(n)]
+            flat = [i + k for i in flat for k in axis]
+        rolled.append(flat)
+    return rolled
 
 
 def poly_to_seq(d: LaurentPoly) -> FiniteSeq:

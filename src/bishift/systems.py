@@ -17,24 +17,29 @@ follows from the invariant factors of R and a Hermite basis over F[X]
 Python, with RREF rows written in time of the order of the output.  The
 rest of this docstring is about rank 2 and above.
 
-The matrix is one numpy array of raw payloads from construction to the
-kernel report: int64 residues over GF(p) with p < 2**31, and an object
-array of Python ints for larger primes.  One elimination loop,
-:func:`rref`, serves every field by running the field's payload hooks on
-whole rows.
+The constraint matrix is a list of sparse rows, dicts {column: payload}
+of its nonzero entries (:func:`periodic_system_matrix`).  One
+pure-Python Gauss-Jordan loop, :func:`rref`, reduces such rows mod p
+for every prime p, reading the columns from right to left.  Column c is
+a pivot of the kernel's RREF exactly when it lies in the span of the
+columns to its right, that is, when it is not a pivot of that
+reduction.  Each such column f gives the kernel row e_f minus the sum of
+r_q[f] e_q over the reduced pivot rows r_q, which is already its RREF
+row, so no second elimination runs.  The loop's cost and memory follow
+the entries it holds, which MAX_FILL bounds.
 
-Over Q no elimination runs on ``Fraction``s.  Each row of R is cleared
-of denominators, and the kernel is solved modulo 31-bit primes on the
-int64 loop.  A prime whose kernel is larger, or whose pivots sit
-further right, than another prime's is unlucky and dropped.  The
-residues of the others are combined by CRT and rational reconstruction,
-and the result is certified by an exact check of R o w = 0 (see
-:func:`_rational_kernel`).  :func:`periodic_system_matrix` still builds
-the ``Fraction`` matrix over Q for callers that want it.
+Over Q no elimination runs on ``Fraction``s.  Each row of the matrix is
+cleared of denominators once and reduced modulo 31-bit primes for the
+same loop.  A prime whose kernel is larger, or whose pivots sit further
+right, than another prime's is unlucky and dropped.  The residues of
+the others are combined by CRT and rational reconstruction, and the
+result is certified by an exact check of M w = 0 on the sparse integer
+rows (see :func:`_rational_kernel`).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,14 +48,17 @@ from fractions import Fraction
 from ._univariate import PolyRing
 from .errors import FloatFieldUnsupportedError, LatticeTooLargeError, RankMismatchError
 from .fields import PrimeField, _is_prime
-from .laurent import LaurentPoly, PolyMatrix
+from .laurent import PolyMatrix
 from .operators import shift_matrix
-from .sequences import FiniteSeq, PeriodicSeq, SeqVector
+from .sequences import FiniteSeq, PeriodicSeq, SeqVector, rolled_indices
 
-# GF(p) constraint matrices hold int64 payloads below this modulus
-_INT64_MODULUS_LIMIT = 2**31
 # largest constraint matrix, in cells, that periodic_system_matrix builds
 MAX_MATRIX_CELLS = 2**24
+# most nonzero entries the rank >= 2 solver holds at once, in the constraint
+# rows and the pivot rows together.  A dict entry of a residue takes 40 to 90
+# bytes, 5 to 11 times an int64 cell, so over GF(p) this keeps memory below
+# the 128 MiB of a dense int64 matrix of MAX_MATRIX_CELLS cells.
+MAX_FILL = 2**20
 # largest basis, in cells (dimension x l x N), that the rank-1 path builds
 MAX_KERNEL_CELLS = 2**17
 # largest k * l * (D + 1)**2 * bit length of N, for entries of degree D, that
@@ -125,7 +133,7 @@ def _check_periods(system: System, periods) -> tuple:
 
 
 def periodic_system_matrix(system: System, periods):
-    """Constraint matrix M with (R o W) = 0 iff M w = 0 on the lattice.
+    """Constraint matrix M with (R o W) = 0 iff M w = 0 on the lattice, as sparse rows.
 
     Coordinates are stacked component-major: entry (j, gamma) of the
     signal vector sits at index j * D + flat(gamma), with D the size of
@@ -134,14 +142,11 @@ def periodic_system_matrix(system: System, periods):
     (j, gamma)) sums the coefficients R_ij[a] over all a with
     (a + beta) mod periods = gamma.
 
-    M is a 2-D numpy array of payloads: int64 over GF(p) with p < 2**31,
-    otherwise an object array of the field's own payloads (``Fraction``
-    over Q, ``int`` for larger primes).  Raises LatticeTooLargeError,
-    before allocating anything, when M would have more than
-    MAX_MATRIX_CELLS cells.
+    Returns the k * D rows as dicts {column: payload} of the nonzero
+    entries.  Raises LatticeTooLargeError, before building any row, when
+    M would have more than MAX_MATRIX_CELLS cells or more than MAX_FILL
+    nonzero entries.
     """
-    import numpy as np
-
     periods = _check_periods(system, periods)
     size = math.prod(periods)
     height, width = system.k * size, system.l * size
@@ -150,120 +155,125 @@ def periodic_system_matrix(system: System, periods):
             f"periods {','.join(map(str, periods))} need a {height} x "
             f"{width} constraint matrix, more than {MAX_MATRIX_CELLS} cells"
         )
+    entries = [[system.matrix.entry(i, j)._terms for j in range(system.l)] for i in range(system.k)]
+    nonzeros = size * sum(len(terms) for row in entries for terms in row)
+    if nonzeros > MAX_FILL:
+        raise LatticeTooLargeError(
+            f"periods {','.join(map(str, periods))} give a constraint matrix with up to "
+            f"{nonzeros} nonzero entries, more than {MAX_FILL}"
+        )
     field = system.field
-    if isinstance(field, PrimeField) and field.p < _INT64_MODULUS_LIMIT:
-        matrix = np.zeros((height, width), np.int64)
-    else:
-        matrix = np.full((height, width), field.zero.payload, dtype=object)
-    fold = _folding(periods)
-    flat = np.arange(size)
-    for i in range(system.k):
-        rows = i * size + flat
-        for j in range(system.l):
-            for alpha, c in system.matrix.entry(i, j)._terms.items():
-                cols = j * size + fold(alpha)
-                matrix[rows, cols] = field._add(matrix[rows, cols], c)
+    add = field._add
+    strides = [math.prod(periods[i + 1 :]) for i in range(len(periods))]
+    matrix = []
+    for row in entries:
+        block = [{} for _ in range(size)]
+        for j, terms in enumerate(row):
+            for c, flat in zip(terms.values(), rolled_indices(terms, periods, strides)):
+                for out, col in zip(block, flat):
+                    col += j * size
+                    out[col] = add(out[col], c) if col in out else c
+        matrix += [{col: v for col, v in out.items() if not field._is_zero(v)} for out in block]
     return matrix
 
 
-def _folding(periods):
-    """Map from X^alpha to the flat domain index of (alpha + beta) mod periods, per beta.
+def rref(rows, p):
+    """Gauss-Jordan elimination mod p, reading the columns from right to left.
 
-    X^alpha acts on the fundamental domain as this permutation; entry b
-    of the returned array is the image of the b-th point of the
-    row-major enumeration.
+    ``rows`` are dicts {column: int}.  Returns the reduced row echelon
+    form of the matrix with its columns reversed, as a dict from each
+    pivot column q to its row with the entry 1 at q left out; that row is
+    nonzero only at non-pivot columns left of q.  A column is a pivot
+    exactly when it is not in the span of the columns to its right.
+
+    Rows are taken in ascending order of their last column.  Each is
+    copied into one working list and reduced from its last column down,
+    through a heap of the columns it holds, against the pivot rows found
+    so far, until it meets a column without one: that becomes its pivot.
+    Entries are reduced mod p only when their column is reached.  Once
+    every row is in, each pivot row is cleared at the pivot columns it
+    holds, in ascending order, so it subtracts rows that are already
+    reduced.
+
+    Raises LatticeTooLargeError once ``rows`` and the pivot rows together
+    hold more than MAX_FILL entries.
     """
-    import numpy as np
+    pivots = {}
+    fill = sum(map(len, rows))
+    rows = sorted(filter(None, rows), key=max)
+    work = [0] * (max(rows[-1]) + 1 if rows else 0)  # zero between rows
+    for row in rows:
+        for c, x in row.items():
+            work[c] = x
+        heap = [-c for c in row]
+        heapq.heapify(heap)
+        while heap:
+            col = -heapq.heappop(heap)
+            v = work[col] % p
+            work[col] = 0
+            if not v:
+                continue
+            pivot = pivots.get(col)
+            if pivot is None:
+                break
+            for c, x in pivot.items():
+                w = work[c]
+                if not w:
+                    heapq.heappush(heap, -c)
+                work[c] = w - v * x
+        else:
+            continue  # the row is a combination of the pivot rows
+        inv = pow(v, -1, p)
+        pivots[col] = new = {}
+        for c in set(heap):
+            x = work[-c] * inv % p
+            work[-c] = 0
+            if x:
+                new[-c] = x
+        fill += len(new)
+        if fill > MAX_FILL:
+            raise _fill_error()
+    for q in sorted(pivots):
+        row = pivots[q]
+        fill -= len(row)
+        for col in [col for col in row if col in pivots]:
+            v = row.pop(col)
+            for c, x in pivots[col].items():
+                row[c] = row.get(c, 0) - v * x
+        pivots[q] = {c: x for c, x in ((c, x % p) for c, x in row.items()) if x}
+        fill += len(pivots[q])
+        if fill > MAX_FILL:
+            raise _fill_error()
+    return pivots
 
-    lengths = np.array(periods)
-    strides = np.array([math.prod(periods[i + 1 :]) for i in range(len(periods))])
-    domain = np.indices(periods).reshape(len(periods), -1).T  # row b: the beta at flat(beta) = b
-    return lambda alpha: ((domain + [a % n for a, n in zip(alpha, periods)]) % lengths) @ strides
+
+def _fill_error():
+    return LatticeTooLargeError(
+        f"the elimination fills more than {MAX_FILL} entries of the constraint matrix"
+    )
 
 
-def rref(matrix, field):
-    """Reduced row echelon form by exact Gauss-Jordan elimination.
+def _nullspace(pivots, width, p):
+    """The kernel's RREF basis mod p, as rows of ints, from the pivot rows :func:`rref` returns.
 
-    ``matrix`` is a 2-D payload array as :func:`periodic_system_matrix`
-    builds it, and is reduced in place.  Returns the nonzero rows of the
-    reduced form (a view of ``matrix``) and the pivot column of each, in
-    order.  The pivot is the first nonzero entry at or below the current
-    row; its row is scaled by the pivot's inverse and every other row is
-    cleared.  Rows at or below the current one are zero left of the
-    pivot column, so each step starts at that column.
-
-    The field's payload hooks run on whole rows, so the one loop serves
-    every exact field: over GF(p) ``_add`` and ``_mul`` reduce mod p,
-    and with int64 payloads below 2**31 no product exceeds 2**62.
+    Each non-pivot column f gives the row e_f - sum of r_q[f] e_q over the
+    pivot rows r_q.  r_q[f] is nonzero only for q > f, and the row is 0
+    at every other non-pivot column, so it is already the RREF row with
+    pivot f.
     """
-    import numpy as np
-
-    m, n = matrix.shape
-    pivots = []
-    r = 0
-    for col in range(n):
-        below = np.flatnonzero(matrix[r:, col])
-        if not below.size:
-            continue
-        i = r + int(below[0])
-        if i != r:
-            matrix[[r, i]] = matrix[[i, r]]
-        matrix[r, col:] = field._mul(matrix[r, col:], field._inv(matrix.item(r, col)))
-        others = np.flatnonzero(matrix[:, col])
-        others = others[others != r]
-        if others.size:
-            factors = field._neg(matrix[others, col])
-            matrix[others, col:] = field._add(
-                matrix[others, col:], np.outer(factors, matrix[r, col:])
-            )
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return matrix[:r], pivots
-
-
-def nullspace_basis(matrix, field):
-    """Basis of {w : matrix . w = 0}, as the rows of a payload array in RREF.
-
-    ``matrix`` is reduced in place.  Each free column f of the reduced
-    system gives one vector: 1 at f, minus column f of the reduced rows
-    at the pivot columns, 0 elsewhere.  The final renormalization orders
-    the basis rows by pivot position and makes the output reproducible
-    regardless of how the constraints were assembled.
-    """
-    import numpy as np
-
-    width = matrix.shape[1]
-    reduced, pivots = rref(matrix, field)
-    is_free = np.ones(width, bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    vectors = np.full((free.size, width), field.zero.payload, dtype=matrix.dtype)
-    if not free.size:
-        return vectors
-    vectors[np.arange(free.size), free] = field.one.payload
-    vectors[:, pivots] = field._neg(reduced[:, free].T)
-    normalized, _ = rref(vectors, field)
-    return normalized
-
-
-def _cleared_rows(system: System):
-    """Integer coefficient maps of R, row i scaled by the lcm of its denominators.
-
-    Scaling a row of R by a nonzero constant leaves its kernel unchanged.
-    """
-    rows = []
-    for i in range(system.k):
-        terms = [system.matrix.entry(i, j)._terms for j in range(system.l)]
-        scale = math.lcm(*(c.denominator for t in terms for c in t.values()))
-        rows.append([{a: c.numerator * (scale // c.denominator) for a, c in t.items()} for t in terms])
-    return rows
+    free = [f for f in range(width) if f not in pivots]
+    basis = {f: [0] * width for f in free}
+    for f in free:
+        basis[f][f] = 1
+    for q, row in pivots.items():
+        for f, x in row.items():
+            basis[f][q] = p - x
+    return list(basis.values())
 
 
 def _primes():
     """Primes below 2**31, downward from 2**31 - 1."""
-    p = _INT64_MODULUS_LIMIT - 1
+    p = 2**31 - 1
     while True:
         if _is_prime(p):
             yield p
@@ -272,10 +282,8 @@ def _primes():
 
 def _crt(residues, modulus, image, p):
     """The residues mod modulus * p congruent to residues mod modulus and to image mod p."""
-    import numpy as np
-
-    step = (image - (residues % p).astype(np.int64)) % p * pow(modulus, -1, p) % p
-    return residues + modulus * step.astype(object)
+    inv = pow(modulus, -1, p)
+    return [r + modulus * ((i - r) * inv % p) for r, i in zip(residues, image)]
 
 
 def _wang_denominator(u, modulus, bound):
@@ -294,22 +302,18 @@ def _reconstruct(residues, modulus):
 
     One denominator serves every entry.  The first entry whose residue
     times ``den`` is not that small is reconstructed on its own, and its
-    denominator joins ``den``.  Returns ``(den, y)`` with ``y`` the flat
-    list of ints, or None when an entry has no reconstruction or ``den``
-    stops growing or outgrows the bound: more primes are needed.
+    denominator joins ``den``.  Returns ``(den, y)`` with ``y`` the list
+    of ints, or None when an entry has no reconstruction or ``den`` stops
+    growing or outgrows the bound: more primes are needed.
     """
-    import numpy as np
-
-    bound = math.isqrt(modulus // 2)
-    flat = residues.ravel()
+    bound, half = math.isqrt(modulus // 2), modulus // 2
     den = 1
     while True:
-        y = flat * den % modulus
-        y = np.where(y > modulus // 2, y - modulus, y)
-        large = np.flatnonzero(np.abs(y) > bound)
-        if not large.size:
-            return den, y.tolist()
-        d = _wang_denominator(flat[large[0]], modulus, bound)
+        y = [v - modulus if v > half else v for v in (u * den % modulus for u in residues)]
+        large = next((i for i, v in enumerate(y) if abs(v) > bound), None)
+        if large is None:
+            return den, y
+        d = _wang_denominator(residues[large], modulus, bound)
         if d is None or den % d == 0:
             return None
         den = math.lcm(den, d)
@@ -317,86 +321,71 @@ def _reconstruct(residues, modulus):
             return None
 
 
-def _certifies(cleared, periods, rows):
-    """Exact check that R o w = 0 on the lattice for every integer row w of ``rows``.
-
-    Each polynomial term adds one permuted slice of the rows, in Python
-    ints, so the dense constraint matrix is never multiplied out.
-    """
-    import numpy as np
-
-    size = math.prod(periods)
-    fold = _folding(periods)
-    for entries in cleared:
-        total = np.zeros((len(rows), size), dtype=object)
-        for j, terms in enumerate(entries):
-            for alpha, c in terms.items():
-                total += c * rows[:, j * size + fold(alpha)]
-        if (total != 0).any():
-            return False
-    return True
+def _certifies(cleared, rows):
+    """Exact check that M w = 0 for every integer row w of ``rows``, on the sparse rows of M."""
+    return not any(sum(c * w[col] for col, c in row.items()) for row in cleared for w in rows)
 
 
-def _rational_kernel(system: System, periods):
+def _rational_kernel(matrix, width):
     """RREF kernel basis over Q as rows of ``Fraction``s, by multi-modular elimination.
 
-    Each prime p, downward from 2**31 - 1, gives the kernel's RREF over
-    GF(p) from the int64 loop.  A prime's signature is (dimension, pivot
-    tuple); the true one is the smallest possible, so a prime with a
-    larger signature is unlucky and dropped, and a smaller one restarts
-    the residues.  The residues of the non-pivot columns are combined by
-    CRT and reconstructed; once two successive reconstructions agree,
-    the rows are checked exactly against R.  The rows are in RREF by
-    construction and number l|D| - rank_p >= dim_Q, so passing the check
-    proves they are the unique RREF basis over Q.
+    ``matrix`` holds the rows of M over Q.  Each row is cleared of
+    denominators once; each prime p, downward from 2**31 - 1, then gives
+    the kernel's RREF over GF(p) from the one loop.  A prime's signature
+    is (dimension, pivot tuple); the true one is the smallest possible,
+    so a prime with a larger signature is unlucky and dropped, and a
+    smaller one restarts the residues.  The residues of the non-pivot
+    columns are combined by CRT and reconstructed; once two successive
+    reconstructions agree, the rows are checked exactly against M.  The
+    rows are in RREF by construction and number width - rank_p >= dim_Q,
+    so passing the check proves they are the unique RREF basis over Q.
 
     Entries of that basis are ratios of minors of the cleared matrix, so
     below the Hadamard bound H.  Unlucky primes divide one such minor.
     Once the primes tried exceed 2 H^5, the kept ones exceed 2 H^4 and the
     reconstruction is exact; failing the check then is a bug.
     """
-    import numpy as np
-
-    cleared = _cleared_rows(system)
-    size = math.prod(periods)
-    width = system.l * size
-    # H < 2**height_bits: each row of the cleared matrix has 2-norm at most
-    # the 1-norm of its row of R, and there are |D| rows per row of R
-    height_bits = size * sum(
-        sum(abs(c) for terms in entries for c in terms.values()).bit_length()
-        for entries in cleared
-    )
+    cleared = []
+    for row in matrix:
+        scale = math.lcm(*(c.denominator for c in row.values()))
+        cleared.append({col: c.numerator * (scale // c.denominator) for col, c in row.items()})
+    # H < 2**height_bits: each row's 2-norm is at most its 1-norm
+    height_bits = sum(sum(map(abs, row.values())).bit_length() for row in cleared)
     best = candidate = None
     tried = 1
     for p in _primes():
-        field = PrimeField(p)
-        image = System(PolyMatrix(
-            [[LaurentPoly(system.rank, field, terms) for terms in entries] for entries in cleared]
-        ))
-        vectors = nullspace_basis(periodic_system_matrix(image, periods), field)
-        pivots = (vectors != 0).argmax(axis=1)
-        signature = (len(pivots), tuple(pivots.tolist()))
+        pivots = rref([{col: c % p for col, c in row.items() if c % p} for row in cleared], p)
+        free, bound = [f for f in range(width) if f not in pivots], sorted(pivots)
+        signature = (len(free), tuple(free))
         tried *= p
         capped = tried.bit_length() > 5 * height_bits + 1
-        agreed = False
-        if best is None or signature <= best:
-            if best is None or signature < best:
-                # the first prime, or every kept one was unlucky: start over
-                best, candidate = signature, None
-                free = np.flatnonzero(~np.isin(np.arange(width), pivots))
-                residues, modulus = vectors[:, free].astype(object), p
-            else:
-                residues, modulus = _crt(residues, modulus, vectors[:, free], p), modulus * p
-            previous, candidate = candidate, _reconstruct(residues, modulus)
-            agreed = candidate is not None and candidate == previous
-        if candidate is not None and (agreed or capped):
-            (dimension, leads), (den, numerators) = best, candidate
-            rows = np.zeros((dimension, width), dtype=object)
-            rows[:, free] = np.array(numerators, dtype=object).reshape(dimension, free.size)
-            rows[np.arange(dimension), list(leads)] = den
-            if _certifies(cleared, periods, rows):
+        # the kernel's RREF mod p at the pivot columns of the reduction, row by row
+        image = [-pivots[q].get(f, 0) % p for f in free for q in bound]
+        if best is None or signature < best:
+            # the first prime, or every kept one was unlucky: start over
+            best, candidate, columns, kept = signature, None, bound, 1
+            residues, modulus = image, p
+        elif signature == best:
+            residues, modulus, kept = _crt(residues, modulus, image, p), modulus * p, kept + 1
+        elif not capped:
+            continue
+        # Reconstruction costs more than a prime once the entries need many
+        # primes, so until it first succeeds it runs after 1, 2, 4, ... primes.
+        if kept & (kept - 1) and candidate is None and not capped:
+            continue
+        previous, candidate = candidate, _reconstruct(residues, modulus)
+        if candidate is not None and (candidate == previous or capped):
+            (_, leads), (den, numerators) = best, candidate
+            rows = []
+            for i, lead in enumerate(leads):
+                row = [0] * width
+                row[lead] = den
+                for q, y in zip(columns, numerators[i * len(columns) : (i + 1) * len(columns)]):
+                    row[q] = y
+                rows.append(row)
+            if _certifies(cleared, rows):
                 zero = Fraction(0)
-                return [[Fraction(v, den) if v else zero for v in row] for row in rows.tolist()]
+                return [[Fraction(v, den) if v else zero for v in row] for row in rows]
         if capped:
             raise RuntimeError(
                 f"no certified kernel over Q after primes down to {p}: the Hadamard bound is wrong"
@@ -486,9 +475,11 @@ def _kernel_rows(system: System, periods):
         raise FloatFieldUnsupportedError("kernel computation needs an exact field")
     if system.rank == 1:
         return _rank1_kernel_rows(system, periods[0])
+    matrix = periodic_system_matrix(system, periods)
+    width = system.l * math.prod(periods)
     if isinstance(system.field, PrimeField):
-        return nullspace_basis(periodic_system_matrix(system, periods), system.field).tolist()
-    return _rational_kernel(system, periods)
+        return _nullspace(rref(matrix, system.field.p), width, system.field.p)
+    return _rational_kernel(matrix, width)
 
 
 def kernel_dimension(system: System, periods) -> int:
@@ -503,7 +494,7 @@ def kernel_dimension(system: System, periods) -> int:
     if system.rank == 1 and field.is_exact:
         return _rank1_structure(system, periods[0])[-1]
     if isinstance(field, PrimeField):
-        _, pivots = rref(periodic_system_matrix(system, periods), field)
+        pivots = rref(periodic_system_matrix(system, periods), field.p)
         return system.l * math.prod(periods) - len(pivots)
     return len(_kernel_rows(system, periods))
 

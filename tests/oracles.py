@@ -76,37 +76,48 @@ def finite_shift_box(d: LaurentPoly, w: FiniteSeq, pad=1):
     return lo, hi
 
 
+def constraint_matrix(system, periods):
+    """Dense constraint matrix of a system on a period lattice, as rows of FieldValues.
+
+    Entry ((i, beta), (j, gamma)) sums R_ij[a] over the a with
+    (a + beta) mod periods = gamma, accumulated one (beta, term) pair at a
+    time.  Rows and columns are stacked component-major over the
+    row-major enumeration of the fundamental domain.  Shares no code with
+    the solver's sparse builder.
+    """
+    field = system.field
+    periods = tuple(periods)
+    domain = list(itertools.product(*(range(n) for n in periods)))
+    flat = {beta: b for b, beta in enumerate(domain)}
+    width = system.l * len(domain)
+    rows = []
+    for i in range(system.k):
+        for beta in domain:
+            row = [field.zero] * width
+            for j in range(system.l):
+                for alpha, c in system.matrix.entry(i, j).terms.items():
+                    gamma = tuple((a + b) % n for a, b, n in zip(alpha, beta, periods))
+                    col = j * len(domain) + flat[gamma]
+                    row[col] = field.add(row[col], c)
+            rows.append(row)
+    return rows
+
+
 def count_periodic_members(system, periods) -> int:
     """Count lattice-periodic behaviour members by exhaustive evaluation.
 
     Works on raw integers mod p and never touches the solver, the shift
-    implementation, or the constraint-matrix builder.  A stacked vector
-    w is a member when, for every output row i and every domain point
-    beta, the defining sum over the matrix entries vanishes.
+    implementation, or the library's constraint-matrix builder.  A
+    stacked vector w is a member when every row of the constraint matrix
+    pairs with it to zero.
     """
-    field = system.field
-    p = field.p
-    periods = tuple(periods)
-    size = math.prod(periods)
-    strides = [1] * len(periods)
-    for i in range(len(periods) - 2, -1, -1):
-        strides[i] = strides[i + 1] * periods[i + 1]
-
-    def fold(idx):
-        return sum((x % n) * s for x, n, s in zip(idx, periods, strides))
-
-    rows = []
-    for i in range(system.k):
-        for beta in itertools.product(*(range(n) for n in periods)):
-            entries = {}
-            for j in range(system.l):
-                for alpha, c in system.matrix.entry(i, j).terms.items():
-                    col = j * size + fold(tuple(a + b for a, b in zip(alpha, beta)))
-                    entries[col] = (entries.get(col, 0) + c.payload) % p
-            rows.append([(col, v) for col, v in entries.items() if v])
-
+    p = system.field.p
+    rows = [
+        [(col, v.payload) for col, v in enumerate(row) if v.payload]
+        for row in constraint_matrix(system, periods)
+    ]
     count = 0
-    for w in itertools.product(range(p), repeat=system.l * size):
+    for w in itertools.product(range(p), repeat=system.l * math.prod(periods)):
         for row in rows:
             total = 0
             for col, v in row:

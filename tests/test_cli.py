@@ -290,13 +290,15 @@ class TestNumpyImport:
     """numpy is imported only by the commands that build arrays."""
 
     def test_exact_commands_do_not_import_numpy(self, tmp_path):
+        rank2 = {"rank": 2, "k": 1, "l": 2, "entries": [["X1 - X2^-1", "2"]]}
         for spec in ("gf:7", "rational"):
-            path = tmp_path / f"{spec[:2]}.json"
-            path.write_text(json.dumps(dict(DIFFERENCE_DOC, field=spec)))
-            report = tmp_path / f"{spec[:2]}-report.json"
-            argv = ["kernel", "--system", str(path), "--period", "12", "--report", str(report)]
-            assert not run_probe(argv, tmp_path)
-            assert json.loads(report.read_text())["dimension"] == 2
+            for doc, period, dimension in ((DIFFERENCE_DOC, "12", 2), (rank2, "3,2", 6)):
+                path = tmp_path / f"{spec[:2]}-{doc['rank']}.json"
+                path.write_text(json.dumps(dict(doc, field=spec)))
+                report = tmp_path / f"{spec[:2]}-{doc['rank']}-report.json"
+                argv = ["kernel", "--system", str(path), "--period", period, "--report", str(report)]
+                assert not run_probe(argv, tmp_path)
+                assert json.loads(report.read_text())["dimension"] == dimension
             assert not run_probe(["selftest", "--trials", "2", "--field", spec], tmp_path)
         assert not run_probe(["--help"], tmp_path)
 
@@ -308,10 +310,6 @@ class TestNumpyImport:
                 "--input", str(img), "--output", str(out)]
         assert run_probe(argv, tmp_path)
         assert out.read_bytes().startswith(b"P5\n3 2\n255\n")
-        path = tmp_path / "rank2.json"
-        doc = {"rank": 2, "field": "gf:7", "k": 1, "l": 2, "entries": [["X1 - X2^-1", "2"]]}
-        path.write_text(json.dumps(doc))
-        assert run_probe(["kernel", "--system", str(path), "--period", "3,2"], tmp_path)
 
 
 class TestMember:

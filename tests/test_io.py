@@ -336,12 +336,15 @@ class TestPeriodicDocument:
         assert again == vec
 
     def test_period_one_round_trips(self, tmp_path):
-        # True == 1, but a bool period is refused before it can be written
+        # True == 1, but a bool period or rank is refused before it can be written
         with pytest.raises(ValueError):
             PeriodicSeq(1, GF2, (True,), [1])
+        with pytest.raises(ValueError):
+            PeriodicSeq(True, GF2, (1,), [1])
         path = tmp_path / "p.json"
         for w in (PeriodicSeq(1, GF2, (1,), [1]), PeriodicSeq(3, GF2, (1, 2, 1), [1, 0])):
             formats.write_periodic_json(path, w)
+            assert type(json.loads(path.read_text())["rank"]) is int
             assert formats.read_periodic_json(path)[0] == w
 
     def test_component_count_checked(self, tmp_path):

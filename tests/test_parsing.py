@@ -57,7 +57,7 @@ class TestParsePoly:
 
     def test_rank_bounded(self):
         assert parse_poly(f"X{MAX_RANK}", MAX_RANK, Q).support() == {(0,) * (MAX_RANK - 1) + (1,)}
-        for rank in (0, MAX_RANK + 1, 10**8):
+        for rank in (0, True, MAX_RANK + 1, 10**8):
             with pytest.raises(ValueError, match="rank"):
                 parse_poly("1", rank, Q)
 

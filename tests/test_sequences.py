@@ -123,6 +123,17 @@ def test_bool_periods_rejected():
         PeriodicSeq(1, GF3, (2,), [1, 0]).tile((True,))
 
 
+def test_bool_rank_rejected():
+    # True == 1, but a bool rank would be written as "rank": true
+    for build in (
+        lambda: PeriodicSeq(True, GF3, (1,), [1]),
+        lambda: FiniteSeq(True, GF3, {(0,): 1}),
+        lambda: LaurentPoly(True, GF3, {(0,): 1}),
+    ):
+        with pytest.raises(ValueError, match="rank must be a positive int"):
+            build()
+
+
 def test_mixed_representation_rejected():
     fin = FiniteSeq.delta(1, Q, (0,))
     per = PeriodicSeq(1, Q, (2,), [1, 0])

@@ -1,10 +1,17 @@
+import math
 import random
+import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from oracles import count_periodic_members, nullspace_boxed, rank1_kernel_dimension, rref_boxed
+from oracles import (
+    constraint_matrix,
+    count_periodic_members,
+    nullspace_boxed,
+    rank1_kernel_dimension,
+    rref_boxed,
+)
 
 from bishift import systems
 from bishift.errors import (
@@ -19,13 +26,13 @@ from bishift.selftest import random_poly
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
 from bishift._univariate import PolyRing
 from bishift.systems import (
+    MAX_FILL,
     MAX_KERNEL_CELLS,
     MAX_MATRIX_CELLS,
     KernelBasis,
     System,
     enumerate_periodic_vectors,
     kernel_dimension,
-    nullspace_basis,
     periodic_kernel_basis,
     periodic_system_matrix,
     rref,
@@ -37,12 +44,46 @@ GF3 = PrimeField(3)
 BIG = PrimeField(2147483659)  # the first prime above 2**31
 
 
-def payload_matrix(rows, field, width=None):
-    """A payload array of FieldValue or raw rows, in the dtype the solver uses."""
-    dtype = np.int64 if isinstance(field, PrimeField) and field.p < 2**31 else object
+def sparse_rows(rows, field):
+    """FieldValue or raw rows as the solver's rows: dicts of the nonzero payloads."""
     cells = [[v.payload if isinstance(v, FieldValue) else field._normalize(v, None) for v in row]
              for row in rows]
-    return np.array(cells, dtype=dtype).reshape(len(cells), width or len(cells[0]))
+    return [{col: v for col, v in enumerate(row) if v} for row in cells]
+
+
+def dense(rows, width):
+    """Sparse rows as lists of ``width`` payloads."""
+    out = [[0] * width for _ in rows]
+    for cells, row in zip(out, rows):
+        for col, v in row.items():
+            cells[col] = v
+    return out
+
+
+def eliminate(matrix, field, width):
+    """The kernel's RREF rows of sparse rows, by the loop over GF(p) and multi-modularly over Q."""
+    if field == Q:
+        return systems._rational_kernel(matrix, width)
+    return systems._nullspace(rref(matrix, field.p), width, field.p)
+
+
+def solve(rows, field, width):
+    """The kernel's RREF rows of a matrix of FieldValue or raw rows."""
+    return eliminate(sparse_rows(rows, field), field, width)
+
+
+def oracle_rref(rows, field):
+    """systems.rref's contract by the boxed loop: the RREF with the columns reversed.
+
+    Returns {pivot column: row without its pivot entry} in the original
+    column order.
+    """
+    last = len(rows[0]) - 1
+    reduced, pivots = rref_boxed([row[::-1] for row in rows], field)
+    return {
+        last - pc: {last - c: v.payload for c, v in enumerate(row) if c != pc and not v.is_zero()}
+        for row, pc in zip(reduced, pivots)
+    }
 
 
 def field_of(p):
@@ -100,18 +141,15 @@ class TestMembership:
 
 class TestConstraintMatrix:
     def test_difference_system_folds_to_zero_matrix(self):
-        matrix = periodic_system_matrix(difference_system(), (2,))
-        assert all(v == 0 for v in matrix.flat)
+        assert periodic_system_matrix(difference_system(), (2,)) == [{}, {}]
 
     def test_identity_system(self):
         matrix = periodic_system_matrix(System(PolyMatrix([[P("1")]])), (3,))
-        for i, row in enumerate(matrix.tolist()):
-            for j, v in enumerate(row):
-                assert v == (1 if i == j else 0)
+        assert matrix == [{0: 1}, {1: 1}, {2: 1}]
 
     def test_monomial_gives_cyclic_permutation(self):
         matrix = periodic_system_matrix(System(PolyMatrix([[P("X")]])), (3,))
-        assert matrix.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        assert dense(matrix, 3) == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
     def test_monomial_rows_are_permutations(self):
         rng = random.Random(42)
@@ -120,19 +158,31 @@ class TestConstraintMatrix:
             n = rng.randint(1, 6)
             mono = LaurentPoly.monomial(1, Q, (e,))
             matrix = periodic_system_matrix(System(PolyMatrix([[mono]])), (n,))
-            for row in matrix.tolist():
-                nonzero = [v for v in row if v != 0]
-                assert len(nonzero) == 1 and nonzero[0] == 1
+            assert all(list(row.values()) == [1] for row in matrix)
+            assert sorted(col for row in matrix for col in row) == list(range(n))
 
     def test_matrix_is_additive_in_the_operator(self):
         rng = random.Random(43)
         for _ in range(20):
             a = random_poly(rng, 1, GF3, max_terms=4)
             b = random_poly(rng, 1, GF3, max_terms=4)
-            sum_ = periodic_system_matrix(System(PolyMatrix([[a + b]])), (4,))
-            part_a = periodic_system_matrix(System(PolyMatrix([[a]])), (4,))
-            part_b = periodic_system_matrix(System(PolyMatrix([[b]])), (4,))
-            assert sum_.tolist() == ((part_a + part_b) % 3).tolist()
+            sum_, part_a, part_b = (
+                dense(periodic_system_matrix(System(PolyMatrix([[d]])), (4,)), 4) for d in (a + b, a, b)
+            )
+            assert sum_ == [[(x + y) % 3 for x, y in zip(u, v)] for u, v in zip(part_a, part_b)]
+
+    def test_matches_dense_oracle(self):
+        # the oracle's builder shares no code with the sparse one
+        rng = random.Random("matrix")
+        for field in (GF2, PrimeField(7), Q, BIG):
+            for _ in range(10):
+                rank, k, l = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+                grid = [[random_poly(rng, rank, field, max_terms=4, span=3) for _ in range(l)]
+                        for _ in range(k)]
+                system = System(PolyMatrix(grid))
+                periods = tuple(rng.randint(1, 4) for _ in range(rank))
+                want = sparse_rows(constraint_matrix(system, periods), field)
+                assert periodic_system_matrix(system, periods) == want
 
     def test_period_arity_checked(self):
         with pytest.raises(RankMismatchError):
@@ -145,33 +195,32 @@ class TestConstraintMatrix:
                 with pytest.raises(ValueError, match="periods must be ints"):
                     solve(system, periods)
 
-    @pytest.mark.parametrize(
-        "p, dtype",
-        [(7, np.int64), (2**31 - 1, np.int64), (2147483659, object),
-         pytest.param(None, object, id="rational-object")],
-    )
-    def test_dtype_and_payload_types(self, p, dtype):
+    @pytest.mark.parametrize("p", [7, 2**31 - 1, 2147483659, pytest.param(None, id="rational")])
+    def test_row_payload_types(self, p):
         field = field_of(p)
         system = System(PolyMatrix([[P("3*X - 1/2 + X^-2", field=field), P("X", field=field)]]))
         matrix = periodic_system_matrix(system, (5,))
-        assert matrix.dtype == dtype and matrix.shape == (5, 10)
-        if dtype is object:
-            # every cell, zeros included, holds the field's own payload type
-            assert_payload_types(matrix.flat, field)
-        want = [field._normalize(c, None) for c in (Fraction(-1, 2), 3, 0, 1, 0, 0, 1, 0, 0, 0)]
-        assert matrix.tolist()[0] == want
+        assert len(matrix) == 5
+        # only nonzero entries are stored, each in the field's own payload type
+        assert_payload_types([v for row in matrix for v in row.values()], field)
+        assert all(v for row in matrix for v in row.values())
+        assert all(0 <= col < 10 for row in matrix for col in row)
+        want = {0: field._normalize(Fraction(-1, 2), None), 1: 3, 3: 1, 6: 1}
+        assert matrix[0] == want
 
 
 class TestExactElimination:
     def test_rref_golden(self):
-        matrix = payload_matrix([[0, 2, 4], [1, 1, 1]], Q)
-        reduced, pivots = rref(matrix, Q)
-        assert pivots == [0, 1]
-        assert reduced.tolist() == [[1, 0, -1], [0, 1, 2]]
+        # mod 7, the columns read right to left: column 0 is in the span of
+        # columns 1 and 2, so it is the one non-pivot column
+        pivots = rref([{1: 2, 2: 4}, {0: 1, 1: 1, 2: 1}], 7)
+        assert pivots == {1: {0: 2}, 2: {0: 6}}
+        assert systems._nullspace(pivots, 3, 7) == [[1, 5, 1]]
+        assert solve([[0, 2, 4], [1, 1, 1]], Q, 3) == [[1, -2, 1]]
 
     def test_nullspace_rows_are_reduced(self):
-        basis = nullspace_basis(payload_matrix([[1, 1]], Q), Q)
-        assert basis.tolist() == [[1, -1]]
+        assert solve([[1, 1]], Q, 2) == [[1, -1]]
+        assert solve([[1, 1]], GF3, 2) == [[1, 2]]
 
     def test_nullspace_solves(self):
         rng = random.Random(44)
@@ -186,10 +235,10 @@ class TestExactElimination:
                 ]
                 for _ in range(height)
             ]
-            basis = nullspace_basis(payload_matrix(rows, field), field)
-            _, pivots = rref(payload_matrix(rows, field), field)
+            basis = solve(rows, field, width)
+            _, pivots = rref_boxed([[field.value(v) for v in row] for row in rows], field)
             assert len(basis) == width - len(pivots)
-            for vec in basis.tolist():
+            for vec in basis:
                 for row in rows:
                     total = field.zero
                     for a, x in zip(row, vec):
@@ -260,7 +309,7 @@ class TestKernelSolver:
         stacked = [
             [v for comp in vec for v in comp.values] for vec in basis.basis
         ]
-        _, pivots = rref(payload_matrix(stacked, GF3), GF3)
+        _, pivots = rref_boxed(stacked, GF3)
         assert len(pivots) == basis.dimension
 
     def test_completeness_against_enumeration(self):
@@ -350,13 +399,6 @@ def random_matrix(rng, field):
     return rows
 
 
-def oracle_rref(matrix, field):
-    """systems.rref's contract, computed by the boxed oracle."""
-    rows = [[FieldValue(field, v) for v in row] for row in matrix.tolist()]
-    reduced, pivots = rref_boxed(rows, field)
-    return payload_matrix(reduced, field, matrix.shape[1]), pivots
-
-
 def basis_payloads(system, periods):
     return [
         [v.payload for comp in vec for v in comp.values]
@@ -365,20 +407,20 @@ def basis_payloads(system, periods):
 
 
 def oracle_kernel(system, periods):
-    """periodic_kernel_basis's rows by the boxed oracle on the field's constraint matrix."""
-    matrix = periodic_system_matrix(system, periods)
-    rows = [[FieldValue(system.field, v) for v in row] for row in matrix.tolist()]
-    return payloads(nullspace_boxed(rows, system.field, matrix.shape[1]))
+    """periodic_kernel_basis's rows by the boxed oracle on the oracle's constraint matrix."""
+    width = system.l * math.prod(periods)
+    return payloads(nullspace_boxed(constraint_matrix(system, periods), system.field, width))
 
 
 FIELDS = [2, 3, 7, 2**31 - 1, 2147483659, pytest.param(None, id="rational")]
 
 
 class TestArrayElimination:
-    """The one elimination loop on payload arrays against the boxed oracle.
+    """The sparse elimination loop against the boxed oracle, on seeded matrices.
 
-    The test names predate the single loop: "array branch" is
-    systems.rref and "boxed branch" is oracles.rref_boxed.
+    The test names predate the sparse loop: "array branch" is
+    systems.rref over GF(p) and the multi-modular solver over Q, and
+    "boxed branch" is oracles.rref_boxed and oracles.nullspace_boxed.
     """
 
     @pytest.mark.parametrize("p", FIELDS)
@@ -393,18 +435,14 @@ class TestArrayElimination:
                 for rows in matrices for row in rows for v in row
             )
         for rows in matrices:
-            matrix = payload_matrix(rows, field)
-            want, want_pivots = rref_boxed(rows, field)
-            reduced, pivots = rref(matrix, field)
-            assert reduced.dtype == matrix.dtype
-            assert pivots == want_pivots
-            assert reduced.tolist() == payloads(want)
-            assert_payload_types([v for row in reduced.tolist() for v in row], field)
-            # reduced echelon form spanning the same row space
-            for i, col in enumerate(pivots):
-                assert reduced[:, col].tolist() == [int(i == j) for j in range(len(pivots))]
-            _, stacked = rref_boxed(want + rows, field)
-            assert stacked == pivots
+            width = len(rows[0])
+            basis = solve(rows, field, width)
+            assert basis == payloads(nullspace_boxed(rows, field, width))
+            assert_payload_types([v for row in basis for v in row], field)
+            if p:
+                pivots = rref(sparse_rows(rows, field), p)
+                assert pivots == oracle_rref(rows, field)
+                assert_payload_types([v for row in pivots.values() for v in row.values()], field)
 
     @pytest.mark.parametrize("p", FIELDS)
     def test_kernel_basis_payload_types(self, p):
@@ -421,7 +459,7 @@ class TestArrayElimination:
         assert seen
 
     @pytest.mark.parametrize("field", [GF2, PrimeField(7), Q, BIG])
-    def test_kernel_basis_same_with_either_branch(self, field, monkeypatch):
+    def test_kernel_basis_same_with_either_branch(self, field):
         rng = random.Random(f"basis:{getattr(field, 'p', 'rational')}")
         cases = []
         for _ in range(8):
@@ -435,18 +473,37 @@ class TestArrayElimination:
             grid = [[random_poly(rng, 2, field, max_terms=3, span=2) for _ in range(2)]]
             cases.append((System(PolyMatrix(grid)), (rng.randint(1, 4), rng.randint(1, 4))))
 
-        def solve_all(solve):
-            return [solve(system, periods) for system, periods in cases]
-
-        fast = solve_all(basis_payloads)
-        if field == Q:
-            # over Q the solver eliminates only mod p, so compare with the boxed oracle
-            slow = solve_all(oracle_kernel)
-        else:
-            monkeypatch.setattr(systems, "rref", oracle_rref)
-            slow = solve_all(basis_payloads)
-        assert slow == fast
+        fast = [basis_payloads(system, periods) for system, periods in cases]
+        assert fast == [oracle_kernel(system, periods) for system, periods in cases]
         assert any(fast)
+
+
+def stencil_poly(rng, rank, field, big=False):
+    """Five distinct exponents in [-2, 2]**rank with nonzero coefficients.
+
+    Over Q the numerators and denominators are at most 5, or with ``big``
+    up to 2**70.
+    """
+    exponents = set()
+    while len(exponents) < 5:
+        exponents.add(tuple(rng.randint(-2, 2) for _ in range(rank)))
+    bound = 2**70 if big else 5
+    if field == Q:
+        coeff = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, bound), rng.randint(1, bound))
+    else:
+        coeff = lambda: rng.randrange(1, field.p)
+    return LaurentPoly(rank, field, {a: coeff() for a in sorted(exponents)})
+
+
+def stencil_system(rng, field, rank, k, l):
+    """A k x l system of five-term entries; its constraint matrix fills in densely when k, l >= 2.
+
+    Over Q the first entry has coefficients up to 2**70 and the others
+    small ones, so the kernel needs several primes.
+    """
+    return System(PolyMatrix([
+        [stencil_poly(rng, rank, field, big=(i, j) == (0, 0)) for j in range(l)] for i in range(k)
+    ]))
 
 
 def rational_poly(rng, rank, big):
@@ -554,6 +611,52 @@ class TestRationalKernel:
             kernel_dimension(System(PolyMatrix([[P("X1 - 2", rank=2)]])), (2, 2))
 
 
+SPARSE_PERIODS = {2: [(4, 1), (3, 2), (2, 3)], 3: [(2, 1, 2), (3, 2, 1), (1, 2, 2)]}
+
+
+class TestSparseElimination:
+    """The rank >= 2 solver against the boxed oracle, on seeded rank-2 and rank-3 systems.
+
+    The shapes 2 x 2 and 2 x 3 fill in densely; 3 x 2 has k > l.  Each
+    shape is drawn plain, with a zero entry, and with every other row a
+    multiple of the first.  The lattices have a period-1 axis among
+    others.
+    """
+
+    @pytest.mark.parametrize("p", [2, 7, 2**31 - 1, 2147483659, pytest.param(None, id="rational")])
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("shape", ["1x2", "2x2", "2x3", "3x2"])
+    def test_matches_boxed_oracle(self, shape, rank, p):
+        field = field_of(p)
+        k, l = map(int, shape.split("x"))
+        rng = random.Random(f"sparse:{shape}:{rank}:{p or 'rational'}")
+        dims, heights = [], [0]
+        for trial in range(3):
+            periods = SPARSE_PERIODS[rank][trial]
+            system = stencil_system(rng, field, rank, k, l)
+            entries = [[system.matrix.entry(i, j) for j in range(l)] for i in range(k)]
+            if trial == 1:
+                entries[rng.randrange(k)][rng.randrange(l)] = LaurentPoly.zero(rank, field)
+            if trial == 2:
+                # the kernel holds that of the first row, of dimension >= (l - 1)|D|
+                entries[1:] = [
+                    [q * e for e in entries[0]]
+                    for q in (stencil_poly(rng, rank, field) for _ in range(k - 1))
+                ]
+            system = System(PolyMatrix(entries))
+            want = oracle_kernel(system, periods)
+            assert basis_payloads(system, periods) == want
+            assert kernel_dimension(system, periods) == len(want)
+            if p:
+                matrix = constraint_matrix(system, periods)
+                assert rref(periodic_system_matrix(system, periods), p) == oracle_rref(matrix, field)
+            dims.append(len(want))
+            heights += [abs(v.numerator) for row in want for v in row]
+        assert any(dims)
+        if p is None:
+            assert max(heights) > 2**62
+
+
 class TestRankOneOracle:
     """Dimension and basis size of 1x1 rank-1 systems against a polynomial gcd mod p."""
 
@@ -623,8 +726,8 @@ def rank1_system(rng, field, shape, n):
 
 
 def dense_kernel(system, n):
-    """The kernel's RREF rows by elimination on the constraint matrix."""
-    return nullspace_basis(periodic_system_matrix(system, (n,)), system.field).tolist()
+    """The kernel's RREF rows by the rank >= 2 elimination on the constraint matrix."""
+    return eliminate(periodic_system_matrix(system, (n,)), system.field, system.l * n)
 
 
 class TestRankOnePath:
@@ -691,14 +794,38 @@ class TestLatticeBudget:
     def test_api_refuses_periods_20_20_20(self, monkeypatch):
         system = System(PolyMatrix([[P("X1 - X2^-1 + X3", rank=3, field=GF2)]]))
 
-        def no_arrays(*args, **kwargs):
-            raise AssertionError("lattice allocated before the budget check")
+        def no_rows(*args, **kwargs):
+            raise AssertionError("lattice built before the budget check")
 
-        for name in ("zeros", "full", "arange", "indices", "array"):
-            monkeypatch.setattr(np, name, no_arrays)
+        monkeypatch.setattr(systems, "rolled_indices", no_rows)
         for solve in (periodic_system_matrix, kernel_dimension, periodic_kernel_basis):
             with pytest.raises(LatticeTooLargeError, match="8000 x 8000"):
                 solve(system, (20, 20, 20))
+
+    def test_constraint_nonzeros_bounded(self, monkeypatch):
+        # 300 terms on a 60 x 60 lattice: 3600**2 cells are admitted, but up
+        # to 1080000 nonzero entries are not
+        terms = {(a, b): 1 for a in range(20) for b in range(15)}
+        system = System(PolyMatrix([[LaurentPoly(2, GF2, terms)]]))
+        assert 3600**2 <= MAX_MATRIX_CELLS and 3600 * 300 > MAX_FILL
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("rows built before the budget check")
+
+        monkeypatch.setattr(systems, "rolled_indices", no_rows)
+        with pytest.raises(LatticeTooLargeError, match="1080000 nonzero entries"):
+            kernel_dimension(system, (60, 60))
+
+    def test_dense_fill_refused(self, monkeypatch):
+        # the 2 x 2 five-term system fills most of its 512 x 512 matrix mod 7;
+        # under a budget of 20000 entries the loop stops early
+        system = stencil_system(random.Random("fill"), PrimeField(7), 2, 2, 2)
+        assert kernel_dimension(system, (4, 4)) == len(oracle_kernel(system, (4, 4)))
+        monkeypatch.setattr(systems, "MAX_FILL", 20000)
+        start = time.process_time()
+        with pytest.raises(LatticeTooLargeError, match="fills more than 20000 entries"):
+            periodic_kernel_basis(system, (16, 16))
+        assert time.process_time() - start < 2.0
 
     def test_rank1_basis_refused_before_any_row(self, monkeypatch):
         # X^2 - 1 divides X^n - 1 for even n: dimension 2, so 2 * n cells
