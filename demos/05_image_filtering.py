@@ -9,8 +9,6 @@
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from bishift import FloatField, parse_poly, shift
 from bishift import io as formats
 
@@ -18,10 +16,9 @@ F = FloatField()
 workdir = Path(tempfile.mkdtemp(prefix="images-"))
 
 # build a small test card: dark background, bright 4x4 square
-pixels = np.zeros((12, 12), dtype=np.uint8)
-pixels[4:8, 4:8] = 240
+pixels = bytes(240 if 4 <= x < 8 and 4 <= y < 8 else 0 for y in range(12) for x in range(12))
 src = workdir / "card.pgm"
-src.write_bytes(b"P5\n12 12\n255\n" + pixels.tobytes())
+src.write_bytes(b"P5\n12 12\n255\n" + pixels)
 
 image, width, height, maxval = formats.read_pgm(src)
 print(f"loaded {width}x{height} image, maxval {maxval}, "

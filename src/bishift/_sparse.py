@@ -12,11 +12,12 @@ An operation checks rank and field once, for the whole container, and
 then runs the field's payload hooks (``_add``, ``_mul``, ...) in its
 loop.  :class:`~bishift.fields.FieldValue` objects are made only at the
 public boundary: :meth:`SparseTerms.coeff` and the :attr:`terms` view.
+The map itself is the only storage: the dense float shift and the PGM
+reader and writer work on it with plain lists, not an array library.
 """
 
 import operator
 from collections.abc import Mapping
-from itertools import chain
 
 from .errors import MixedFieldError, RankMismatchError
 from .fields import FieldValue
@@ -81,21 +82,6 @@ def convolve(field, a, b):
         if not is_zero(v):
             out[k] = v
     return out
-
-
-def index_array(terms, rank):
-    """Index tuples of a sparse map as an (n, rank) int64 array, in map order."""
-    import numpy as np
-
-    n = len(terms)
-    return np.fromiter(chain.from_iterable(terms), np.int64, n * rank).reshape(n, rank)
-
-
-def payload_array(terms):
-    """Float payloads of a sparse map as a float64 array, in map order."""
-    import numpy as np
-
-    return np.fromiter(terms.values(), np.float64, len(terms))
 
 
 def require_same_context(a, b):

@@ -9,6 +9,10 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
+from array import array
+from itertools import compress, repeat
+from operator import lt
 from pathlib import Path
 
 from .errors import (
@@ -20,7 +24,6 @@ from .errors import (
     SchemaError,
     TruncatedPixelDataError,
 )
-from ._sparse import index_array, payload_array
 from .fields import FloatField
 from .parsing import document_field, parse_system, positive_int
 from .sequences import FiniteSeq, PeriodicSeq, SeqVector
@@ -95,8 +98,6 @@ def read_pgm(path, field=FloatField()):
     maxval)`` so a caller can write the image back with identical
     geometry.
     """
-    import numpy as np
-
     if field.is_exact:
         raise FloatFieldUnsupportedError(f"images need a float field, not {field.spec()}")
     data = Path(path).read_bytes()
@@ -122,11 +123,17 @@ def read_pgm(path, field=FloatField()):
         )
     if len(raster) > expected and raster[expected:].strip():
         raise TruncatedPixelDataError(f"{path}: trailing data after the raster")
-    dtype = np.uint8 if sample_bytes == 1 else np.dtype(">u2")
-    grays = np.frombuffer(raster[:expected], dtype=dtype).reshape(height, width)
-    values = grays / maxval  # float64, correctly rounded like int / int
-    ys, xs = np.nonzero(values > field.tolerance)
-    terms = dict(zip(zip(xs.tolist(), ys.tolist()), values[ys, xs].tolist()))
+    if sample_bytes == 1:
+        grays = raster[:expected]
+    else:
+        grays = array("H", raster[:expected])
+        if sys.byteorder == "little":
+            grays.byteswap()  # the raster is big-endian
+    # a gray above maxval reads as a value above 1
+    scale = [g / maxval for g in range(max(grays) + 1)]
+    keys = [(x, y) for y in range(height) for x in range(width)]
+    values = list(map(scale.__getitem__, grays))
+    terms = dict(compress(zip(keys, values), map(lt, repeat(field.tolerance), values)))
     return FiniteSeq._wrap(2, field, terms), width, height, maxval
 
 
@@ -136,40 +143,43 @@ def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) 
     Samples are clamped to [0, 1] and quantized to round(v * maxval)
     half up; anything outside the window is not written.
     """
-    import numpy as np
-
     if seq.rank != 2:
         raise RankMismatchError("image output needs a rank-2 signal")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval {maxval} outside 1..65535")
-    xs, ys = index_array(seq._terms, 2).T
-    values = payload_array(seq._terms)
-    inside = (0 <= xs) & (xs < width) & (0 <= ys) & (ys < height)
-    xs, ys, values = xs[inside], ys[inside], values[inside]
-    if np.isnan(values).any():
-        raise ValueError("cannot quantize a NaN sample")
-    grays = np.zeros((height, width), dtype=np.uint32)
-    # truncating the non-negative value is the floor of round-half-up
-    grays[ys, xs] = (np.clip(values, 0.0, 1.0) * maxval + 0.5).astype(np.uint32)
-    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+    grays = bytearray(width * height) if maxval < 256 else array("H", bytes(2 * width * height))
+    for (x, y), v in seq._terms.items():
+        if 0 <= x < width and 0 <= y < height:
+            if v != v:
+                raise ValueError("cannot quantize a NaN sample")
+            # clamp to [0, 1], then round half up
+            grays[y * width + x] = 0 if v <= 0.0 else maxval if v >= 1.0 else int(v * maxval + 0.5)
+    if maxval >= 256 and sys.byteorder == "little":
+        grays.byteswap()
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + grays.astype(dtype).tobytes())
+    Path(path).write_bytes(header + bytes(grays))
 
 
 def write_kernel_report(kernel: KernelBasis, path) -> None:
-    """Write periods, dimension and the basis in stacked coordinate order."""
-    field = kernel.field
-    doc = {
-        "rank": kernel.rank,
-        "field": field.spec(),
-        "periods": list(kernel.periods),
-        "dimension": kernel.dimension,
-        "basis": [
-            [field._format(v) for comp in vec for v in comp._values]
-            for vec in kernel.basis
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """Write periods, dimension and the basis in stacked coordinate order.
+
+    The text is ``json.dumps(doc, indent=2)`` plus a newline, joined by hand
+    because the basis can hold millions of entries.
+    """
+    field, enc = kernel.field, json.encoder.encode_basestring_ascii
+    rows = [
+        "    [\n      "
+        + ",\n      ".join([enc(field._format(v)) for comp in vec for v in comp._values])
+        + "\n    ]"
+        for vec in kernel.basis
+    ]
+    basis = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    periods = ",\n    ".join(map(str, kernel.periods))
+    Path(path).write_text(
+        f'{{\n  "rank": {kernel.rank},\n  "field": {enc(field.spec())},\n'
+        f'  "periods": [\n    {periods}\n  ],\n'
+        f'  "dimension": {kernel.dimension},\n  "basis": {basis}\n}}\n'
+    )
 
 
 def _read_lattice_doc(path, what, keys):

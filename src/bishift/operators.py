@@ -14,8 +14,11 @@ multiplication under the pairing).
 from __future__ import annotations
 
 import math
+from collections import deque
+from itertools import chain, product, repeat
+from operator import add, itemgetter, mul, sub
 
-from ._sparse import convolve, index_array, payload_array, require_same_context
+from ._sparse import convolve, require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
 from .laurent import LaurentPoly, PolyMatrix
@@ -54,51 +57,51 @@ def _shift_finite_sparse(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
 
 
 def _index_bounds(terms, rank):
-    """Per-axis lowest and highest index, as lists of ints.
-
-    Raises OverflowError for an index of magnitude 2**62 or more, so
-    that the difference of two accepted indices fits in int64.
-    """
-    idx = index_array(terms, rank)
-    lo, hi = idx.min(axis=0).tolist(), idx.max(axis=0).tolist()
-    if min(lo) <= -(2**62) or max(hi) >= 2**62:
-        raise OverflowError("index too large for the dense float branch")
-    return lo, hi
+    """Per-axis lowest and highest index of a nonempty sparse map, as lists of ints."""
+    axes = [list(map(itemgetter(i), terms)) for i in range(rank)]
+    return list(map(min, axes)), list(map(max, axes))
 
 
 def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     """Float shift on the output's bounding box, one slice-add per kernel term.
 
-    The box is ``bbox(supp W) - bbox(supp d)``.  Each output sample is
-    summed in ``d.terms`` order, as in the sparse loop; box cells the
-    sparse loop never touches only add exact zeros, and the zero test is
-    the same, so the kept payloads are bit-identical to it.  Needs a
+    The box is ``bbox(supp W) - bbox(supp d)``, held row-major in one flat
+    list.  ``W`` is padded by the kernel's span on every axis, so each term
+    reads one contiguous slice that never wraps into the next row.  Each
+    output sample is summed in ``d.terms`` order, as in the sparse loop; box
+    cells the sparse loop never touches only add exact zeros, and the zero
+    test is the same, so the kept payloads are bit-identical to it.  Needs a
     nonzero ``d`` and ``W``.
     """
-    import numpy as np
-
-    field, rank = d.field, w.rank
-    d_lo, d_hi = _index_bounds(d._terms, rank)
-    idx = index_array(w._terms, rank)
-    w_lo = idx.min(axis=0)
-    idx -= w_lo
-    w_box = np.zeros(tuple(idx.max(axis=0) + 1))
-    w_box[tuple(idx.T)] = payload_array(w._terms)
-    del idx  # arrays go as soon as they are done: building the output map is the peak
-    out = np.zeros(tuple(m + h - lo for m, lo, h in zip(w_box.shape, d_lo, d_hi)))
-    product = np.empty_like(w_box)
+    field = d.field
+    d_lo, d_hi = _index_bounds(d._terms, w.rank)
+    w_lo, w_hi = _index_bounds(w._terms, w.rank)
+    spans = list(map(sub, d_hi, d_lo))
+    shape = [h - lo + 1 + s for lo, h, s in zip(w_lo, w_hi, spans)]  # output box
+    padded_shape = list(map(add, shape, spans))
+    strides = [math.prod(padded_shape[i + 1 :]) for i in range(len(shape))]
+    padded = [0.0] * math.prod(padded_shape)
+    # padded cell 0 holds W at w_lo - span
+    flat = repeat(-sum(map(mul, map(sub, w_lo, spans), strides)))
+    for i, stride in enumerate(strides):
+        flat = map(add, flat, map(mul, map(itemgetter(i), w._terms), repeat(stride)))
+    deque(map(padded.__setitem__, flat, w._terms.values()), 0)
+    # output cell o reads W at padded cell o + alpha - d_lo
+    size = sum((n - 1) * s for n, s in zip(shape, strides)) + 1
+    acc = [0.0] * size
     for alpha, c in d._terms.items():
-        # output index beta reads W at beta + alpha: W's box sits at d_hi - alpha
-        at = tuple(slice(h - a, h - a + m) for h, a, m in zip(d_hi, alpha, w_box.shape))
-        np.multiply(w_box, c, out=product)
-        out[at] += product
-    del w_box, product
-    keep = ~(np.abs(out) <= field.tolerance)
-    values = out[keep].tolist()
-    # box cell i holds output index w_lo - d_hi + i
-    axes = [(a + (lo - h)).tolist() for a, lo, h in zip(np.nonzero(keep), w_lo.tolist(), d_hi)]
-    del out, keep
-    return FiniteSeq._wrap(rank, field, dict(zip(zip(*axes), values)))
+        off = sum(map(mul, map(sub, alpha, d_lo), strides))
+        acc = list(map(add, acc, map(mul, repeat(c), padded[off : off + size])))
+    del padded
+    row = shape[-1]
+    starts = (sum(map(mul, o, strides)) for o in product(*map(range, shape[:-1])))
+    ranges = [range(lo - h, lo - h + n) for lo, h, n in zip(w_lo, d_hi, shape)]
+    out = dict(zip(product(*ranges), chain.from_iterable(acc[i : i + row] for i in starts)))
+    del acc
+    tol = field.tolerance
+    for k in [k for k, v in out.items() if abs(v) <= tol]:
+        del out[k]
+    return FiniteSeq._wrap(w.rank, field, out)
 
 
 def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
@@ -110,11 +113,8 @@ def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     """
     if d.field.is_exact or not d._terms or not w._terms:
         return _shift_finite_sparse(d, w)
-    try:
-        d_lo, d_hi = _index_bounds(d._terms, d.rank)
-        w_lo, w_hi = _index_bounds(w._terms, w.rank)
-    except OverflowError:  # indices beyond the dense branch's int64 range
-        return _shift_finite_sparse(d, w)
+    d_lo, d_hi = _index_bounds(d._terms, d.rank)
+    w_lo, w_hi = _index_bounds(w._terms, w.rank)
     cells = math.prod(
         wh - wl + dh - dl + 1 for wl, wh, dl, dh in zip(w_lo, w_hi, d_lo, d_hi)
     )

@@ -266,6 +266,7 @@ class TestKernel:
 
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 # runs the CLI in a fresh interpreter and reports on stderr whether numpy was imported
 NUMPY_PROBE = (
     "import sys\n"
@@ -274,12 +275,20 @@ NUMPY_PROBE = (
     "print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+# runs the CLI in a fresh interpreter where any import of numpy fails
+NUMPY_BLOCKED = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from bishift.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+TINY_KERNEL = "0.5 + 0.25*X1 + 0.125*X2^-1 + 0.125*X1^-1*X2"
 
 
-def run_probe(argv, cwd):
+def run_probe(argv, cwd, probe=NUMPY_PROBE):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv], env=env, cwd=cwd,
+        [sys.executable, "-c", probe, *argv], env=env, cwd=cwd,
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -287,7 +296,7 @@ def run_probe(argv, cwd):
 
 
 class TestNumpyImport:
-    """numpy is imported only by the commands that build arrays."""
+    """No command imports numpy: it is not a runtime dependency."""
 
     def test_exact_commands_do_not_import_numpy(self, tmp_path):
         rank2 = {"rank": 2, "k": 1, "l": 2, "entries": [["X1 - X2^-1", "2"]]}
@@ -303,13 +312,30 @@ class TestNumpyImport:
         assert not run_probe(["--help"], tmp_path)
 
     def test_array_commands_still_run(self, tmp_path):
-        img = tmp_path / "img.pgm"
-        img.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 10, 200, 255, 7, 1]))
         out = tmp_path / "out.pgm"
-        argv = ["filter", "--pgm", "--field", "float", "--kernel", "0.5 + 0.25*X1",
-                "--input", str(img), "--output", str(out)]
-        assert run_probe(argv, tmp_path)
-        assert out.read_bytes().startswith(b"P5\n3 2\n255\n")
+        argv = ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
+                "--input", str(DATA / "tiny.pgm"), "--output", str(out)]
+        assert not run_probe(argv, tmp_path)
+        assert out.read_bytes() == (DATA / "tiny-filtered.pgm").read_bytes()
+
+    def test_commands_run_with_numpy_blocked(self, tmp_path):
+        out = tmp_path / "out.pgm"
+        csv_in, csv_out = tmp_path / "w.csv", tmp_path / "y.csv"
+        csv_in.write_text("-1,0.5\n2,1.25\n")
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(dict(DIFFERENCE_DOC, field="gf:7")))
+        for argv in (
+            ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
+             "--input", str(DATA / "tiny.pgm"), "--output", str(out)],
+            ["filter", "--field", "float", "--kernel", "0.5*X + X^-1",
+             "--input", str(csv_in), "--output", str(csv_out)],
+            ["kernel", "--system", str(system), "--period", "12", "--report", str(tmp_path / "r.json")],
+            ["selftest", "--trials", "2", "--field", "rational"],
+            ["--help"],
+        ):
+            run_probe(argv, tmp_path, NUMPY_BLOCKED)
+        assert out.read_bytes() == (DATA / "tiny-filtered.pgm").read_bytes()
+        assert csv_out.read_text() == "-2,0.25\n0,0.5\n1,0.625\n3,1.25\n"
 
 
 class TestMember:

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,7 @@ from bishift.operators import shift
 from bishift.parsing import parse_poly, parse_system
 from bishift.selftest import random_finite_seq
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
-from bishift.systems import System, periodic_kernel_basis
+from bishift.systems import KernelBasis, System, periodic_kernel_basis
 
 Q = RationalField()
 GF2 = PrimeField(2)
@@ -204,6 +206,117 @@ class TestPgm:
         assert round(again.coeff((2, 0)).payload * 255) == 128
 
 
+def _big_endian(grays):
+    return [b for g in grays for b in (g >> 8, g & 0xFF)]
+
+
+class TestPgmEdgeCases:
+    """Expected values were produced by the earlier numpy reader and writer."""
+
+    # 0x0102 reads as 258 (513 in the wrong byte order); 0xFFFF is above maxval 256 and 1000
+    SIXTEEN_BIT = {
+        256: (
+            [1.0078125, 18.203125, 1.0, 0.00390625, 255.99609375],
+            b"\x01\x00\x00\x00\x01\x00\x01\x00\x00\x01\x01\x00",
+        ),
+        1000: (
+            [0.258, 4.66, 1.0, 0.001, 65.535],
+            b"\x01\x02\x00\x00\x03\xe8\x03\xe8\x00\x01\x03\xe8",
+        ),
+        65535: (
+            [0.003936827649347677, 0.07110704203860532, 1.0, 1.5259021896696422e-05, 1.0],
+            b"\x01\x02\x00\x00\x12\x34\xff\xff\x00\x01\xff\xff",
+        ),
+    }
+
+    @pytest.mark.parametrize("maxval", [256, 1000, 65535])
+    def test_sixteen_bit_read_and_write(self, tmp_path, maxval):
+        values, written = self.SIXTEEN_BIT[maxval]
+        grays = [0x0102, 0, 0x1234, maxval, 1, 0xFFFF]
+        path = _write_pgm_bytes(tmp_path, 3, 2, maxval, _big_endian(grays))
+        seq, w, h, m = formats.read_pgm(path)
+        # keys in row-major order; the zero pixel is not stored
+        assert list(seq.terms) == [(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+        assert [v.payload for v in seq.terms.values()] == values
+        out = tmp_path / "out.pgm"
+        formats.write_pgm(out, seq, w, h, m)
+        assert out.read_bytes() == f"P5\n3 2\n{maxval}\n".encode() + written
+
+    @pytest.mark.parametrize(
+        "width, height, shifted, written",
+        [
+            (1, 5, {(-1, 0): 0.0029411764705882353, (-1, 2): 0.25,
+                    (-1, 3): 0.12549019607843137, (-1, 4): 0.006862745098039216,
+                    (0, 0): 0.0058823529411764705, (0, 1): 0.0029411764705882353,
+                    (0, 2): 0.5, (0, 3): 0.5009803921568627, (0, 4): 0.1392156862745098,
+                    (0, 5): 0.006862745098039216},
+             b"\x02\x01\x80\x80\x24"),
+            (5, 1, {(-1, 0): 0.0029411764705882353, (0, 0): 0.0058823529411764705,
+                    (0, 1): 0.0029411764705882353, (1, 0): 0.25, (2, 0): 0.6254901960784314,
+                    (2, 1): 0.25, (3, 0): 0.25784313725490193, (3, 1): 0.12549019607843137,
+                    (4, 0): 0.013725490196078431, (4, 1): 0.006862745098039216},
+             b"\x02\x40\xa0\x42\x04"),
+        ],
+    )
+    def test_single_row_and_column(self, tmp_path, width, height, shifted, written):
+        path = _write_pgm_bytes(tmp_path, width, height, 255, [3, 0, 255, 128, 7])
+        seq, w, h, maxval = formats.read_pgm(path)
+        along = [(0, 0), (0, 2), (0, 3), (0, 4)]
+        assert list(seq.terms) == (along if width == 1 else [(y, x) for x, y in along])
+        out = tmp_path / "out.pgm"
+        formats.write_pgm(out, seq, w, h, maxval)
+        assert out.read_bytes() == path.read_bytes()
+        kernel = parse_poly("0.5 + 0.25*X1 + 0.25*X2^-1", 2, F)
+        filtered = shift(kernel, seq)
+        assert {k: v.payload for k, v in filtered.terms.items()} == shifted
+        formats.write_pgm(out, filtered, w, h, maxval)
+        assert out.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + written
+
+    def test_gray_above_maxval_reads_above_one_and_clamps(self, tmp_path):
+        path = _write_pgm_bytes(tmp_path, 2, 2, 100, [200, 100, 0, 255])
+        seq, w, h, maxval = formats.read_pgm(path)
+        assert {k: v.payload for k, v in seq.terms.items()} == {
+            (0, 0): 2.0, (1, 0): 1.0, (1, 1): 2.55
+        }
+        out = tmp_path / "out.pgm"
+        formats.write_pgm(out, seq, w, h, maxval)
+        assert out.read_bytes() == b"P5\n2 2\n100\ndd\x00d"
+        path = _write_pgm_bytes(tmp_path, 2, 1, 1000, _big_endian([65535, 1001]))
+        seq, w, h, maxval = formats.read_pgm(path)
+        assert {k: v.payload for k, v in seq.terms.items()} == {(0, 0): 65.535, (1, 0): 1.001}
+        formats.write_pgm(out, seq, w, h, maxval)
+        assert out.read_bytes() == b"P5\n2 1\n1000\n\x03\xe8\x03\xe8"
+
+    @pytest.mark.parametrize(
+        "maxval, raster",
+        [
+            (255, b"\x00\x00\x01\x00\x00\xfe\x80\x00\x00"),
+            (1000, b"\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x03\xe6"
+                   b"\x01\xf4\x00\x00\x00\x00"),
+        ],
+    )
+    def test_write_outside_window_and_negative_samples(self, tmp_path, maxval, raster):
+        seq = FiniteSeq(2, F, {
+            (-1, 0): 0.5, (0, -1): 0.9, (3, 0): 1.0, (0, 3): 1.0, (9, 1): -2.0,  # outside
+            (0, 0): -0.3, (2, 2): -5.0, (1, 1): 1e-300, (2, 0): 0.5 / 255,
+            (2, 1): 0.998, (0, 2): 0.5,
+        })
+        out = tmp_path / "out.pgm"
+        formats.write_pgm(out, seq, 3, 3, maxval)
+        assert out.read_bytes() == f"P5\n3 3\n{maxval}\n".encode() + raster
+
+    def test_write_non_finite_samples(self, tmp_path):
+        # infinities clamp; a NaN outside the window is never quantized
+        odd = FiniteSeq._wrap(2, F, {
+            (0, 0): math.inf, (1, 0): -math.inf, (-1, 0): math.nan, (1, 1): -0.0
+        })
+        out = tmp_path / "out.pgm"
+        formats.write_pgm(out, odd, 2, 2, 255)
+        assert out.read_bytes() == b"P5\n2 2\n255\n\xff\x00\x00\x00"
+        with pytest.raises(ValueError, match="NaN"):
+            formats.write_pgm(out, FiniteSeq._wrap(2, F, {(0, 0): math.nan}), 1, 1, 255)
+
+
 def difference_system(field=GF2):
     return System(PolyMatrix([[parse_poly("X - X^-1", 1, field)]]))
 
@@ -249,6 +362,38 @@ class TestKernelReport:
         assert again.periods == basis.periods
         for vec in again.basis:
             assert system.contains(vec)
+
+    @pytest.mark.parametrize("field", [GF2, PrimeField(7), PrimeField(2**31 - 1), Q])
+    def test_report_text_matches_json_dumps(self, tmp_path, field):
+        rng = random.Random(2311)
+        path = tmp_path / "report.json"
+        for trial in range(20):
+            rank = rng.randint(1, 3)
+            periods = tuple(rng.randint(1, 3) for _ in range(rank))
+            size, components = math.prod(periods), rng.randint(1, 3)
+
+            def value():
+                if field == Q:
+                    return Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                return rng.randrange(field.p)
+
+            basis = tuple(
+                SeqVector([
+                    PeriodicSeq(rank, field, periods, [value() for _ in range(size)])
+                    for _ in range(components)
+                ])
+                for _ in range(rng.randint(1, 4) if trial else 0)  # trial 0: dimension 0
+            )
+            kernel = KernelBasis(rank, field, periods, len(basis), basis)
+            formats.write_kernel_report(kernel, path)
+            doc = {
+                "rank": rank,
+                "field": field.spec(),
+                "periods": list(periods),
+                "dimension": len(basis),
+                "basis": [[field._format(v) for c in vec for v in c._values] for vec in basis],
+            }
+            assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
     def test_report_determinism(self, tmp_path):
         basis = periodic_kernel_basis(difference_system(), (4,))

@@ -181,15 +181,16 @@ class TestDenseFloatShift:
                 assert abs(got - want) <= bound
         assert chosen.count("dense") > 40 and chosen.count("sparse") > 40
 
-    def test_indices_beyond_int64_stay_sparse(self, monkeypatch):
-        monkeypatch.setattr(operators, "_shift_finite_dense", None)
+    def test_indices_beyond_int64_on_both_branches(self):
         field = FloatField()
         kernel = parse_poly("X + 0.5", 1, field)
-        # a box of 3 cells for 4 products would go dense but for the indices
+        # Python ints do not overflow, so either branch takes any index
         for big in (2**62 - 1, 2**70, -(2**62)):
             w = FiniteSeq(1, field, {(big,): 1.5, (big + 1,): 2.0})
-            expected = {(big - 1,): 1.5, (big,): 2.75, (big + 1,): 1.0}
-            assert shift(kernel, w) == FiniteSeq(1, field, expected)
+            expected = FiniteSeq(1, field, {(big - 1,): 1.5, (big,): 2.75, (big + 1,): 1.0})
+            assert operators._shift_finite_dense(kernel, w) == expected
+            assert operators._shift_finite_sparse(kernel, w) == expected
+            assert shift(kernel, w) == expected
 
     def test_exact_fields_stay_sparse(self, monkeypatch):
         monkeypatch.setattr(operators, "_shift_finite_dense", None)
