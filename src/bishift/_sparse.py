@@ -28,7 +28,7 @@ def exponent_tuple(alpha, rank):
     if len(t) != rank:
         raise RankMismatchError(f"index {t} has length {len(t)}, expected {rank}")
     for x in t:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise TypeError(f"index components must be ints, got {x!r}")
     return t
 

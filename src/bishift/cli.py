@@ -13,7 +13,7 @@ import sys
 
 from . import io as formats
 from .errors import BishiftError
-from .fields import parse_field_spec
+from .fields import decimal_int, parse_field_spec
 from .parsing import parse_poly
 from .operators import scalar_product, shift
 from .selftest import DEFAULT_SEED, run_all
@@ -24,13 +24,11 @@ PARSE_ERROR = 2
 
 
 def _parse_periods(text: str):
+    # their count and lower bound are checked by the solver
     try:
-        periods = tuple(int(p) for p in text.split(","))
+        return tuple(map(decimal_int, text.split(",")))
     except ValueError:
         raise ValueError(f"bad period list {text!r}") from None
-    if not periods or any(n < 1 for n in periods):
-        raise ValueError(f"periods must be integers >= 1, got {text!r}")
-    return periods
 
 
 def _cmd_pair(args) -> int:
@@ -116,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair = sub.add_parser("pair", help="pairing of a polynomial with a signal")
     pair.add_argument("--poly", required=True, help="polynomial expression")
     pair.add_argument("--seq", required=True, help="sparse CSV signal file")
-    pair.add_argument("--rank", type=int, default=1)
+    pair.add_argument("--rank", type=decimal_int, default=1)
     pair.add_argument("--field", default="rational")
     pair.set_defaults(handler=_cmd_pair)
 
@@ -126,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--kernel", required=True, help="kernel expression")
     filt.add_argument("--input", required=True)
     filt.add_argument("--output", required=True)
-    filt.add_argument("--rank", type=int, default=1)
+    filt.add_argument("--rank", type=decimal_int, default=1)
     filt.add_argument("--field", default="rational")
     filt.add_argument(
         "--pgm", action="store_true", help="treat input/output as binary P5 images"
@@ -149,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     member.set_defaults(handler=_cmd_member)
 
     check = sub.add_parser("selftest", help="run the randomized law suites")
-    check.add_argument("--trials", type=int, default=1000)
-    check.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    check.add_argument("--trials", type=decimal_int, default=1000)
+    check.add_argument("--seed", type=decimal_int, default=DEFAULT_SEED)
     check.add_argument("--field", default="rational")
     check.set_defaults(handler=_cmd_selftest)
 

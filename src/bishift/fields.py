@@ -45,6 +45,13 @@ _FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)\Z")
 _DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]+\Z")
 
 
+def decimal_int(text: str) -> int:
+    """The int an ASCII decimal ``-?[0-9]+`` names; ValueError for any other text."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 class FieldValue:
     """A scalar bound to the field that created it.
 
@@ -381,8 +388,8 @@ class FloatField(Field):
     is_exact = False
 
     def __post_init__(self):
-        if not (self.tolerance > 0):
-            raise ValueError("float field tolerance must be positive")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError("float field tolerance must be finite and positive")
 
     def _normalize(self, x, den):
         if not isinstance(x, (int, float, Fraction)):
@@ -439,7 +446,7 @@ def parse_field_spec(spec: str) -> Field:
         return RationalField()
     if s.startswith("gf:"):
         try:
-            p = int(s[3:])
+            p = decimal_int(s[3:])
         except ValueError:
             raise FieldSpecError(f"bad prime in field spec {spec!r}") from None
         try:

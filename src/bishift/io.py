@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from array import array
 from itertools import compress, repeat
@@ -24,12 +23,10 @@ from .errors import (
     SchemaError,
     TruncatedPixelDataError,
 )
-from .fields import FloatField
+from .fields import FloatField, decimal_int
 from .parsing import document_field, parse_system, positive_int
 from .sequences import FiniteSeq, PeriodicSeq, SeqVector
 from .systems import KernelBasis, System
-
-_INDEX_RE = re.compile(r"-?[0-9]+\Z")
 
 
 def read_seq_csv(path, rank: int, field) -> FiniteSeq:
@@ -45,11 +42,12 @@ def read_seq_csv(path, rank: int, field) -> FiniteSeq:
             raise RankMismatchError(
                 f"{path}: line {lineno} has {len(cells)} fields, expected {rank + 1}"
             )
-        if not all(_INDEX_RE.fullmatch(c) for c in cells[:rank]):
+        try:
+            idx = tuple(map(decimal_int, cells[:rank]))
+        except ValueError:
             raise BadValueTokenError(
                 f"{path}: line {lineno}: bad index {cells[:rank]!r}"
-            )
-        idx = tuple(int(c) for c in cells[:rank])
+            ) from None
         if idx in terms:
             raise DuplicateIndexError(f"{path}: line {lineno}: index {idx} repeated")
         terms[idx] = field.parse_token(cells[rank])
@@ -107,7 +105,8 @@ def read_pgm(path, field=FloatField()):
     if len(tokens) < 4:
         raise BadMagicError(f"{path}: incomplete P5 header")
     try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        # a non-ASCII byte fails to decode, a ValueError like a bad digit
+        width, height, maxval = (decimal_int(t.decode("ascii")) for t in tokens[1:4])
     except ValueError:
         raise BadMagicError(f"{path}: non-numeric P5 header fields") from None
     if width < 1 or height < 1:
@@ -222,12 +221,8 @@ def read_kernel_report(path) -> KernelBasis:
             raise SchemaError(
                 f"{path}: basis row length {len(row)} not a positive multiple of {size}"
             )
-        values = [field.parse_token(t) for t in row]
-        comps = [
-            PeriodicSeq(rank, field, periods, values[j * size : (j + 1) * size])
-            for j in range(len(values) // size)
-        ]
-        basis.append(SeqVector(comps))
+        values = [field.parse_token(t).payload for t in row]
+        basis.append(SeqVector._stacked(rank, field, periods, values))
     if doc["dimension"] != len(basis):
         raise SchemaError(f"{path}: dimension {doc['dimension']} but {len(basis)} basis rows")
     return KernelBasis(
@@ -268,12 +263,8 @@ def read_periodic_json(path, components: int = 1) -> SeqVector:
         raise SchemaError(
             f"{path}: {len(values)} values for {components} components of size {size}"
         )
-    parsed = [field.parse_token(str(t)) for t in values]
-    comps = [
-        PeriodicSeq(rank, field, periods, parsed[j * size : (j + 1) * size])
-        for j in range(components)
-    ]
-    return SeqVector(comps)
+    parsed = [field.parse_token(str(t)).payload for t in values]
+    return SeqVector._stacked(rank, field, periods, parsed)
 
 
 def read_system(path) -> System:

@@ -22,7 +22,7 @@ from ._sparse import convolve, require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
 from .laurent import LaurentPoly, PolyMatrix
-from .sequences import FiniteSeq, PeriodicSeq, SeqVector, rolled_indices
+from .sequences import FiniteSeq, PeriodicSeq, SeqVector, rolled_indices, row_major_strides
 
 
 def scalar_product(d: LaurentPoly, w) -> FieldValue:
@@ -62,7 +62,7 @@ def _index_bounds(terms, rank):
     return list(map(min, axes)), list(map(max, axes))
 
 
-def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
+def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq, d_bounds, w_bounds) -> FiniteSeq:
     """Float shift on the output's bounding box, one slice-add per kernel term.
 
     The box is ``bbox(supp W) - bbox(supp d)``, held row-major in one flat
@@ -71,15 +71,14 @@ def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     output sample is summed in ``d.terms`` order, as in the sparse loop; box
     cells the sparse loop never touches only add exact zeros, and the zero
     test is the same, so the kept payloads are bit-identical to it.  Needs a
-    nonzero ``d`` and ``W``.
+    nonzero ``d`` and ``W``, and their :func:`_index_bounds`.
     """
     field = d.field
-    d_lo, d_hi = _index_bounds(d._terms, w.rank)
-    w_lo, w_hi = _index_bounds(w._terms, w.rank)
+    (d_lo, d_hi), (w_lo, w_hi) = d_bounds, w_bounds
     spans = list(map(sub, d_hi, d_lo))
     shape = [h - lo + 1 + s for lo, h, s in zip(w_lo, w_hi, spans)]  # output box
     padded_shape = list(map(add, shape, spans))
-    strides = [math.prod(padded_shape[i + 1 :]) for i in range(len(shape))]
+    strides = row_major_strides(padded_shape)
     padded = [0.0] * math.prod(padded_shape)
     # padded cell 0 holds W at w_lo - span
     flat = repeat(-sum(map(mul, map(sub, w_lo, spans), strides)))
@@ -113,14 +112,14 @@ def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     """
     if d.field.is_exact or not d._terms or not w._terms:
         return _shift_finite_sparse(d, w)
-    d_lo, d_hi = _index_bounds(d._terms, d.rank)
-    w_lo, w_hi = _index_bounds(w._terms, w.rank)
+    d_bounds = d_lo, d_hi = _index_bounds(d._terms, d.rank)
+    w_bounds = w_lo, w_hi = _index_bounds(w._terms, w.rank)
     cells = math.prod(
         wh - wl + dh - dl + 1 for wl, wh, dl, dh in zip(w_lo, w_hi, d_lo, d_hi)
     )
     if cells > len(d._terms) * len(w._terms):
         return _shift_finite_sparse(d, w)
-    return _shift_finite_dense(d, w)
+    return _shift_finite_dense(d, w, d_bounds, w_bounds)
 
 
 def _shift_periodic(d: LaurentPoly, w: PeriodicSeq) -> PeriodicSeq:

@@ -22,14 +22,10 @@ from __future__ import annotations
 import json
 
 from .errors import (
-    BadValueTokenError,
-    DecimalInExactFieldError,
-    NonFiniteValueError,
     ParseError,
     PolySyntaxError,
     SchemaError,
     VariableIndexOutOfRangeError,
-    ZeroDenominatorError,
 )
 from .fields import parse_field_spec
 from .laurent import LaurentPoly, PolyMatrix
@@ -72,52 +68,28 @@ class _Cursor:
         return self.text[start : self.pos]
 
 
-def _parse_sint(cur: _Cursor) -> int:
+def _scan_sint(cur: _Cursor) -> str:
     start = cur.pos
     if cur.peek() == "-":
         cur.pos += 1
     digits = cur.read_digits()
     if not digits:
         cur.fail("malformed integer", expected=("digit",))
-    return int(cur.text[start : cur.pos])
+    return cur.text[start : cur.pos]
 
 
 def _parse_coeff(cur: _Cursor):
+    # scan sint, then '/' or '.' with any digits, and read the text by the
+    # field's scalar grammar; its typed error is reported at the token's start
     start = cur.pos
-    num = _parse_sint(cur)
-    if cur.peek() == "/":
+    _scan_sint(cur)
+    if cur.peek() in "/." and cur.peek():
         cur.pos += 1
-        digits = cur.read_digits()
-        if not digits:
-            cur.fail("malformed fraction", expected=("digit",))
-        den = int(digits)
-        if den == 0:
-            cur.fail(
-                "zero denominator",
-                pos=start,
-                cls=ZeroDenominatorError,
-            )
-        try:
-            return cur.field.value(num, den)
-        except ZeroDivisionError:
-            cur.fail(
-                f"denominator {den} is zero in {cur.field.spec()}",
-                pos=start,
-                cls=ZeroDenominatorError,
-            )
-    if cur.peek() == ".":
-        cur.pos += 1
-        digits = cur.read_digits()
-        if not digits:
-            cur.fail("malformed decimal", expected=("digit",))
-        if cur.field.is_exact:
-            cur.fail(
-                f"decimal coefficient in exact field {cur.field.spec()}",
-                pos=start,
-                cls=DecimalInExactFieldError,
-            )
-        return cur.field.value(float(cur.text[start : cur.pos]))
-    return cur.field.value(num)
+        cur.read_digits()
+    try:
+        return cur.field.parse_token(cur.text[start : cur.pos])
+    except ParseError as e:
+        cur.fail(str(e), pos=start, cls=type(e))
 
 
 def _parse_factor(cur: _Cursor, exps):
@@ -144,7 +116,7 @@ def _parse_factor(cur: _Cursor, exps):
         index = 1
     if cur.peek() == "^":
         cur.pos += 1
-        e = _parse_sint(cur)
+        e = int(_scan_sint(cur))
     else:
         e = 1
     exps[index - 1] += e
@@ -164,11 +136,7 @@ def _parse_term(cur: _Cursor):
     if c == "X":
         return cur.field.one, _parse_mono(cur)
     if c == "-" or c in _DIGITS:
-        start = cur.pos
-        try:
-            coeff = _parse_coeff(cur)
-        except NonFiniteValueError as e:
-            cur.fail(f"coefficient out of range: {e}", pos=start, cls=BadValueTokenError)
+        coeff = _parse_coeff(cur)
         if cur.peek() == "*":
             cur.pos += 1
             return coeff, _parse_mono(cur)

@@ -30,6 +30,25 @@ from .fields import FieldValue
 from .laurent import LaurentPoly
 
 
+def check_periods(periods, rank, what) -> tuple:
+    """``periods`` as a tuple of ``rank`` ints >= 1 (no bools), named ``what`` in errors."""
+    periods = tuple(periods)
+    if len(periods) != rank:
+        raise RankMismatchError(f"{len(periods)} {what} given for rank {rank}")
+    for n in periods:
+        if type(n) is not int or n < 1:
+            raise ValueError(f"{what} must be ints >= 1, got {n!r}")
+    return periods
+
+
+def row_major_strides(shape) -> tuple:
+    """Storage step of each axis of a box held row-major, the last axis fastest."""
+    strides = [1] * len(shape)
+    for i in range(len(shape) - 2, -1, -1):
+        strides[i] = strides[i + 1] * shape[i + 1]
+    return tuple(strides)
+
+
 class FiniteSeq(SparseTerms):
     """Signal with finitely many nonzero samples, in canonical sparse form."""
 
@@ -64,14 +83,7 @@ class PeriodicSeq:
     def __init__(self, rank, field, periods, values):
         if type(rank) is not int or rank < 1:
             raise ValueError(f"rank must be a positive int, got {rank!r}")
-        periods = tuple(periods)
-        if len(periods) != rank:
-            raise RankMismatchError(
-                f"{len(periods)} periods given for rank {rank}"
-            )
-        for n in periods:
-            if type(n) is not int or n < 1:
-                raise ValueError(f"periods must be ints >= 1, got {n!r}")
+        periods = check_periods(periods, rank, "periods")
         size = math.prod(periods)
         vals = tuple(to_payload(field, v) for v in values)
         if len(vals) != size:
@@ -92,10 +104,7 @@ class PeriodicSeq:
         self.field = field
         self.periods = periods
         self._values = values
-        strides = [1] * rank
-        for i in range(rank - 2, -1, -1):
-            strides[i] = strides[i + 1] * periods[i + 1]
-        self._strides = tuple(strides)
+        self._strides = row_major_strides(periods)
 
     @classmethod
     def zero(cls, rank, field, periods):
@@ -166,12 +175,7 @@ class PeriodicSeq:
 
     def tile(self, factors) -> PeriodicSeq:
         """The same signal declared on the refined lattice ``periods * factors``."""
-        factors = tuple(factors)
-        if len(factors) != self.rank:
-            raise RankMismatchError(f"{len(factors)} factors given for rank {self.rank}")
-        for m in factors:
-            if type(m) is not int or m < 1:
-                raise ValueError(f"tile factors must be ints >= 1, got {m!r}")
+        factors = check_periods(factors, self.rank, "tile factors")
         new_periods = tuple(n * m for n, m in zip(self.periods, factors))
         domain = itertools.product(*(range(n) for n in new_periods))
         values = tuple(self._values[self._flat(idx)] for idx in domain)
@@ -260,6 +264,16 @@ class SeqVector:
         )
 
     __hash__ = None
+
+    @classmethod
+    def _stacked(cls, rank, field, periods, payloads):
+        # trusted constructor: checked periods and component-major canonical
+        # payloads, one fundamental domain per component
+        size = math.prod(periods)
+        return cls(
+            PeriodicSeq._wrap(rank, field, periods, tuple(payloads[i : i + size]))
+            for i in range(0, len(payloads), size)
+        )
 
     def __repr__(self):
         return f"SeqVector({list(self.components)!r})"

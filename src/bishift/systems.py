@@ -46,11 +46,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._univariate import PolyRing
-from .errors import FloatFieldUnsupportedError, LatticeTooLargeError, RankMismatchError
+from .errors import FloatFieldUnsupportedError, LatticeTooLargeError
 from .fields import PrimeField, _is_prime
 from .laurent import PolyMatrix
 from .operators import shift_matrix
-from .sequences import FiniteSeq, PeriodicSeq, SeqVector, rolled_indices
+from .sequences import (
+    FiniteSeq,
+    PeriodicSeq,
+    SeqVector,
+    check_periods,
+    rolled_indices,
+    row_major_strides,
+)
 
 # largest constraint matrix, in cells, that periodic_system_matrix builds
 MAX_MATRIX_CELLS = 2**24
@@ -120,18 +127,6 @@ class KernelBasis:
     basis: tuple  # of SeqVector, each periodic with the stated periods
 
 
-def _check_periods(system: System, periods) -> tuple:
-    periods = tuple(periods)
-    if len(periods) != system.rank:
-        raise RankMismatchError(
-            f"{len(periods)} periods given for rank {system.rank}"
-        )
-    for n in periods:
-        if type(n) is not int or n < 1:
-            raise ValueError(f"periods must be ints >= 1, got {n!r}")
-    return periods
-
-
 def periodic_system_matrix(system: System, periods):
     """Constraint matrix M with (R o W) = 0 iff M w = 0 on the lattice, as sparse rows.
 
@@ -147,7 +142,7 @@ def periodic_system_matrix(system: System, periods):
     M would have more than MAX_MATRIX_CELLS cells or more than MAX_FILL
     nonzero entries.
     """
-    periods = _check_periods(system, periods)
+    periods = check_periods(periods, system.rank, "periods")
     size = math.prod(periods)
     height, width = system.k * size, system.l * size
     if height * width > MAX_MATRIX_CELLS:
@@ -164,14 +159,14 @@ def periodic_system_matrix(system: System, periods):
         )
     field = system.field
     add = field._add
-    strides = [math.prod(periods[i + 1 :]) for i in range(len(periods))]
+    strides = row_major_strides(periods)
     matrix = []
     for row in entries:
         block = [{} for _ in range(size)]
-        for j, terms in enumerate(row):
+        for base, terms in zip(range(0, width, size), row):
             for c, flat in zip(terms.values(), rolled_indices(terms, periods, strides)):
                 for out, col in zip(block, flat):
-                    col += j * size
+                    col += base
                     out[col] = add(out[col], c) if col in out else c
         matrix += [{col: v for col, v in out.items() if not field._is_zero(v)} for out in block]
     return matrix
@@ -489,7 +484,7 @@ def kernel_dimension(system: System, periods) -> int:
     Otherwise, over GF(p) one elimination gives it; over Q it is the size
     of the certified basis.
     """
-    periods = _check_periods(system, periods)
+    periods = check_periods(periods, system.rank, "periods")
     field = system.field
     if system.rank == 1 and field.is_exact:
         return _rank1_structure(system, periods[0])[-1]
@@ -501,14 +496,10 @@ def kernel_dimension(system: System, periods) -> int:
 
 def periodic_kernel_basis(system: System, periods) -> KernelBasis:
     """Exact basis of the behaviour restricted to a period lattice."""
-    periods = _check_periods(system, periods)
+    periods = check_periods(periods, system.rank, "periods")
     field = system.field
-    size = math.prod(periods)
     basis = tuple(
-        SeqVector(
-            PeriodicSeq._wrap(system.rank, field, periods, tuple(row[j * size : (j + 1) * size]))
-            for j in range(system.l)
-        )
+        SeqVector._stacked(system.rank, field, periods, row)
         for row in _kernel_rows(system, periods)
     )
     return KernelBasis(
@@ -522,15 +513,10 @@ def periodic_kernel_basis(system: System, periods) -> KernelBasis:
 
 def enumerate_periodic_vectors(system: System, periods):
     """All signal vectors on the lattice, for small brute-force scans."""
-    periods = _check_periods(system, periods)
+    periods = check_periods(periods, system.rank, "periods")
     field = system.field
     if not isinstance(field, PrimeField):
         raise FloatFieldUnsupportedError("enumeration needs a finite field")
-    size = math.prod(periods)
-    width = system.l * size
+    width = system.l * math.prod(periods)
     for combo in itertools.product(range(field.p), repeat=width):
-        comps = [
-            PeriodicSeq(system.rank, field, periods, combo[j * size : (j + 1) * size])
-            for j in range(system.l)
-        ]
-        yield SeqVector(comps)
+        yield SeqVector._stacked(system.rank, field, periods, combo)

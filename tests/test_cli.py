@@ -251,6 +251,12 @@ class TestKernel:
         assert main(["kernel", "--system", str(difference_file), "--period", "0"]) == 2
         assert main(["kernel", "--system", str(difference_file), "--period", "x"]) == 2
 
+    @pytest.mark.parametrize("period", ["1_0", "+4", " 4", "4 ", "\u0664", "4.0", "2,,2"])
+    def test_period_is_ascii_decimal(self, difference_file, capsys, period):
+        assert main(["kernel", "--system", str(difference_file), "--period", period]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad period list" in captured.err
+
     def test_period_65536_rank_one(self, tmp_path, capsys):
         path = tmp_path / "system.json"
         path.write_text(json.dumps(dict(DIFFERENCE_DOC, field="gf:7")))
@@ -408,6 +414,28 @@ class TestSelftest:
         main(["selftest", "--trials", "10", "--seed", "3", "--field", "gf:2"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestNumberText:
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    @pytest.mark.parametrize("text", ["1_0", "+4", " 4", "\u0664"])
+    def test_integer_flags_are_ascii_decimal(self, capsys, flag, text):
+        assert main(["selftest", "--trials", "1", "--field", "gf:7", flag, text]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("spec", ["gf:1_1", "gf:+7", "gf: 7", "gf:\u0667"])
+    def test_prime_is_ascii_decimal(self, capsys, spec):
+        assert main(["selftest", "--trials", "1", "--field", spec]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("spec", ["float:inf", "float:1e400"])
+    def test_infinite_tolerance_refused(self, tmp_path, capsys, spec):
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        inp.write_text("0,1\n1,2\n")
+        argv = ["filter", "--kernel", "X", "--input", str(inp), "--output", str(out)]
+        assert main([*argv, "--field", spec]) == 2
+        assert not out.exists()
+        assert "tolerance" in capsys.readouterr().err
 
 
 class TestUsage:

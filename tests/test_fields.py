@@ -18,6 +18,7 @@ from bishift.fields import (
     PrimeField,
     RationalField,
     _is_prime,
+    decimal_int,
     decimal_token,
     parse_field_spec,
 )
@@ -188,6 +189,28 @@ def test_parse_field_spec_forms():
 def test_parse_field_spec_rejects(spec):
     with pytest.raises(FieldSpecError):
         parse_field_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["float:inf", "float:1e400", "float:-inf", "float:nan"])
+def test_float_tolerance_must_be_finite(spec):
+    # an infinite tolerance would read every sample as zero
+    with pytest.raises(FieldSpecError):
+        parse_field_spec(spec)
+    with pytest.raises(ValueError):
+        FloatField(math.inf)
+
+
+@pytest.mark.parametrize("spec", ["gf:1_1", "gf:+7", "gf: 7", "gf:7 0", "gf:\u0667", "gf:0x7"])
+def test_prime_modulus_is_ascii_decimal(spec):
+    with pytest.raises(FieldSpecError):
+        parse_field_spec(spec)
+
+
+def test_decimal_int():
+    assert [decimal_int(t) for t in ("0", "-12", "007", "9" * 40)] == [0, -12, 7, int("9" * 40)]
+    for bad in ("", "-", "1_0", "+4", " 4", "4 ", "4\n", "\u0664", "1.0", "0x10", "--1"):
+        with pytest.raises(ValueError):
+            decimal_int(bad)
 
 
 def test_parse_token_forms():

@@ -25,6 +25,7 @@ from bishift.systems import KernelBasis, System, periodic_kernel_basis
 
 Q = RationalField()
 GF2 = PrimeField(2)
+GF7 = PrimeField(7)
 F = FloatField()
 
 
@@ -71,6 +72,25 @@ class TestSeqCsv:
         path.write_text("x,1\n")
         with pytest.raises(BadValueTokenError):
             formats.read_seq_csv(path, 1, Q)
+
+    # cells are stripped of surrounding whitespace, so " 4" reads as 4
+    @pytest.mark.parametrize("index", ["1_0", "+4", "\u0664", "1.0", "True"])
+    def test_index_is_ascii_decimal(self, tmp_path, index):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{index},1\n")
+        with pytest.raises(BadValueTokenError):
+            formats.read_seq_csv(path, 1, Q)
+
+    def test_bool_index_refused_and_int_indices_round_trip(self, tmp_path):
+        # True == 1, but a bool key would be written as "True" and not read back
+        for key in ((True,), (False,)):
+            with pytest.raises(TypeError):
+                FiniteSeq(1, GF7, {key: 3})
+        path = tmp_path / "w.csv"
+        seq = FiniteSeq(2, GF7, {(1, 0): 3, (0, 1): 2, (-1, 1): 6})
+        formats.write_seq_csv(path, seq)
+        assert path.read_text() == "-1,1,6\n0,1,2\n1,0,3\n"
+        assert formats.read_seq_csv(path, 2, GF7) == seq
 
     def test_wrong_arity_rejected(self, tmp_path):
         path = tmp_path / "arity.csv"
@@ -121,6 +141,16 @@ class TestPgm:
         out = tmp_path / "out.pgm"
         formats.write_pgm(out, seq, w, h, maxval)
         assert out.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("bad", [b"1_0", b"+4", "\u0664".encode(), b"4.0", b"0x4"])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_header_numbers_are_ascii_decimal(self, tmp_path, bad, slot):
+        fields = [b"4", b"1", b"255"]
+        fields[slot] = bad
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n" + b" ".join(fields) + b"\n" + bytes(40))
+        with pytest.raises(BadMagicError):
+            formats.read_pgm(path)
 
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"

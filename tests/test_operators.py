@@ -151,6 +151,10 @@ def _random_float_case(rng, field):
     return d, FiniteSeq(rank, field, terms)
 
 
+def _bounds(d, w):
+    return operators._index_bounds(d._terms, d.rank), operators._index_bounds(w._terms, w.rank)
+
+
 class TestDenseFloatShift:
     @pytest.mark.parametrize("tol, seed", [(1e-9, 561), (1e-3, 562)])
     def test_dense_matches_sparse_and_oracle(self, tol, seed, monkeypatch):
@@ -159,7 +163,8 @@ class TestDenseFloatShift:
         dense, sparse = operators._shift_finite_dense, operators._shift_finite_sparse
         chosen = []
         monkeypatch.setattr(
-            operators, "_shift_finite_dense", lambda d, w: chosen.append("dense") or dense(d, w)
+            operators, "_shift_finite_dense",
+            lambda d, w, *bounds: chosen.append("dense") or dense(d, w, *bounds),
         )
         monkeypatch.setattr(
             operators, "_shift_finite_sparse", lambda d, w: chosen.append("sparse") or sparse(d, w)
@@ -170,7 +175,7 @@ class TestDenseFloatShift:
         bound = tol + 1e-12
         for _ in range(200):
             d, w = _random_float_case(rng, field)
-            a, b = sparse(d, w), dense(d, w)
+            a, b = sparse(d, w), dense(d, w, *_bounds(d, w))
             assert a.terms.keys() == b.terms.keys()
             assert all(a.terms[k].payload == b.terms[k].payload for k in a.terms)
             assert shift(d, w) == a
@@ -188,7 +193,7 @@ class TestDenseFloatShift:
         for big in (2**62 - 1, 2**70, -(2**62)):
             w = FiniteSeq(1, field, {(big,): 1.5, (big + 1,): 2.0})
             expected = FiniteSeq(1, field, {(big - 1,): 1.5, (big,): 2.75, (big + 1,): 1.0})
-            assert operators._shift_finite_dense(kernel, w) == expected
+            assert operators._shift_finite_dense(kernel, w, *_bounds(kernel, w)) == expected
             assert operators._shift_finite_sparse(kernel, w) == expected
             assert shift(kernel, w) == expected
 

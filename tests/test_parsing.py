@@ -16,6 +16,7 @@ from bishift.errors import (
     ZeroDenominatorError,
 )
 from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.laurent import LaurentPoly
 from bishift.parsing import MAX_RANK, format_poly, format_system, parse_poly, parse_system
 from bishift.selftest import random_poly
 
@@ -249,3 +250,42 @@ class TestParseSystem:
         system = parse_system(json.dumps(doc))
         again = parse_system(format_system(system))
         assert again.matrix == system.matrix
+
+
+# one table of scalar tokens, read on their own by Field.parse_token and as
+# the coefficient of an expression by parse_poly
+SCALAR_TOKENS = [
+    "0", "7", "-3", "007", "-0", "-0.5", "0.25", "1/2", "-3/4", "6/14", "1/0", "1/7",
+    "0.5", "9" * 400, "-" + "9" * 400, "9" * 400 + ".5", "0." + "3" * 400, "1/", "1.",
+]
+
+
+class TestOneScalarGrammar:
+    @pytest.mark.parametrize("field", [Q, GF7, F, FloatField(1e-3)], ids=lambda f: f.spec())
+    @pytest.mark.parametrize("prefix", ["", "X^-1 + "])
+    def test_expression_reads_tokens_like_parse_token(self, field, prefix):
+        start = len(prefix.encode())
+        for tok in SCALAR_TOKENS:
+            text = f"{prefix}{tok}*X"
+            try:
+                value = field.parse_token(tok)
+            except ParseError as e:
+                with pytest.raises(type(e)) as err:
+                    parse_poly(text, 1, field)
+                assert type(err.value) is type(e), tok
+                assert err.value.position == start, tok
+                continue
+            expected = LaurentPoly(1, field, {(1,): value})
+            if prefix:
+                expected = expected + parse_poly("X^-1", 1, field)
+            assert parse_poly(text, 1, field) == expected, tok
+
+    @pytest.mark.parametrize("field", [Q, GF7, F], ids=lambda f: f.spec())
+    def test_fraction_then_decimal_splits_in_an_expression(self, field):
+        # as a whole token "1/2.5" matches no form; in an expression the
+        # coefficient scan stops after "1/2", and no production takes ".5"
+        with pytest.raises(BadValueTokenError):
+            field.parse_token("1/2.5")
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly("1/2.5*X", 1, field)
+        assert err.value.position == 3

@@ -15,8 +15,10 @@ from bishift.sequences import (
     FiniteSeq,
     PeriodicSeq,
     SeqVector,
+    check_periods,
     periodize,
     poly_to_seq,
+    row_major_strides,
     seq_to_poly,
 )
 
@@ -180,3 +182,34 @@ def test_seq_vector_validation():
         SeqVector([fin, FiniteSeq.delta(1, GF3, (0,))])
     with pytest.raises(ValueError):
         SeqVector([])
+
+
+def test_row_major_strides():
+    assert row_major_strides((3, 4, 5)) == (20, 5, 1)
+    assert row_major_strides((7,)) == (1,)
+    w = PeriodicSeq(3, Q, (2, 3, 4), list(range(24)))
+    strides = row_major_strides(w.periods)
+    for flat, alpha in enumerate(w.domain()):
+        assert sum(a * s for a, s in zip(alpha, strides)) == flat
+        assert w.coeff(alpha) == Q.value(flat)
+
+
+def test_check_periods_names_what_it_checks():
+    assert check_periods([2, 3], 2, "periods") == (2, 3)
+    with pytest.raises(RankMismatchError, match="1 tile factors given for rank 2"):
+        check_periods((2,), 2, "tile factors")
+    for bad in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"periods must be ints >= 1, got {bad!r}"):
+            check_periods((2, bad), 2, "periods")
+
+
+def test_stacked_vector_matches_checked_components():
+    payloads = (0, 1, 2, 1, 1, 0, 2, 2, 0, 0, 1, 2)
+    got = SeqVector._stacked(2, GF3, (2, 3), payloads)
+    assert got == SeqVector([
+        PeriodicSeq(2, GF3, (2, 3), payloads[:6]),
+        PeriodicSeq(2, GF3, (2, 3), payloads[6:]),
+    ])
+    assert [type(c._values) for c in got] == [tuple, tuple]
+    with pytest.raises(ValueError):
+        SeqVector._stacked(1, GF3, (2,), ())
