@@ -16,7 +16,6 @@ The map itself is the only storage: the dense float shift and the PGM
 reader and writer work on it with plain lists, not an array library.
 """
 
-import operator
 from collections.abc import Mapping
 
 from .errors import MixedFieldError, RankMismatchError
@@ -53,34 +52,6 @@ def canonical_terms(rank, field, mapping):
         p = to_payload(field, v)
         if not is_zero(p):
             out[a] = p
-    return out
-
-
-def convolve(field, a, b):
-    """Canonical payload map of sum a_alpha * b_beta at index alpha + beta.
-
-    Each output index gathers its products in loop order (``a`` outer,
-    ``b`` inner) and takes one ``field._dot`` over them, so an exact field
-    reduces once per output and the float field keeps the in-order sum.
-    """
-    add = operator.add
-    cs_at, xs_at = {}, {}
-    for alpha, ca in a.items():
-        for beta, cb in b.items():
-            k = tuple(map(add, alpha, beta))
-            cs = cs_at.get(k)
-            if cs is None:
-                cs_at[k] = [ca]
-                xs_at[k] = [cb]
-            else:
-                cs.append(ca)
-                xs_at[k].append(cb)
-    dot, is_zero = field._dot, field._is_zero
-    out = {}
-    for k, cs in cs_at.items():
-        v = dot(cs, xs_at[k])
-        if not is_zero(v):
-            out[k] = v
     return out
 
 

@@ -12,8 +12,14 @@ Each field works on raw payloads (a ``Fraction``, an ``int`` in
 ``[0, p)`` or a ``float``) through its payload hooks (``_add``, ``_mul``,
 ...).  The containers store those payloads and call the hooks directly,
 after checking once per operation that their operands share a field.
-Sums of products go through one hook, ``_dot``, which an exact field
-evaluates with a single reduction per sum.
+Sums of products go through three hooks: ``_dot`` (one sum, the
+pairing), ``_convolve`` (the sums at each index ``alpha + beta`` of two
+sparse maps, the product and the finite shift) and ``_dot_columns`` (one
+sum per storage position, the periodic shift).  Each output takes its sum
+in the field's native numbers: Python ints reduced mod p once, floats in
+the in-order ``+`` chain, and for rationals integer (numerator,
+denominator) pairs over a running lcm of that output's own denominators,
+with one ``Fraction`` built per output.
 At the public API, scalars are :class:`FieldValue` instances that
 remember which field they belong to, so accidentally mixing coefficients
 from two different fields raises :class:`~bishift.errors.MixedFieldError`
@@ -22,14 +28,14 @@ instead of producing a wrong number.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import add, floordiv, mul
 
 from .errors import (
     BadValueTokenError,
@@ -50,6 +56,13 @@ def decimal_int(text: str) -> int:
     if not _INT_RE.fullmatch(text):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+def short_text(text: str, limit: int = 40) -> str:
+    """``repr(text)``, cut to its first ``limit`` characters and its length if longer."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 class FieldValue:
@@ -184,6 +197,9 @@ class Field:
             return self._parse_token(token)
         except NonFiniteValueError as e:
             raise BadValueTokenError(f"cannot read {token!r}: {e}") from None
+        except ValueError as e:
+            # int() refuses text beyond sys.get_int_max_str_digits()
+            raise BadValueTokenError(f"cannot read {short_text(token)}: {e}") from None
 
     def _parse_token(self, token: str) -> FieldValue:
         if _INT_RE.fullmatch(token):
@@ -226,6 +242,23 @@ class Field:
 
     def _dot(self, cs, xs):
         """Payload of the sum of ``c * x`` over paired payloads, taken in order."""
+        raise NotImplementedError
+
+    def _convolve(self, a, b):
+        """Canonical payload map of the sums of ``a[alpha] * b[beta]`` at ``alpha + beta``.
+
+        ``a`` and ``b`` map index tuples of one rank to payloads.  Each
+        output index takes its products in loop order (``a`` outer, ``b``
+        inner); indices whose sum is zero are left out.
+        """
+        raise NotImplementedError
+
+    def _dot_columns(self, cs, values, positions):
+        """Payloads ``out[i] = sum over j of cs[j] * values[positions[j][i]]``, in ``j`` order.
+
+        ``positions`` holds one equally long index list per payload of
+        ``cs``; there must be at least one.  Zero sums are kept.
+        """
         raise NotImplementedError
 
     def _eq(self, a, b):
@@ -277,14 +310,85 @@ class RationalField(Field):
             nums.append(c.numerator * x.numerator)
             dens.append(c.denominator * x.denominator)
         den = math.lcm(*dens)
-        scales = map(operator.floordiv, itertools.repeat(den), dens)
-        return Fraction(sum(map(operator.mul, nums, scales)), den)
+        scales = map(floordiv, repeat(den), dens)
+        return Fraction(sum(map(mul, nums, scales)), den)
+
+    # The two hooks below lift each operand's payloads to (numerator,
+    # denominator) pairs once, and add each output's products over the
+    # running lcm of that output's own denominators.
+
+    def _convolve(self, a, b):
+        lcm = math.lcm
+        xs = [(beta, x.numerator, x.denominator) for beta, x in b.items()]
+        acc = {}
+        get = acc.get
+        for alpha, c in a.items():
+            cn, cd = c.numerator, c.denominator
+            for beta, xn, xd in xs:
+                k = tuple(map(add, alpha, beta))
+                n, d = cn * xn, cd * xd
+                cur = get(k)
+                if cur is None:
+                    acc[k] = (n, d)
+                elif cur[1] == d:
+                    acc[k] = (cur[0] + n, d)
+                else:
+                    num, den = cur
+                    m = lcm(den, d)
+                    acc[k] = (num * (m // den) + n * (m // d), m)
+        return {k: Fraction(num, den) for k, (num, den) in acc.items() if num}
+
+    def _dot_columns(self, cs, values, positions):
+        lcm = math.lcm
+        nums = [v.numerator for v in values]
+        dens = [v.denominator for v in values]
+        out_n = out_d = None
+        for c, pos in zip(cs, positions):
+            cn, cd = c.numerator, c.denominator
+            if out_n is None:
+                out_n = [cn * nums[i] for i in pos]
+                out_d = [cd * dens[i] for i in pos]
+                continue
+            for o, i in enumerate(pos):
+                n, d, den = cn * nums[i], cd * dens[i], out_d[o]
+                if d == den:
+                    out_n[o] += n
+                else:
+                    m = lcm(den, d)
+                    out_n[o] = out_n[o] * (m // den) + n * (m // d)
+                    out_d[o] = m
+        return list(map(Fraction, out_n, out_d))
 
     def _format(self, a):
         return str(a)
 
     def spec(self):
         return "rational"
+
+
+def _native_convolve(a, b):
+    """Sums of ``a[alpha] * b[beta]`` at ``alpha + beta`` in the payloads' own numbers.
+
+    Each output adds ``get(k, 0) + c * x`` in loop order (``a`` outer,
+    ``b`` inner).  ``0 + y`` is ``0.0 + y`` for a float ``y``, so over
+    floats this is the in-order chain ``s = 0.0; s += c * x``.
+    """
+    acc = {}
+    get = acc.get
+    for alpha, c in a.items():
+        for beta, x in b.items():
+            k = tuple(map(add, alpha, beta))
+            acc[k] = get(k, 0) + c * x
+    return acc
+
+
+def _native_dot_columns(cs, values, positions):
+    """``_dot_columns`` in the payloads' own numbers: one column added per term, in order."""
+    gather = values.__getitem__
+    acc = repeat(0)
+    for c, pos in zip(cs, positions):
+        acc = list(map(add, acc, map(mul, repeat(c), map(gather, pos))))
+    return acc
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -358,7 +462,15 @@ class PrimeField(Field):
         return self._inv_int(a)
 
     def _dot(self, cs, xs):
-        return sum(map(operator.mul, cs, xs)) % self.p
+        return sum(map(mul, cs, xs)) % self.p
+
+    def _convolve(self, a, b):
+        p = self.p
+        return {k: r for k, v in _native_convolve(a, b).items() if (r := v % p)}
+
+    def _dot_columns(self, cs, values, positions):
+        p = self.p
+        return [v % p for v in _native_dot_columns(cs, values, positions)]
 
     def _format(self, a):
         return str(a)
@@ -422,6 +534,13 @@ class FloatField(Field):
         for c, x in zip(cs, xs):
             s += c * x
         return s
+
+    def _convolve(self, a, b):
+        tol = self.tolerance
+        return {k: v for k, v in _native_convolve(a, b).items() if not abs(v) <= tol}
+
+    def _dot_columns(self, cs, values, positions):
+        return _native_dot_columns(cs, values, positions)
 
     def _eq(self, a, b):
         return abs(a - b) <= self.tolerance

@@ -185,7 +185,7 @@ def _read_lattice_doc(path, what, keys):
     """Load a JSON document on a period lattice; check its field, rank and periods."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer beyond int()'s digit limit
         raise SchemaError(f"{path}: invalid {what}: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: {what} must be a JSON object")

@@ -10,7 +10,7 @@ used whenever a deterministic order is needed.
 
 from __future__ import annotations
 
-from ._sparse import SparseTerms, convolve, require_same_context
+from ._sparse import SparseTerms, require_same_context
 from .errors import MixedFieldError, RaggedMatrixError, RankMismatchError
 
 
@@ -36,7 +36,7 @@ class LaurentPoly(SparseTerms):
             return super().__mul__(other)
         require_same_context(self, other)
         return LaurentPoly._wrap(
-            self.rank, self.field, convolve(self.field, self._terms, other._terms)
+            self.rank, self.field, self.field._convolve(self._terms, other._terms)
         )
 
     def __str__(self):

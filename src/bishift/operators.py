@@ -18,7 +18,7 @@ from collections import deque
 from itertools import chain, product, repeat
 from operator import add, itemgetter, mul, sub
 
-from ._sparse import convolve, require_same_context
+from ._sparse import require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
 from .laurent import LaurentPoly, PolyMatrix
@@ -53,7 +53,7 @@ def _shift_finite_sparse(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     # (d o W)_beta collects d_alpha * W_idx at beta = idx - alpha: the
     # product of W with d reflected through the origin, in d's term order
     reflected = {tuple(-x for x in alpha): c for alpha, c in d._terms.items()}
-    return FiniteSeq._wrap(w.rank, d.field, convolve(d.field, reflected, w._terms))
+    return FiniteSeq._wrap(w.rank, d.field, d.field._convolve(reflected, w._terms))
 
 
 def _index_bounds(terms, rank):
@@ -126,14 +126,10 @@ def _shift_periodic(d: LaurentPoly, w: PeriodicSeq) -> PeriodicSeq:
     field, values = d.field, w._values
     if not d._terms:
         return PeriodicSeq._wrap(w.rank, field, w.periods, (field.zero.payload,) * len(values))
-    # column alpha holds W_(alpha + beta) for every beta in storage order,
-    # gathered through one rolled index list per kernel term
-    columns = [
-        list(map(values.__getitem__, flat))
-        for flat in rolled_indices(d._terms, w.periods, w._strides)
-    ]
-    dot, cs = field._dot, list(d._terms.values())
-    out = tuple(dot(cs, xs) for xs in zip(*columns))
+    # the rolled index list of term alpha holds the storage position of
+    # W_(alpha + beta) for every beta in storage order
+    positions = rolled_indices(d._terms, w.periods, w._strides)
+    out = tuple(field._dot_columns(d._terms.values(), values, positions))
     return PeriodicSeq._wrap(w.rank, field, w.periods, out)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     VariableIndexOutOfRangeError,
 )
-from .fields import parse_field_spec
+from .fields import parse_field_spec, short_text
 from .laurent import LaurentPoly, PolyMatrix
 from .systems import System
 
@@ -78,6 +78,14 @@ def _scan_sint(cur: _Cursor) -> str:
     return cur.text[start : cur.pos]
 
 
+def _read_int(cur: _Cursor, text: str, pos: int) -> int:
+    # int() refuses text beyond sys.get_int_max_str_digits()
+    try:
+        return int(text)
+    except ValueError as e:
+        cur.fail(f"cannot read {short_text(text)}: {e}", pos=pos)
+
+
 def _parse_coeff(cur: _Cursor):
     # scan sint, then '/' or '.' with any digits, and read the text by the
     # field's scalar grammar; its typed error is reported at the token's start
@@ -99,7 +107,7 @@ def _parse_factor(cur: _Cursor, exps):
     cur.pos += 1
     digits = cur.read_digits()
     if digits:
-        index = int(digits)
+        index = _read_int(cur, digits, start + 1)
         if not 1 <= index <= cur.rank:
             cur.fail(
                 f"variable X{index} outside X1..X{cur.rank}",
@@ -116,7 +124,8 @@ def _parse_factor(cur: _Cursor, exps):
         index = 1
     if cur.peek() == "^":
         cur.pos += 1
-        e = int(_scan_sint(cur))
+        at = cur.pos
+        e = _read_int(cur, _scan_sint(cur), at)
     else:
         e = 1
     exps[index - 1] += e
@@ -254,7 +263,7 @@ def parse_system(text: str) -> System:
     """Read a system document: rank, field, k, l and a k-by-l entries grid."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer beyond int()'s digit limit
         raise SchemaError(f"invalid system document: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError("system document must be an object")

@@ -17,6 +17,7 @@ tolerances that defeat the point.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -35,34 +36,63 @@ _RANKS = (1, 2, 3)
 _KINDS = ("finite", "periodic")
 
 
-def _random_payload(rng: random.Random, field: Field, nonzero: bool = False):
-    # randrange(a, b + 1) draws the same stream as randint(a, b)
+# Every draw calls rng._randbelow(n) directly: randrange(a, b) returns
+# a + _randbelow(b - a) and choice(seq) returns seq[_randbelow(len(seq))],
+# so the stream, and every printed failure example, is the one those
+# wrappers draw.
+
+
+@functools.cache
+def _payload_drawer(field: Field):
+    """``draw(randbelow, nonzero=False)`` for ``field``, chosen once per field.
+
+    It draws what ``randrange(0 or 1, p)``, ``Fraction(randrange(-9, 10),
+    randrange(1, 10))`` or ``randrange(-8, 9) / 4.0`` draws, redrawing a
+    zero when ``nonzero`` is set.
+    """
     if isinstance(field, PrimeField):
-        return rng.randrange(1 if nonzero else 0, field.p)
+        p = field.p
+
+        def draw(randbelow, nonzero=False):
+            return 1 + randbelow(p - 1) if nonzero else randbelow(p)
+
+        return draw
     if isinstance(field, RationalField):
+        # built here, not at import: Fraction(n, d) for n in -9..9, d in 1..9
+        table = [Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)]
+
+        def draw(randbelow, nonzero=False):
+            while True:
+                v = table[randbelow(19) * 9 + randbelow(9)]
+                if v or not nonzero:
+                    return v
+
+        return draw
+
+    def draw(randbelow, nonzero=False):
         while True:
-            v = Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
+            v = (randbelow(17) - 8) / 4.0
             if v or not nonzero:
                 return v
-    while True:
-        v = rng.randrange(-8, 9) / 4.0
-        if v or not nonzero:
-            return v
+
+    return draw
 
 
 def random_value(rng: random.Random, field: Field, nonzero: bool = False):
-    return FieldValue(field, _random_payload(rng, field, nonzero))
+    return FieldValue(field, _payload_drawer(field)(rng._randbelow, nonzero))
 
 
 def random_exponent(rng: random.Random, rank: int, span: int = 4):
-    return tuple([rng.randrange(-span, span + 1) for _ in range(rank)])
+    randbelow, width = rng._randbelow, 2 * span + 1
+    return tuple([randbelow(width) - span for _ in range(rank)])
 
 
 def _random_terms(rng, rank, field, max_terms, span):
     """A canonical payload map: later draws at a repeated index overwrite."""
+    randbelow, draw = rng._randbelow, _payload_drawer(field)
     terms = {}
-    for _ in range(rng.randrange(0, max_terms + 1)):
-        terms[random_exponent(rng, rank, span)] = _random_payload(rng, field)
+    for _ in range(randbelow(max_terms + 1)):
+        terms[random_exponent(rng, rank, span)] = draw(randbelow)
     is_zero = field._is_zero
     return {k: v for k, v in terms.items() if not is_zero(v)}
 
@@ -77,14 +107,16 @@ def random_finite_seq(rng, rank, field, max_terms: int = 6, span: int = 4) -> Fi
 
 def random_periods(rng, rank, max_size: int = 24):
     # keep the fundamental domain small enough for thousand-trial runs
+    randbelow = rng._randbelow
     while True:
-        periods = tuple([rng.randrange(1, 5) for _ in range(rank)])
+        periods = tuple([1 + randbelow(4) for _ in range(rank)])
         if math.prod(periods) <= max_size:
             return periods
 
 
 def _random_samples(rng, field, periods) -> PeriodicSeq:
-    values = tuple([_random_payload(rng, field) for _ in range(math.prod(periods))])
+    randbelow, draw = rng._randbelow, _payload_drawer(field)
+    values = tuple([draw(randbelow) for _ in range(math.prod(periods))])
     return PeriodicSeq._wrap(len(periods), field, periods, values)
 
 

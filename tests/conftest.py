@@ -1,3 +1,6 @@
+import sys
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -7,3 +10,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default cap on int() of decimal text, set for one test and then restored."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)

@@ -438,6 +438,16 @@ class TestNumberText:
         assert "tolerance" in capsys.readouterr().err
 
 
+    def test_integer_text_over_the_int_digit_limit(self, tmp_path, capsys, int_digit_limit):
+        long = "1" * (int_digit_limit + 1)
+        seq = tmp_path / "w.csv"
+        seq.write_text(f"0,{long}\n")
+        for poly, path in ((f"X^{long}", tmp_path / "nope.csv"), ("X", seq)):
+            assert main(["pair", "--poly", poly, "--seq", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: cannot read")
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

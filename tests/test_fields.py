@@ -235,6 +235,16 @@ def test_parse_token_rejects():
             Q.parse_token(bad)
 
 
+def test_parse_token_over_the_int_digit_limit_is_typed(int_digit_limit):
+    # int() refuses such text with a plain ValueError
+    long = "1" * (int_digit_limit + 1)
+    for field in (Q, GF7, FloatField()):
+        for token in (long, "-" + long, long + "/3", "3/" + long):
+            with pytest.raises(BadValueTokenError, match=f"{len(token)} characters"):
+                field.parse_token(token)
+    assert Q.parse_token("1" * int_digit_limit) == Q.value(int("1" * int_digit_limit))
+
+
 def test_decimal_token_round_trips():
     for x in [0.5, -1.25, 2.0, 1e-9, 123456.789, 3.141592653589793, -1.23456789e-12]:
         assert float(decimal_token(x)) == x

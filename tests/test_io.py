@@ -539,3 +539,43 @@ class TestPeriodicDocument:
         path.write_text('{"rank": 1, "field": "gf:2", "periods": [2], "values": 5}')
         with pytest.raises(SchemaError):
             formats.read_periodic_json(path)
+
+
+class TestIntDigitLimit:
+    """Integer text beyond int()'s digit limit ends in each reader's typed error.
+
+    So does the other ValueError a JSON reader meets, undecodable bytes.
+    """
+
+    def test_csv_index_and_value(self, tmp_path, int_digit_limit):
+        long = "1" * (int_digit_limit + 1)
+        path = tmp_path / "w.csv"
+        for row in (f"{long},1\n", f"1,{long}\n"):
+            path.write_text(row)
+            with pytest.raises(BadValueTokenError):
+                formats.read_seq_csv(path, 1, Q)
+
+    def test_pgm_header(self, tmp_path, int_digit_limit):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P5\n" + b"1" * (int_digit_limit + 1) + b" 1 255\n" + bytes(4))
+        with pytest.raises(BadMagicError):
+            formats.read_pgm(path)
+
+    def test_lattice_documents(self, tmp_path, int_digit_limit):
+        long = "1" * (int_digit_limit + 1)
+        path = tmp_path / "p.json"
+        path.write_text('{"rank": 1, "field": "gf:2", "periods": [' + long + '], "values": [1]}')
+        with pytest.raises(SchemaError):
+            formats.read_periodic_json(path)
+        with pytest.raises(SchemaError):
+            formats.read_kernel_report(path)
+        path.write_text(json.dumps({"rank": 1, "field": "rational", "periods": [1], "values": [long]}))
+        with pytest.raises(BadValueTokenError):
+            formats.read_periodic_json(path)
+
+    def test_lattice_document_not_utf8(self, tmp_path):
+        # the decode error is a ValueError too, so it reads as a bad document
+        path = tmp_path / "p.json"
+        path.write_bytes(b'{"rank": 1, "field": "gf:2\xff"}')
+        with pytest.raises(SchemaError):
+            formats.read_periodic_json(path)

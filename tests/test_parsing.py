@@ -103,6 +103,27 @@ class TestParseErrors:
         with pytest.raises(BadValueTokenError):
             parse_poly("1" + "0" * 400, 1, F)
 
+    def test_integers_over_the_int_digit_limit(self, int_digit_limit):
+        # reported at the integer's own offset, as a syntax error
+        long = "1" * (int_digit_limit + 1)
+        for text, position in [
+            ("X1^" + long, 3),
+            ("1 + X2^-" + long, 7),
+            ("X" + long, 1),
+            ("3*X2^2*X" + long, 8),
+        ]:
+            with pytest.raises(PolySyntaxError) as err:
+                parse_poly(text, 2, GF7)
+            assert err.value.position == position
+        with pytest.raises(BadValueTokenError) as err:
+            parse_poly("X + " + long + "*X^2", 1, Q)
+        assert err.value.position == 4
+
+    def test_document_integer_over_the_int_digit_limit(self, int_digit_limit):
+        text = '{"rank": ' + "1" * (int_digit_limit + 1) + "}"
+        with pytest.raises(SchemaError):
+            parse_system(text)
+
     def test_positions_are_byte_offsets(self):
         with pytest.raises(PolySyntaxError) as err:
             parse_poly("5*X^2 $", 1, Q)

@@ -1,19 +1,24 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import bishift.operators
+from bishift import selftest
 from bishift.errors import FloatFieldUnsupportedError
-from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.fields import FieldValue, FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly
 from bishift.selftest import (
+    _KINDS,
     adjoint_suite,
     bilinearity_suite,
     extraction_suite,
     module_action_suite,
+    random_exponent,
     random_finite_seq,
     random_periodic_seq,
+    random_periods,
     random_poly,
     random_value,
     run_all,
@@ -82,6 +87,129 @@ def test_draws_match_public_constructors(field):
         assert random_periodic_seq(fast, rank, field) == public.periodic(rank)
         assert random_value(fast, field, nonzero=True) == public.value(nonzero=True)
     assert fast.getstate() == slow.getstate()
+
+
+class WrapperDraws:
+    """The selftest draws written with randrange and choice, returning raw payload maps."""
+
+    def __init__(self, rng, field):
+        self.rng, self.field = rng, field
+
+    def payload(self, nonzero=False):
+        rng, field = self.rng, self.field
+        if isinstance(field, PrimeField):
+            return rng.randrange(1 if nonzero else 0, field.p)
+        while True:
+            if isinstance(field, RationalField):
+                v = Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
+            else:
+                v = rng.randrange(-8, 9) / 4.0
+            if v or not nonzero:
+                return v
+
+    def exponent(self, rank, span=4):
+        return tuple([self.rng.randrange(-span, span + 1) for _ in range(rank)])
+
+    def terms(self, rank, max_terms=6, span=4):
+        terms = {}
+        for _ in range(self.rng.randrange(0, max_terms + 1)):
+            terms[self.exponent(rank, span)] = self.payload()
+        return {k: v for k, v in terms.items() if not self.field._is_zero(v)}
+
+    def samples(self, periods):
+        return tuple([self.payload() for _ in range(math.prod(periods))])
+
+    def periods(self, rank, max_size=24):
+        while True:
+            periods = tuple([self.rng.randrange(1, 5) for _ in range(rank)])
+            if math.prod(periods) <= max_size:
+                return periods
+
+    def signal(self, rank, kind):
+        if kind == "finite":
+            return ("finite", self.terms(rank))
+        periods = self.periods(rank)
+        return ("periodic", periods, self.samples(periods))
+
+    def instance(self, suite, rank, kind):
+        """One draw of ``suite``, in the order its ``draw`` makes it."""
+        if suite in ("adjoint", "module_action"):
+            return {"c": self.terms(rank), "d": self.terms(rank), "w": self.signal(rank, kind)}
+        if suite == "extraction":
+            gamma, d = self.exponent(rank), self.terms(rank)
+            return {"gamma": gamma, "d": d, "w": self.signal(rank, self.rng.choice(_KINDS))}
+        if suite == "bilinearity":
+            kind = self.rng.choice(_KINDS)
+            w1 = self.signal(rank, kind)
+            w2 = ("periodic", w1[1], self.samples(w1[1])) if kind == "periodic" else self.signal(rank, kind)
+            c, d = self.terms(rank), self.terms(rank)
+            return {"c": c, "d": d, "a": self.payload(), "w1": w1, "w2": w2}
+        return {"d": self.terms(rank), "w": self.signal(rank, "finite")}
+
+
+def _raw(x):
+    """A drawn object as plain data, with payload types and term order kept."""
+    if isinstance(x, PeriodicSeq):
+        return ("periodic", x.periods, x._values)
+    if isinstance(x, FiniteSeq):
+        return ("finite", x._terms)
+    if isinstance(x, LaurentPoly):
+        return x._terms
+    if isinstance(x, FieldValue):
+        return x.payload
+    return x
+
+
+def _same(got, want):
+    assert repr(got) == repr(want)  # also tells 1 from 1.0 and Fraction(1) from 1
+    assert got == want
+
+
+DRAW_FIELDS = [PrimeField(2), GF7, PrimeField(2**61 - 1), Q, FloatField()]
+
+
+@pytest.mark.parametrize("field", DRAW_FIELDS, ids=lambda f: f.spec())
+@pytest.mark.parametrize("seed", [0, 1, 123, 2**31 - 1])
+def test_draw_stream_matches_randrange_and_choice(field, seed):
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    ref = WrapperDraws(want_rng, field)
+    for trial in range(60):
+        rank = trial % 3 + 1
+        _same(random_value(got_rng, field).payload, ref.payload())
+        _same(random_value(got_rng, field, nonzero=True).payload, ref.payload(nonzero=True))
+        _same(random_exponent(got_rng, rank), ref.exponent(rank))
+        _same(random_exponent(got_rng, rank, span=9), ref.exponent(rank, span=9))
+        _same(random_poly(got_rng, rank, field)._terms, ref.terms(rank))
+        _same(random_poly(got_rng, rank, field, 3, 1)._terms, ref.terms(rank, 3, 1))
+        _same(_raw(random_finite_seq(got_rng, rank, field)), ("finite", ref.terms(rank)))
+        _same(_raw(random_periodic_seq(got_rng, rank, field)), ref.signal(rank, "periodic"))
+        _same(random_periods(got_rng, rank, 6), ref.periods(rank, 6))
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("field", [GF7, Q], ids=lambda f: f.spec())
+@pytest.mark.parametrize(
+    "suite", ["adjoint", "module_action", "extraction", "bilinearity", "support_bound"]
+)
+def test_suite_draws_match_randrange_and_choice(monkeypatch, field, suite):
+    # each suite's draw, the choice sites included, gives the instances and
+    # leaves the generator state that the wrapper calls give, so a printed
+    # failure example names the same instance
+    draws = []
+    monkeypatch.setattr(selftest, "_run", lambda name, seed, trials, draw, check: draws.append(draw))
+    run_suite = getattr(selftest, f"{suite}_suite")
+    with_kind = suite in ("adjoint", "module_action")
+    for seed in (5, 77):
+        for rank in (1, 2, 3):
+            for kind in _KINDS if with_kind else [None]:
+                run_suite(field, rank, *([kind] if with_kind else []), 0, seed)
+                draw = draws.pop()
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                ref = WrapperDraws(want_rng, field)
+                for _ in range(25):
+                    got = {k: _raw(v) for k, v in draw(got_rng).items()}
+                    _same(got, ref.instance(suite, rank, kind))
+                    assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_all_suites_pass_small():

@@ -1,0 +1,193 @@
+"""Seeded checks of the fields' sum-of-products hooks.
+
+The product and the finite shift go through ``Field._convolve``, the
+periodic shift through ``Field._dot_columns`` and the pairing through
+``Field._dot``; each output takes its sum in the field's native numbers.
+Exact fields are compared with the brute-force sums of ``oracles.py``.
+Float payloads are compared bit for bit with the in-order
+``s += c * x`` chain, written out here.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from oracles import dense_mul, finite_shift_box, shift_by_definition
+from strategies import WIDE_Q, widen
+
+from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.laurent import LaurentPoly
+from bishift.operators import scalar_product, shift
+from bishift.selftest import random_finite_seq, random_periodic_seq, random_poly
+from bishift.sequences import FiniteSeq, PeriodicSeq
+
+Q = RationalField()
+
+EXACT_FIELDS = [
+    pytest.param(PrimeField(2), id="gf2"),
+    pytest.param(PrimeField(7), id="gf7"),
+    pytest.param(PrimeField(2**61 - 1), id="gf2305843009213693951"),
+    pytest.param(WIDE_Q, id="rational-wide"),
+]
+
+
+def pairing_by_definition(d, w):
+    field = d.field
+    total = field.zero
+    for alpha, c in d.terms.items():
+        total = field.add(total, field.mul(c, w.coeff(alpha)))
+    return total
+
+
+def periodic_by_definition(d, w):
+    box = ([0] * w.rank, [n - 1 for n in w.periods])
+    out = shift_by_definition(d, w, box)
+    return [out.get(beta, d.field.zero) for beta in w.domain()]
+
+
+def product_count(a, b):
+    """Number of products over number of distinct output indices of ``a * b``."""
+    sums = {tuple(map(sum, zip(x, y))) for x in a.support() for y in b.support()}
+    return len(a.terms) * len(b.terms), len(sums)
+
+
+@pytest.mark.parametrize("field", EXACT_FIELDS)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_exact_sums_match_the_oracles(field, rank):
+    rng = random.Random(1300 + rank)
+    empty = colliding = 0
+    for _ in range(40):
+        # a span of 1 makes many products land on one output index
+        c = random_poly(rng, rank, field, max_terms=5, span=1)
+        d = random_poly(rng, rank, field, max_terms=5, span=1)
+        w = random_finite_seq(rng, rank, field, max_terms=8, span=2)
+        pw = random_periodic_seq(rng, rank, field)
+        if field is WIDE_Q:
+            c, d, w, pw = (widen(rng, x) for x in (c, d, w, pw))
+        empty += c.is_zero() or d.is_zero() or w.is_zero()
+        products, outputs = product_count(c, d)
+        colliding += products > outputs
+
+        assert dict((c * d).terms) == dense_mul(c, d)
+        assert dict(shift(d, w).terms) == shift_by_definition(d, w, finite_shift_box(d, w))
+        out = shift(d, pw)
+        assert out.periods == pw.periods
+        assert [out.coeff(beta) for beta in pw.domain()] == periodic_by_definition(d, pw)
+        assert scalar_product(d, w) == pairing_by_definition(d, w)
+        assert scalar_product(d, pw) == pairing_by_definition(d, pw)
+    assert empty and colliding
+
+
+@pytest.mark.parametrize("field", EXACT_FIELDS)
+def test_empty_operands(field):
+    rank = 2
+    zero = LaurentPoly.zero(rank, field)
+    d = LaurentPoly(rank, field, {(0, 1): 1, (1, 0): 1})
+    w = FiniteSeq(rank, field, {(0, 0): 1})
+    pw = PeriodicSeq(rank, field, (2, 3), [1] * 6)
+    assert (zero * d).is_zero() and (d * zero).is_zero()
+    assert shift(zero, w).is_zero() and shift(d, FiniteSeq.zero(rank, field)).is_zero()
+    assert shift(zero, pw) == PeriodicSeq.zero(rank, field, (2, 3))
+    assert scalar_product(zero, w) == field.zero == scalar_product(zero, pw)
+
+
+@pytest.mark.parametrize("field", EXACT_FIELDS)
+def test_cancelling_collisions_are_dropped(field):
+    # (X - 1)(X + 1) = X^2 - 1: the two products at X^1 cancel
+    a = LaurentPoly(1, field, {(1,): 1, (0,): -1})
+    b = LaurentPoly(1, field, {(1,): 1, (0,): 1})
+    assert dict((a * b).terms) == {(2,): field.one, (0,): field.value(-1)}
+    w = FiniteSeq(1, field, {(0,): 1, (1,): 1})
+    assert dict(shift(a, w).terms) == shift_by_definition(a, w, finite_shift_box(a, w))
+
+
+def test_wide_denominators_against_the_oracle():
+    # many distinct large denominators, so nearly every output has its own
+    rng = random.Random(1311)
+    dens = rng.sample(range(2, 10**6), 2000)
+    samples = {(i,): Fraction(rng.randrange(-10**6, 10**6) or 1, den) for i, den in enumerate(dens)}
+    d = LaurentPoly(1, Q, {(-2,): Fraction(1, 3), (-1,): Fraction(-1, 2), (0,): Fraction(5, 7),
+                           (1,): Fraction(2, 9), (2,): Fraction(-3, 4)})
+    w = FiniteSeq(1, Q, samples)
+    assert dict(shift(d, w).terms) == shift_by_definition(d, w, finite_shift_box(d, w))
+    wp = LaurentPoly(1, Q, samples)
+    assert dict((d * wp).terms) == dense_mul(d, wp)
+    pw = PeriodicSeq(1, Q, (2000,), [samples[(i,)] for i in range(2000)])
+    out = shift(d, pw)
+    assert [out.coeff(beta) for beta in pw.domain()] == periodic_by_definition(d, pw)
+
+
+# ---------------------------------------------------------------- float
+
+
+def _float_case(rng, rank, field):
+    """Kernels and signals whose sums cancel, land within tolerance or round."""
+    tol = field.tolerance
+    values = (1.0, -1.0, 0.1, -0.0, 1.0 + 0.4 * tol, 3.0e-17)
+
+    def draw():
+        return rng.choice(values) if rng.random() < 0.5 else rng.uniform(-2, 2)
+
+    def terms(count, span):
+        return {tuple(rng.randint(-span, span) for _ in range(rank)): draw() for _ in range(count)}
+
+    c = LaurentPoly(rank, field, terms(rng.randint(0, 6), 1))
+    d = LaurentPoly(rank, field, terms(rng.randint(0, 6), 1))
+    w = FiniteSeq(rank, field, terms(rng.randint(0, 30), 2))
+    periods = tuple(rng.randint(1, 4) for _ in range(rank))
+    pw = PeriodicSeq(rank, field, periods, [draw() for _ in range(math.prod(periods))])
+    return c, d, w, pw
+
+
+def _kept(sums, tol):
+    return {k: s.hex() for k, s in sums.items() if not abs(s) <= tol}
+
+
+def _hexes(x):
+    return {k: v.hex() for k, v in x._terms.items()}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_float_sums_are_the_in_order_chain(tol, rank):
+    field = FloatField(tol)
+    rng = random.Random(1320 + rank)
+    for _ in range(60):
+        c, d, w, pw = _float_case(rng, rank, field)
+
+        sums = {}  # product: c outer, d inner
+        for alpha, x in c._terms.items():
+            for beta, y in d._terms.items():
+                k = tuple(a + b for a, b in zip(alpha, beta))
+                s = sums.get(k, 0.0)
+                s += x * y
+                sums[k] = s
+        assert _hexes(c * d) == _kept(sums, tol)
+
+        sums = {}  # finite shift: at beta = idx - alpha, in d's term order
+        for alpha, x in d._terms.items():
+            for idx, y in w._terms.items():
+                k = tuple(i - a for i, a in zip(idx, alpha))
+                s = sums.get(k, 0.0)
+                s += x * y
+                sums[k] = s
+        assert _hexes(shift(d, w)) == _kept(sums, tol)
+
+        if d._terms:  # a zero kernel's periodic shift is all zeros, with no chain
+            want = []
+            for beta in pw.domain():
+                s = 0.0
+                for alpha, x in d._terms.items():
+                    s += x * pw.coeff(tuple(map(sum, zip(alpha, beta)))).payload
+                want.append(s.hex())
+            assert [v.hex() for v in shift(d, pw)._values] == want
+
+        for signal in (w, pw):
+            s = 0.0
+            for alpha, x in d._terms.items():
+                y = signal.coeff(alpha).payload
+                if isinstance(signal, PeriodicSeq) or alpha in signal._terms:
+                    s += x * y
+            assert scalar_product(d, signal).payload.hex() == s.hex()
