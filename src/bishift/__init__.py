@@ -8,109 +8,43 @@ adjoint of multiplication, behaviours cut out by polynomial matrices
 with an exact periodic kernel solver, and text/CSV/PGM front ends.
 """
 
-from . import io
-from .errors import (
-    BadMagicError,
-    BadValueTokenError,
-    BishiftError,
-    DecimalInExactFieldError,
-    DimensionMismatchError,
-    DuplicateIndexError,
-    FieldSpecError,
-    FloatFieldUnsupportedError,
-    LatticeTooLargeError,
-    MixedFieldError,
-    NonFiniteValueError,
-    ParseError,
-    PeriodMismatchError,
-    PolySyntaxError,
-    RaggedMatrixError,
-    RankMismatchError,
-    RepresentationMismatchError,
-    SchemaError,
-    TruncatedPixelDataError,
-    VariableIndexOutOfRangeError,
-    ZeroDenominatorError,
-)
-from .fields import (
-    Field,
-    FieldValue,
-    FloatField,
-    PrimeField,
-    RationalField,
-    parse_field_spec,
-)
-from .laurent import LaurentPoly, PolyMatrix
-from .operators import check_adjoint, scalar_product, shift, shift_matrix
-from .parsing import format_poly, format_system, parse_poly, parse_system
-from .sequences import (
-    FiniteSeq,
-    PeriodicSeq,
-    SeqVector,
-    periodize,
-    poly_to_seq,
-    seq_to_poly,
-)
-from .systems import (
-    KernelBasis,
-    System,
-    enumerate_periodic_vectors,
-    kernel_dimension,
-    periodic_kernel_basis,
-    periodic_system_matrix,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadMagicError",
-    "BadValueTokenError",
-    "BishiftError",
-    "DecimalInExactFieldError",
-    "DimensionMismatchError",
-    "DuplicateIndexError",
-    "Field",
-    "FieldSpecError",
-    "FieldValue",
-    "FiniteSeq",
-    "FloatField",
-    "FloatFieldUnsupportedError",
-    "KernelBasis",
-    "LatticeTooLargeError",
-    "LaurentPoly",
-    "MixedFieldError",
-    "NonFiniteValueError",
-    "ParseError",
-    "PeriodMismatchError",
-    "PeriodicSeq",
-    "PolyMatrix",
-    "PolySyntaxError",
-    "PrimeField",
-    "RaggedMatrixError",
-    "RankMismatchError",
-    "RationalField",
-    "RepresentationMismatchError",
-    "SchemaError",
-    "SeqVector",
-    "System",
-    "TruncatedPixelDataError",
-    "VariableIndexOutOfRangeError",
-    "ZeroDenominatorError",
-    "check_adjoint",
-    "enumerate_periodic_vectors",
-    "format_poly",
-    "format_system",
-    "io",
-    "kernel_dimension",
-    "parse_field_spec",
-    "parse_poly",
-    "parse_system",
-    "periodic_kernel_basis",
-    "periodic_system_matrix",
-    "periodize",
-    "poly_to_seq",
-    "scalar_product",
-    "seq_to_poly",
-    "shift",
-    "shift_matrix",
-]
+# public name -> its defining submodule ("io" is one), imported on first use (PEP 562)
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": """BadMagicError BadValueTokenError BishiftError DecimalInExactFieldError
+            DigitLimitError DimensionMismatchError DuplicateIndexError FieldSpecError
+            FloatFieldUnsupportedError LatticeTooLargeError MixedFieldError NonFiniteValueError
+            ParseError PeriodMismatchError PolySyntaxError RaggedMatrixError RankMismatchError
+            RepresentationMismatchError SchemaError TruncatedPixelDataError
+            VariableIndexOutOfRangeError ZeroDenominatorError""",
+        "fields": "Field FieldValue FloatField PrimeField RationalField parse_field_spec",
+        "io": "io",
+        "laurent": "LaurentPoly PolyMatrix System",
+        "operators": "check_adjoint scalar_product shift shift_matrix",
+        "parsing": "format_poly format_system parse_poly parse_system",
+        "sequences": "FiniteSeq KernelBasis PeriodicSeq SeqVector periodize poly_to_seq seq_to_poly",
+        "systems": """enumerate_periodic_vectors kernel_dimension periodic_kernel_basis
+            periodic_system_matrix""",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_EXPORTS[name]}", __name__)
+    value = module if name == _EXPORTS[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -41,6 +41,10 @@ class LatticeTooLargeError(BishiftError):
     """A period lattice needs a larger constraint matrix than the solver builds."""
 
 
+class DigitLimitError(BishiftError):
+    """A number to be written has more digits than int() reads back (the readers' limit)."""
+
+
 class ParseError(BishiftError):
     """Base class for text and file format errors.
 

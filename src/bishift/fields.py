@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +40,7 @@ from operator import add, floordiv, mul
 from .errors import (
     BadValueTokenError,
     DecimalInExactFieldError,
+    DigitLimitError,
     FieldSpecError,
     MixedFieldError,
     NonFiniteValueError,
@@ -126,9 +127,29 @@ class Field:
     Subclasses implement the payload-level hooks (``_normalize``,
     ``_add``, ...); this base class wraps them with field-mismatch
     checking and :class:`FieldValue` packaging for scalar arithmetic.
+    Fields compare, hash and print by their type and parameter, so two
+    separately parsed specs of one field are equal.
     """
 
     is_exact = True
+    _parameter = None  # name of the attribute that tells fields of one type apart
+
+    @cached_property
+    def _key(self):
+        return type(self), self._parameter and getattr(self, self._parameter)
+
+    def __eq__(self, other):
+        if not isinstance(other, Field):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        name = self._parameter
+        args = f"{name}={getattr(self, name)!r}" if name else ""
+        return f"{type(self).__name__}({args})"
 
     def _guard(self, v):
         f = v.field
@@ -275,11 +296,15 @@ class Field:
     def _format(self, a) -> str:
         raise NotImplementedError
 
+    def _format_rows(self, rows, encode):
+        """Per row of payloads, lazily, the tokens ``encode(self._format(a))`` of its ``a``."""
+        fmt = self._format
+        return ([encode(fmt(a)) for a in row] for row in rows)
+
     def spec(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class RationalField(Field):
     """Exact rationals; payloads are ``fractions.Fraction`` in lowest terms."""
 
@@ -360,7 +385,14 @@ class RationalField(Field):
         return list(map(Fraction, out_n, out_d))
 
     def _format(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # str() refuses an int beyond sys.get_int_max_str_digits()
+            digits = max(Decimal(n).adjusted() + 1 for n in (a.numerator, a.denominator))
+            raise DigitLimitError(
+                f"cannot write a rational of {digits} digits: int() reads at most "
+                f"{sys.get_int_max_str_digits()}"
+            ) from None
 
     def spec(self):
         return "rational"
@@ -420,17 +452,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PrimeField(Field):
     """Integers modulo a prime; payloads are ints in ``[0, p)``."""
 
-    p: int
+    _parameter = "p"
 
-    def __post_init__(self):
-        if isinstance(self.p, int) and self.p >= _MR_LIMIT:
-            raise ValueError(f"modulus {self.p} is too large to certify as prime")
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p!r} is not prime")
+    def __init__(self, p: int):
+        if isinstance(p, int) and p >= _MR_LIMIT:
+            raise ValueError(f"modulus {p} is too large to certify as prime")
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ValueError(f"modulus {p!r} is not prime")
+        self.p = p
 
     def _normalize(self, x, den):
         if isinstance(x, Fraction):
@@ -475,6 +507,14 @@ class PrimeField(Field):
     def _format(self, a):
         return str(a)
 
+    def _format_rows(self, rows, encode):
+        # few distinct residues, so each is encoded once per report; over Q
+        # hashing every Fraction costs more than formatting it
+        text = {}
+        for row in map(list, rows):
+            text.update((a, encode(str(a))) for a in set(row).difference(text))
+            yield map(text.__getitem__, row)
+
     def spec(self):
         return f"gf:{self.p}"
 
@@ -491,17 +531,16 @@ def decimal_token(x: float) -> str:
     return s
 
 
-@dataclass(frozen=True)
 class FloatField(Field):
     """64-bit floats; equality and zero tests use an absolute tolerance."""
 
-    tolerance: float = 1e-9
-
     is_exact = False
+    _parameter = "tolerance"
 
-    def __post_init__(self):
-        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+    def __init__(self, tolerance: float = 1e-9):
+        if not (tolerance > 0 and math.isfinite(tolerance)):
             raise ValueError("float field tolerance must be finite and positive")
+        self.tolerance = tolerance
 
     def _normalize(self, x, den):
         if not isinstance(x, (int, float, Fraction)):

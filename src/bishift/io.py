@@ -10,7 +10,7 @@ import json
 import math
 import sys
 from array import array
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import lt
 from pathlib import Path
 
@@ -24,9 +24,9 @@ from .errors import (
     TruncatedPixelDataError,
 )
 from .fields import FloatField, decimal_int
+from .laurent import System
 from .parsing import document_field, parse_system, positive_int
-from .sequences import FiniteSeq, PeriodicSeq, SeqVector
-from .systems import KernelBasis, System
+from .sequences import FiniteSeq, KernelBasis, PeriodicSeq, SeqVector
 
 
 def read_seq_csv(path, rank: int, field) -> FiniteSeq:
@@ -166,11 +166,10 @@ def write_kernel_report(kernel: KernelBasis, path) -> None:
     because the basis can hold millions of entries.
     """
     field, enc = kernel.field, json.encoder.encode_basestring_ascii
+    payloads = (chain.from_iterable(comp._values for comp in vec) for vec in kernel.basis)
     rows = [
-        "    [\n      "
-        + ",\n      ".join([enc(field._format(v)) for comp in vec for v in comp._values])
-        + "\n    ]"
-        for vec in kernel.basis
+        "    [\n      " + ",\n      ".join(tokens) + "\n    ]"
+        for tokens in field._format_rows(payloads, enc)
     ]
     basis = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     periods = ",\n    ".join(map(str, kernel.periods))

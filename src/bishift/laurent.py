@@ -1,4 +1,4 @@
-"""Sparse multivariate Laurent polynomials and matrices over them.
+"""Sparse multivariate Laurent polynomials, matrices over them, and their systems.
 
 A Laurent polynomial in ``r`` variables is a finite map from exponent
 vectors in Z^r to nonzero field values, held in the sparse container
@@ -93,3 +93,48 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, rank={self.rank}, field={self.field.spec()})"
+
+
+class System:
+    """Behaviour defined as ker R for a Laurent polynomial matrix R."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: PolyMatrix):
+        if not isinstance(matrix, PolyMatrix):
+            raise TypeError("a system is built from a PolyMatrix")
+        self.matrix = matrix
+
+    @property
+    def k(self):
+        return self.matrix.rows
+
+    @property
+    def l(self):
+        return self.matrix.cols
+
+    @property
+    def rank(self):
+        return self.matrix.rank
+
+    @property
+    def field(self):
+        return self.matrix.field
+
+    def contains(self, w) -> bool:
+        """Membership test: does R o W vanish identically?
+
+        For periodic W this is complete, because R o W is periodic with
+        the same lattice and therefore zero everywhere as soon as it is
+        zero on the fundamental domain.
+        """
+        # the shift needs the signal modules, which import this one
+        from .operators import shift_matrix
+        from .sequences import SeqVector
+
+        if not isinstance(w, SeqVector):
+            w = SeqVector([w])
+        return shift_matrix(self.matrix, w).is_zero()
+
+    def __repr__(self):
+        return f"System({self.matrix!r})"

@@ -28,8 +28,7 @@ from .errors import (
     VariableIndexOutOfRangeError,
 )
 from .fields import parse_field_spec, short_text
-from .laurent import LaurentPoly, PolyMatrix
-from .systems import System
+from .laurent import LaurentPoly, PolyMatrix, System
 
 # largest rank a polynomial or system document may have
 MAX_RANK = 64

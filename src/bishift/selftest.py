@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import operators
@@ -132,12 +131,13 @@ def random_signal(rng, rank, field, kind: str):
     raise ValueError(f"unknown signal kind {kind!r}")
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    trials: int
-    failures: int
-    example: str | None = None
+    """One suite's outcome: trials run, failures, and the first failing instance or None."""
+
+    __slots__ = ("name", "trials", "failures", "example")
+
+    def __init__(self, name: str, trials: int, failures: int, example: str | None = None):
+        self.name, self.trials, self.failures, self.example = name, trials, failures, example
 
     @property
     def passed(self) -> bool:

@@ -279,6 +279,31 @@ class SeqVector:
         return f"SeqVector({list(self.components)!r})"
 
 
+class KernelBasis:
+    """Basis of the behaviour restricted to one period lattice."""
+
+    __slots__ = ("rank", "field", "periods", "dimension", "basis")
+
+    def __init__(self, rank, field, periods, dimension, basis):
+        self.rank, self.field, self.periods = rank, field, periods
+        self.dimension = dimension
+        self.basis = basis  # of SeqVector, each periodic with the stated periods
+
+    def _key(self):
+        return self.rank, self.field, self.periods, self.dimension, self.basis
+
+    def __eq__(self, other):
+        if not isinstance(other, KernelBasis):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"KernelBasis({args})"
+
+
 def rolled_indices(alphas, periods, strides):
     """Per exponent alpha, the storage position of (alpha + beta) mod periods for each beta."""
     rolled = []

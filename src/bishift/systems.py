@@ -42,17 +42,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._univariate import PolyRing
 from .errors import FloatFieldUnsupportedError, LatticeTooLargeError
 from .fields import PrimeField, _is_prime
-from .laurent import PolyMatrix
-from .operators import shift_matrix
+from .laurent import System
 from .sequences import (
-    FiniteSeq,
-    PeriodicSeq,
+    KernelBasis,
     SeqVector,
     check_periods,
     rolled_indices,
@@ -73,58 +70,6 @@ MAX_KERNEL_CELLS = 2**17
 # basis.  Every system within MAX_MATRIX_CELLS has N <= 4096 and D < N, so
 # it stays admitted.
 MAX_POLY_WORK = 2**28
-
-
-class System:
-    """Behaviour defined as ker R for a Laurent polynomial matrix R."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: PolyMatrix):
-        if not isinstance(matrix, PolyMatrix):
-            raise TypeError("a system is built from a PolyMatrix")
-        self.matrix = matrix
-
-    @property
-    def k(self):
-        return self.matrix.rows
-
-    @property
-    def l(self):
-        return self.matrix.cols
-
-    @property
-    def rank(self):
-        return self.matrix.rank
-
-    @property
-    def field(self):
-        return self.matrix.field
-
-    def contains(self, w) -> bool:
-        """Membership test: does R o W vanish identically?
-
-        For periodic W this is complete, because R o W is periodic with
-        the same lattice and therefore zero everywhere as soon as it is
-        zero on the fundamental domain.
-        """
-        if isinstance(w, (FiniteSeq, PeriodicSeq)):
-            w = SeqVector([w])
-        return shift_matrix(self.matrix, w).is_zero()
-
-    def __repr__(self):
-        return f"System({self.matrix!r})"
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Basis of the behaviour restricted to one period lattice."""
-
-    rank: int
-    field: object
-    periods: tuple
-    dimension: int
-    basis: tuple  # of SeqVector, each periodic with the stated periods
 
 
 def periodic_system_matrix(system: System, periods):

@@ -273,12 +273,14 @@ class TestKernel:
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
-# runs the CLI in a fresh interpreter and reports on stderr whether numpy was imported
-NUMPY_PROBE = (
+# runs the CLI in a fresh interpreter and lists on stderr the modules that
+# importing and running it newly loaded
+IMPORT_PROBE = (
     "import sys\n"
+    "before = set(sys.modules)\n"
     "from bishift.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('numpy imported:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "print('loaded:', *sorted(set(sys.modules) - before), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 # runs the CLI in a fresh interpreter where any import of numpy fails
@@ -291,18 +293,27 @@ NUMPY_BLOCKED = (
 TINY_KERNEL = "0.5 + 0.25*X1 + 0.125*X2^-1 + 0.125*X1^-1*X2"
 
 
-def run_probe(argv, cwd, probe=NUMPY_PROBE):
+def run_probe(argv, cwd, probe=IMPORT_PROBE):
+    """The set of modules the command newly loaded, empty if the probe lists none."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], env=env, cwd=cwd,
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return "numpy imported: True" in result.stderr
+    listed = [line for line in result.stderr.splitlines() if line.startswith("loaded:")]
+    return set(listed[-1].split()[1:]) if listed else set()
+
+
+# start-up cost: no command needs these (dataclasses pulls in inspect)
+NEVER_LOADED = {"numpy", "dataclasses", "inspect"}
+# modules that only kernel and selftest run
+SOLVER_AND_LAWS = {"bishift.systems", "bishift._univariate", "bishift.selftest"}
 
 
 class TestNumpyImport:
-    """No command imports numpy: it is not a runtime dependency."""
+    """No command imports numpy, which is not a runtime dependency, nor the
+    modules it does not run."""
 
     def test_exact_commands_do_not_import_numpy(self, tmp_path):
         rank2 = {"rank": 2, "k": 1, "l": 2, "entries": [["X1 - X2^-1", "2"]]}
@@ -312,17 +323,31 @@ class TestNumpyImport:
                 path.write_text(json.dumps(dict(doc, field=spec)))
                 report = tmp_path / f"{spec[:2]}-{doc['rank']}-report.json"
                 argv = ["kernel", "--system", str(path), "--period", period, "--report", str(report)]
-                assert not run_probe(argv, tmp_path)
+                loaded = run_probe(argv, tmp_path)
+                assert not loaded & (NEVER_LOADED | {"bishift.selftest", "bishift.operators"})
+                assert "bishift.systems" in loaded
                 assert json.loads(report.read_text())["dimension"] == dimension
-            assert not run_probe(["selftest", "--trials", "2", "--field", spec], tmp_path)
-        assert not run_probe(["--help"], tmp_path)
+            loaded = run_probe(["selftest", "--trials", "2", "--field", spec], tmp_path)
+            assert not loaded & NEVER_LOADED and "bishift.selftest" in loaded
+        assert not run_probe(["--help"], tmp_path) & NEVER_LOADED
 
     def test_array_commands_still_run(self, tmp_path):
         out = tmp_path / "out.pgm"
         argv = ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
                 "--input", str(DATA / "tiny.pgm"), "--output", str(out)]
-        assert not run_probe(argv, tmp_path)
+        loaded = run_probe(argv, tmp_path)
+        assert not loaded & (NEVER_LOADED | SOLVER_AND_LAWS) and "bishift.operators" in loaded
         assert out.read_bytes() == (DATA / "tiny-filtered.pgm").read_bytes()
+
+    def test_signal_commands_load_no_solver(self, difference_file, tmp_path):
+        seq = tmp_path / "w.csv"
+        seq.write_text("0,1\n")
+        unused = NEVER_LOADED | SOLVER_AND_LAWS
+        assert not run_probe(["pair", "--poly", "X^-1 + 2", "--seq", str(seq)], tmp_path) & unused
+        doc = tmp_path / "w.json"
+        formats.write_periodic_json(doc, PeriodicSeq(1, GF2, (2,), [1, 1]))
+        argv = ["member", "--system", str(difference_file), "--periodic", str(doc)]
+        assert not run_probe(argv, tmp_path) & unused
 
     def test_commands_run_with_numpy_blocked(self, tmp_path):
         out = tmp_path / "out.pgm"
@@ -446,6 +471,16 @@ class TestNumberText:
             assert main(["pair", "--poly", poly, "--seq", str(path)]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: cannot read")
+
+    def test_result_over_the_int_digit_limit(self, tmp_path, capsys, int_digit_limit):
+        # the pairing of two 3000-digit integers has 6000 digits
+        nines = "9" * 3000
+        seq = tmp_path / "w.csv"
+        seq.write_text(f"0,{nines}\n")
+        assert main(["pair", "--poly", nines, "--seq", str(seq)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write a rational of 6000 digits")
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -9,6 +9,7 @@ from bishift import io as formats
 from bishift.errors import (
     BadMagicError,
     BadValueTokenError,
+    DigitLimitError,
     DuplicateIndexError,
     FloatFieldUnsupportedError,
     RankMismatchError,
@@ -572,6 +573,21 @@ class TestIntDigitLimit:
         path.write_text(json.dumps({"rank": 1, "field": "rational", "periods": [1], "values": [long]}))
         with pytest.raises(BadValueTokenError):
             formats.read_periodic_json(path)
+
+    def test_values_over_the_limit_are_not_written(self, tmp_path, int_digit_limit):
+        # the writers refuse what the readers would refuse, and write nothing
+        big = Fraction(10**int_digit_limit, 3)
+        vec = SeqVector([PeriodicSeq(1, Q, (2,), [1, big])])
+        writes = [
+            lambda path: formats.write_kernel_report(KernelBasis(1, Q, (2,), 1, (vec,)), path),
+            lambda path: formats.write_periodic_json(path, vec),
+            lambda path: formats.write_seq_csv(path, FiniteSeq(1, Q, {(0,): big})),
+        ]
+        for i, write in enumerate(writes):
+            path = tmp_path / f"out{i}"
+            with pytest.raises(DigitLimitError, match=f"of {int_digit_limit + 1} digits"):
+                write(path)
+            assert not path.exists()
 
     def test_lattice_document_not_utf8(self, tmp_path):
         # the decode error is a ValueError too, so it reads as a bad document

@@ -9,6 +9,7 @@ from strategies import single_polys
 from bishift.errors import (
     BadValueTokenError,
     DecimalInExactFieldError,
+    DigitLimitError,
     ParseError,
     PolySyntaxError,
     SchemaError,
@@ -180,6 +181,14 @@ class TestFormatPoly:
             assert set(again.terms) == set(d.terms)
             for k, v in d.terms.items():
                 assert again.terms[k].payload == v.payload
+
+    def test_coefficient_over_the_int_digit_limit(self, int_digit_limit):
+        # a valid product may have more digits than int() reads back: refused, typed
+        d = parse_poly("9" * 3000 + "*X", 1, Q)
+        assert format_poly(d) == "9" * 3000 + "*X"
+        message = f"of 6000 digits: int\\(\\) reads at most {int_digit_limit}"
+        with pytest.raises(DigitLimitError, match=message):
+            format_poly(d * d)
 
 
 def _random_junk(rng):
