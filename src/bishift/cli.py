@@ -11,13 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import io as formats
 from .errors import BishiftError
 from .fields import decimal_int, parse_field_spec
-from .parsing import parse_poly
-from .sequences import SeqVector
 
-# handlers import operators, systems and selftest, so a command loads only what it runs
+# handlers import the modules they run, so a command loads only those
 PARSE_ERROR = 2
 
 
@@ -30,7 +27,9 @@ def _parse_periods(text: str):
 
 
 def _cmd_pair(args) -> int:
+    from . import io as formats
     from .operators import scalar_product
+    from .parsing import parse_poly
 
     field = parse_field_spec(args.field)
     poly = parse_poly(args.poly, args.rank, field)
@@ -40,7 +39,9 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    from . import io as formats
     from .operators import shift
+    from .parsing import parse_poly
 
     field = parse_field_spec(args.field)
     if args.pgm:
@@ -55,6 +56,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    from . import io as formats
     from .systems import periodic_kernel_basis
 
     system = formats.read_system(args.system)
@@ -68,25 +70,21 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from . import io as formats
+    from .sequences import SeqVector
+
     system = formats.read_system(args.system)
     if args.periodic:
         vec = formats.read_periodic_json(args.periodic, components=system.l)
     else:
         if len(args.seq) != system.l:
             raise ValueError(
-                f"system has {system.l} components but {len(args.seq)} "
-                "signal files were given"
+                f"system has {system.l} components but {len(args.seq)} signal files were given"
             )
-        comps = [
-            formats.read_seq_csv(path, system.rank, system.field)
-            for path in args.seq
-        ]
-        vec = SeqVector(comps)
-    if system.contains(vec):
-        print("yes")
-        return 0
-    print("no")
-    return 1
+        vec = SeqVector([formats.read_seq_csv(p, system.rank, system.field) for p in args.seq])
+    member = system.contains(vec)
+    print("yes" if member else "no")
+    return 0 if member else 1
 
 
 def _cmd_selftest(args) -> int:

@@ -59,6 +59,17 @@ def decimal_int(text: str) -> int:
     return int(text)
 
 
+def decimal_text(n: int, what: str = "an integer") -> str:
+    """The text :func:`decimal_int` reads back as ``n``; DigitLimitError past int()'s digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DigitLimitError(
+            f"cannot write {what} of {Decimal(n).adjusted() + 1} digits: int() reads at most "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def short_text(text: str, limit: int = 40) -> str:
     """``repr(text)``, cut to its first ``limit`` characters and its length if longer."""
     if len(text) <= limit:
@@ -219,7 +230,7 @@ class Field:
         except NonFiniteValueError as e:
             raise BadValueTokenError(f"cannot read {token!r}: {e}") from None
         except ValueError as e:
-            # int() refuses text beyond sys.get_int_max_str_digits()
+            # int() refuses text beyond its digit limit
             raise BadValueTokenError(f"cannot read {short_text(token)}: {e}") from None
 
     def _parse_token(self, token: str) -> FieldValue:
@@ -385,14 +396,8 @@ class RationalField(Field):
         return list(map(Fraction, out_n, out_d))
 
     def _format(self, a):
-        try:
-            return str(a)
-        except ValueError:  # str() refuses an int beyond sys.get_int_max_str_digits()
-            digits = max(Decimal(n).adjusted() + 1 for n in (a.numerator, a.denominator))
-            raise DigitLimitError(
-                f"cannot write a rational of {digits} digits: int() reads at most "
-                f"{sys.get_int_max_str_digits()}"
-            ) from None
+        num, den = decimal_text(a.numerator, "a rational"), a.denominator
+        return num if den == 1 else f"{num}/{decimal_text(den, 'a rational')}"
 
     def spec(self):
         return "rational"

@@ -6,11 +6,11 @@ raise a typed error from :mod:`bishift.errors` on malformed input.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from array import array
 from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii
 from operator import lt
 from pathlib import Path
 
@@ -23,9 +23,9 @@ from .errors import (
     SchemaError,
     TruncatedPixelDataError,
 )
-from .fields import FloatField, decimal_int
+from .fields import FloatField, decimal_int, decimal_text
 from .laurent import System
-from .parsing import document_field, parse_system, positive_int
+from .parsing import document_field, load_document, parse_system, positive_int
 from .sequences import FiniteSeq, KernelBasis, PeriodicSeq, SeqVector
 
 
@@ -56,13 +56,9 @@ def read_seq_csv(path, rank: int, field) -> FiniteSeq:
 
 def write_seq_csv(path, seq: FiniteSeq) -> None:
     """Write rows in ascending lexicographic index order."""
-    field = seq.field
-    lines = []
-    for idx in seq.sorted_support():
-        cells = [str(x) for x in idx]
-        cells.append(field._format(seq._terms[idx]))
-        lines.append(",".join(cells))
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    fmt, terms = seq.field._format, seq._terms
+    rows = [[*map(decimal_text, idx), fmt(terms[idx])] for idx in seq.sorted_support()]
+    Path(path).write_text("".join(",".join(cells) + "\n" for cells in rows))
 
 
 def _pgm_tokens(data: bytes):
@@ -159,38 +155,44 @@ def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) 
     Path(path).write_bytes(header + bytes(grays))
 
 
-def write_kernel_report(kernel: KernelBasis, path) -> None:
-    """Write periods, dimension and the basis in stacked coordinate order.
+def _json_list(items, depth):
+    """JSON text of a list of JSON texts, in the json module's ``indent=2`` layout at ``depth``."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}{pad[:-2]}]" if body else "[]"
 
-    The text is ``json.dumps(doc, indent=2)`` plus a newline, joined by hand
-    because the basis can hold millions of entries.
+
+def _write_lattice_doc(path, lattice, members) -> None:
+    """Write ``rank``, ``field`` and ``periods`` of ``lattice``, then ``members``.
+
+    ``members`` are (key, JSON text) pairs.  The text is the json module's
+    ``indent=2`` layout plus a newline, joined by hand because a kernel
+    basis can hold millions of entries.
     """
-    field, enc = kernel.field, json.encoder.encode_basestring_ascii
-    payloads = (chain.from_iterable(comp._values for comp in vec) for vec in kernel.basis)
-    rows = [
-        "    [\n      " + ",\n      ".join(tokens) + "\n    ]"
-        for tokens in field._format_rows(payloads, enc)
+    members = [
+        ("rank", decimal_text(lattice.rank)),
+        ("field", encode_basestring_ascii(lattice.field.spec())),
+        ("periods", _json_list(map(decimal_text, lattice.periods), 1)),
+        *members,
     ]
-    basis = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    periods = ",\n    ".join(map(str, kernel.periods))
-    Path(path).write_text(
-        f'{{\n  "rank": {kernel.rank},\n  "field": {enc(field.spec())},\n'
-        f'  "periods": [\n    {periods}\n  ],\n'
-        f'  "dimension": {kernel.dimension},\n  "basis": {basis}\n}}\n'
-    )
+    body = ",\n".join(f'  "{key}": {text}' for key, text in members)
+    Path(path).write_text(f"{{\n{body}\n}}\n")
+
+
+def write_kernel_report(kernel: KernelBasis, path) -> None:
+    """Write periods, dimension and the basis in stacked coordinate order."""
+    payloads = (chain.from_iterable(comp._values for comp in vec) for vec in kernel.basis)
+    rows = kernel.field._format_rows(payloads, encode_basestring_ascii)
+    _write_lattice_doc(path, kernel, [
+        ("dimension", decimal_text(kernel.dimension)),
+        ("basis", _json_list((_json_list(tokens, 2) for tokens in rows), 1)),
+    ])
 
 
 def _read_lattice_doc(path, what, keys):
     """Load a JSON document on a period lattice; check its field, rank and periods."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as e:  # a JSONDecodeError, or an integer beyond int()'s digit limit
-        raise SchemaError(f"{path}: invalid {what}: {e}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: {what} must be a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise SchemaError(f"{path}: {what} is missing {key!r}")
+    keys = ("rank", "field", "periods", *keys)
+    doc = load_document(Path(path).read_bytes(), f"{path}: {what}", keys)
     rank = positive_int(doc["rank"], f"{path}: 'rank'")
     periods = doc["periods"]
     if not isinstance(periods, list) or len(periods) != rank:
@@ -200,9 +202,7 @@ def _read_lattice_doc(path, what, keys):
 
 
 def read_kernel_report(path) -> KernelBasis:
-    doc, rank, field, periods = _read_lattice_doc(
-        path, "kernel report", ("rank", "field", "periods", "dimension", "basis")
-    )
+    doc, rank, field, periods = _read_lattice_doc(path, "kernel report", ("dimension", "basis"))
     if type(doc["dimension"]) is not int:
         raise SchemaError(f"{path}: 'dimension' must be an int, got {doc['dimension']!r}")
     rows = doc["basis"]
@@ -224,13 +224,7 @@ def read_kernel_report(path) -> KernelBasis:
         basis.append(SeqVector._stacked(rank, field, periods, values))
     if doc["dimension"] != len(basis):
         raise SchemaError(f"{path}: dimension {doc['dimension']} but {len(basis)} basis rows")
-    return KernelBasis(
-        rank=rank,
-        field=field,
-        periods=periods,
-        dimension=len(basis),
-        basis=tuple(basis),
-    )
+    return KernelBasis(rank, field, periods, len(basis), tuple(basis))
 
 
 def write_periodic_json(path, signal) -> None:
@@ -239,21 +233,14 @@ def write_periodic_json(path, signal) -> None:
         signal = SeqVector([signal])
     if not isinstance(signal, SeqVector) or signal.kind != "periodic":
         raise TypeError("expected a periodic signal or signal vector")
-    field = signal.field
-    doc = {
-        "rank": signal.rank,
-        "field": field.spec(),
-        "periods": list(signal.periods),
-        "values": [field._format(v) for comp in signal for v in comp._values],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    values = chain.from_iterable(comp._values for comp in signal)
+    tokens = next(signal.field._format_rows([values], encode_basestring_ascii))
+    _write_lattice_doc(path, signal, [("values", _json_list(tokens, 1))])
 
 
 def read_periodic_json(path, components: int = 1) -> SeqVector:
     """Read a stacked periodic document with the given component count."""
-    doc, rank, field, periods = _read_lattice_doc(
-        path, "periodic document", ("rank", "field", "periods", "values")
-    )
+    doc, rank, field, periods = _read_lattice_doc(path, "periodic document", ("values",))
     size = math.prod(periods)
     values = doc["values"]
     if not isinstance(values, list):
@@ -267,4 +254,4 @@ def read_periodic_json(path, components: int = 1) -> SeqVector:
 
 
 def read_system(path) -> System:
-    return parse_system(Path(path).read_text())
+    return parse_system(Path(path).read_bytes())

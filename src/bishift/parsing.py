@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     VariableIndexOutOfRangeError,
 )
-from .fields import parse_field_spec, short_text
+from .fields import decimal_text, parse_field_spec, short_text
 from .laurent import LaurentPoly, PolyMatrix, System
 
 # largest rank a polynomial or system document may have
@@ -78,7 +78,7 @@ def _scan_sint(cur: _Cursor) -> str:
 
 
 def _read_int(cur: _Cursor, text: str, pos: int) -> int:
-    # int() refuses text beyond sys.get_int_max_str_digits()
+    # int() refuses text beyond its digit limit
     try:
         return int(text)
     except ValueError as e:
@@ -197,7 +197,7 @@ def _mono_text(alpha, rank) -> str:
         if e == 0:
             continue
         name = "X" if rank == 1 else f"X{i}"
-        factors.append(name if e == 1 else f"{name}^{e}")
+        factors.append(name if e == 1 else f"{name}^{decimal_text(e)}")
     return "*".join(factors)
 
 
@@ -238,7 +238,7 @@ def format_poly(d: LaurentPoly) -> str:
     return " ".join(pieces)
 
 
-_SYSTEM_KEYS = {"rank", "field", "k", "l", "entries"}
+_SYSTEM_KEYS = ("rank", "field", "k", "l", "entries")
 
 
 def positive_int(value, what):
@@ -258,17 +258,26 @@ def document_field(spec, what="'field'"):
     return parse_field_spec(spec)
 
 
-def parse_system(text: str) -> System:
-    """Read a system document: rank, field, k, l and a k-by-l entries grid."""
+def load_document(data, what, keys):
+    """The JSON object in ``data`` (text or bytes), else SchemaError naming ``what``.
+
+    The object must hold every key of ``keys``.
+    """
     try:
-        doc = json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an integer beyond int()'s digit limit
-        raise SchemaError(f"invalid system document: {e}") from None
+        doc = json.loads(data)
+    except ValueError as e:  # bad JSON, undecodable bytes or an integer past int()'s limit
+        raise SchemaError(f"{what} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
-        raise SchemaError("system document must be an object")
-    missing = _SYSTEM_KEYS - doc.keys()
+        raise SchemaError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
     if missing:
-        raise SchemaError(f"system document is missing {sorted(missing)}")
+        raise SchemaError(f"{what} is missing {missing}")
+    return doc
+
+
+def parse_system(text) -> System:
+    """Read a system document (text or bytes): rank, field, k, l and a k-by-l entries grid."""
+    doc = load_document(text, "system document", _SYSTEM_KEYS)
     extra = doc.keys() - _SYSTEM_KEYS
     if extra:
         raise SchemaError(f"system document has unknown keys {sorted(extra)}")

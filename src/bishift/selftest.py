@@ -26,7 +26,6 @@ from . import operators
 from .errors import FloatFieldUnsupportedError
 from .fields import Field, FieldValue, PrimeField, RationalField
 from .laurent import LaurentPoly
-from .parsing import format_poly
 from .sequences import FiniteSeq, PeriodicSeq
 
 DEFAULT_SEED = 42
@@ -148,7 +147,7 @@ def _describe(seed, trial, parts):
     bits = [f"seed={seed}", f"trial={trial}"]
     for key, value in parts.items():
         if isinstance(value, LaurentPoly):
-            bits.append(f"{key}={format_poly(value)!r}")
+            bits.append(f"{key}={str(value)!r}")
         else:
             bits.append(f"{key}={value!r}")
     return ", ".join(bits)

@@ -331,6 +331,12 @@ class TestNumpyImport:
             assert not loaded & NEVER_LOADED and "bishift.selftest" in loaded
         assert not run_probe(["--help"], tmp_path) & NEVER_LOADED
 
+    def test_selftest_and_help_load_no_file_formats(self, tmp_path):
+        # neither reads nor writes a file
+        file_formats = {"bishift.io", "bishift.parsing", "json", "array"}
+        for argv in (["selftest", "--trials", "2", "--field", "gf:7"], ["--help"]):
+            assert not run_probe(argv, tmp_path) & file_formats
+
     def test_array_commands_still_run(self, tmp_path):
         out = tmp_path / "out.pgm"
         argv = ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
@@ -481,6 +487,18 @@ class TestNumberText:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: cannot write a rational of 6000 digits")
         assert "Traceback" not in err
+
+    def test_shifted_index_over_the_int_digit_limit(self, tmp_path, capsys, int_digit_limit):
+        # a 4300-digit index shifted by a 4300-digit exponent has 4301 digits
+        nines = "9" * int_digit_limit
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        inp.write_text(f"{nines},1\n")
+        argv = ["filter", "--kernel", f"X^-{nines}", "--input", str(inp), "--output", str(out)]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write an integer of {int_digit_limit + 1} digits")
+        assert not out.exists()
 
 
 class TestUsage:

@@ -394,36 +394,41 @@ class TestKernelReport:
         for vec in again.basis:
             assert system.contains(vec)
 
-    @pytest.mark.parametrize("field", [GF2, PrimeField(7), PrimeField(2**31 - 1), Q])
+    @pytest.mark.parametrize("field", [GF2, PrimeField(7), PrimeField(2**31 - 1), Q, F])
     def test_report_text_matches_json_dumps(self, tmp_path, field):
+        # both lattice documents: the report, and the periodic document of one
+        # component (odd trials) or of several (even trials)
         rng = random.Random(2311)
-        path = tmp_path / "report.json"
+        path = tmp_path / "doc.json"
         for trial in range(20):
             rank = rng.randint(1, 3)
             periods = tuple(rng.randint(1, 3) for _ in range(rank))
-            size, components = math.prod(periods), rng.randint(1, 3)
+            size, components = math.prod(periods), 1 if trial % 2 else rng.randint(2, 3)
 
             def value():
                 if field == Q:
                     return Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                if field == F:
+                    return rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-20, 20)
                 return rng.randrange(field.p)
 
-            basis = tuple(
-                SeqVector([
+            def vector():
+                return SeqVector([
                     PeriodicSeq(rank, field, periods, [value() for _ in range(size)])
                     for _ in range(components)
                 ])
-                for _ in range(rng.randint(1, 4) if trial else 0)  # trial 0: dimension 0
-            )
-            kernel = KernelBasis(rank, field, periods, len(basis), basis)
-            formats.write_kernel_report(kernel, path)
-            doc = {
-                "rank": rank,
-                "field": field.spec(),
-                "periods": list(periods),
-                "dimension": len(basis),
-                "basis": [[field._format(v) for c in vec for v in c._values] for vec in basis],
-            }
+
+            def tokens(vec):
+                return [field._format(v) for c in vec for v in c._values]
+
+            header = {"rank": rank, "field": field.spec(), "periods": list(periods)}
+            basis = tuple(vector() for _ in range(rng.randint(1, 4) if trial else 0))
+            formats.write_kernel_report(KernelBasis(rank, field, periods, len(basis), basis), path)
+            doc = dict(header, dimension=len(basis), basis=[tokens(vec) for vec in basis])
+            assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+            vec = vector()
+            formats.write_periodic_json(path, vec.components[0] if components == 1 else vec)
+            doc = dict(header, values=tokens(vec))
             assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
     def test_report_determinism(self, tmp_path):

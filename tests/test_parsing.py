@@ -166,7 +166,7 @@ class TestFormatPoly:
         rng = random.Random(1201)
         for _ in range(500):
             rank = rng.choice((1, 2, 3))
-            d = random_poly(rng, rank, field)
+            d = random_poly(rng, rank, field, span=rng.choice((4, 10**6)))
             assert parse_poly(format_poly(d), rank, field) == d
 
     @given(single_polys())

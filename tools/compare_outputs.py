@@ -5,12 +5,13 @@ Run from anywhere inside a checkout:
     python3 tools/compare_outputs.py --parent HEAD --seeds 10
 
 For each seed from 1 to ``--seeds``, every job shape of the workloads named
-by ``--workload`` (``kernel_rank1`` and ``kernel_rank2`` by default) is
-written once by ``perfbench/inputs.py``, which this script imports and does
-not change.  The job then runs as ``python -m bishift.cli ...`` against the
-``src`` of each side.  Exit code, stdout and the output file's bytes must be
-equal on both sides; a job that writes no file (``selftest``) compares its
-exit code and stdout only.  The parent's tree is exported with ``git
+by ``--workload`` (by default all four: ``image_filter``, ``kernel_rank1``,
+``kernel_rank2`` and ``selftest_laws``) is written once by
+``perfbench/inputs.py``, which this script imports and does not change.
+The job then runs as ``python -m bishift.cli ...`` against the ``src`` of
+each side.  Exit code, stdout and the output file's bytes must be equal on
+both sides; a job that writes no file (``selftest``) compares its exit code
+and stdout only.  The parent's tree is exported with ``git
 archive`` under the git-ignored ``.perfbench/`` and removed at the end.
 
 Prints one line per job and a summary line; exits 1 if any job differs.
@@ -57,9 +58,9 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="commit to compare the working tree with")
     parser.add_argument("--seeds", type=int, default=10, help="run seeds 1..SEEDS")
     parser.add_argument("--workload", action="append", choices=sorted(inputs.WORKLOADS),
-                        help="workload to compare (repeatable; default kernel_rank1 and kernel_rank2)")
+                        help="workload to compare (repeatable; default all)")
     args = parser.parse_args(argv)
-    workloads = args.workload or ["kernel_rank1", "kernel_rank2"]
+    workloads = args.workload or sorted(inputs.WORKLOADS)
 
     parent = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     parent_root = ROOT / ".perfbench" / f"compare-{parent[:12]}"
