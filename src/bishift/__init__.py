@@ -18,9 +18,9 @@ _EXPORTS = {
     for module, names in {
         "errors": """BadMagicError BadValueTokenError BishiftError DecimalInExactFieldError
             DigitLimitError DimensionMismatchError DuplicateIndexError FieldSpecError
-            FloatFieldUnsupportedError LatticeTooLargeError MixedFieldError NonFiniteValueError
-            ParseError PeriodMismatchError PolySyntaxError RaggedMatrixError RankMismatchError
-            RepresentationMismatchError SchemaError TruncatedPixelDataError
+            FloatFieldUnsupportedError ImageWriteError LatticeTooLargeError MixedFieldError
+            NonFiniteValueError ParseError PeriodMismatchError PolySyntaxError RaggedMatrixError
+            RankMismatchError RepresentationMismatchError SchemaError TruncatedPixelDataError
             VariableIndexOutOfRangeError ZeroDenominatorError""",
         "fields": "Field FieldValue FloatField PrimeField RationalField parse_field_spec",
         "io": "io",

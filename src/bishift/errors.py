@@ -45,6 +45,10 @@ class DigitLimitError(BishiftError):
     """A number to be written has more digits than int() reads back (the readers' limit)."""
 
 
+class ImageWriteError(BishiftError, ValueError):
+    """An image cannot be written: maxval outside 1..65535, or a NaN sample to quantize."""
+
+
 class ParseError(BishiftError):
     """Base class for text and file format errors.
 

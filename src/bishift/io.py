@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import lt
 from pathlib import Path
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     BadValueTokenError,
     DuplicateIndexError,
     FloatFieldUnsupportedError,
+    ImageWriteError,
     RankMismatchError,
     SchemaError,
     TruncatedPixelDataError,
@@ -83,14 +83,13 @@ def _pgm_tokens(data: bytes):
     return tokens, pos
 
 
-def read_pgm(path, field=FloatField()):
-    """Read a binary P5 image.
+def _read_raster(path, field, kernel):
+    """Decode a P5 image into one flat list of floats, padded for the ``kernel`` map.
 
-    Pixel at row y, column x becomes the sample at index (x, y) with
-    value gray / maxval in the given float field; samples the field
-    treats as zero are not stored.  Returns ``(seq, width, height,
-    maxval)`` so a caller can write the image back with identical
-    geometry.
+    Pixel (x, y) holds gray / maxval, 0.0 where ``field`` treats it as zero, at row
+    ``y - lo2``, column ``x - lo1``, ``lo``/``hi`` being the kernel's extreme exponents
+    widened to hold 0; terms that read no pixel are left out.  Returns ``(raster, terms,
+    row, width, height, maxval)``, ``terms`` the (slice start, coefficient) pairs in order.
     """
     if field.is_exact:
         raise FloatFieldUnsupportedError(f"images need a float field, not {field.spec()}")
@@ -118,41 +117,60 @@ def read_pgm(path, field=FloatField()):
         )
     if len(raster) > expected and raster[expected:].strip():
         raise TruncatedPixelDataError(f"{path}: trailing data after the raster")
-    if sample_bytes == 1:
-        grays = raster[:expected]
-    else:
-        grays = array("H", raster[:expected])
-        if sys.byteorder == "little":
-            grays.byteswap()  # the raster is big-endian
+    grays = array("B" if sample_bytes == 1 else "H", raster[:expected])
+    if sample_bytes == 2 and sys.byteorder == "little":
+        grays.byteswap()  # the raster is big-endian
     # a gray above maxval reads as a value above 1
-    scale = [g / maxval for g in range(max(grays) + 1)]
-    keys = [(x, y) for y in range(height) for x in range(width)]
-    values = list(map(scale.__getitem__, grays))
-    terms = dict(compress(zip(keys, values), map(lt, repeat(field.tolerance), values)))
+    tol = field.tolerance
+    scale = [v if tol < v else 0.0 for v in (g / maxval for g in range(max(grays) + 1))]
+    near = {a: c for a, c in kernel.items() if abs(a[0]) < width and abs(a[1]) < height}
+    (lo1, lo2), (hi1, hi2) = ([f([0, *(a[i] for a in near)]) for i in (0, 1)] for f in (min, max))
+    row = width + hi1 - lo1
+    padded = [0.0] * (row * (height + hi2 - lo2))
+    # pixel (0, 0) sits at padded cell -lo2 * row - lo1, each later image row one row on
+    for at, i in zip(range(-lo2 * row - lo1, len(padded), row), range(0, width * height, width)):
+        padded[at : at + width] = map(scale.__getitem__, grays[i : i + width])
+    terms = [((a2 - lo2) * row + a1 - lo1, c) for (a1, a2), c in near.items()]
+    return padded, terms, row, width, height, maxval
+
+
+def read_pgm(path, field=FloatField()):
+    """Read a P5 image as ``(seq, width, height, maxval)``, pixel (x, y) at index (x, y)."""
+    raster, _, _, width, height, maxval = _read_raster(path, field, {})
+    keys = ((x, y) for y in range(height) for x in range(width))
+    terms = dict(compress(zip(keys, raster), raster))
     return FiniteSeq._wrap(2, field, terms), width, height, maxval
 
 
-def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) -> None:
-    """Write the window [0,width) x [0,height) of a rank-2 float signal.
+def _write_raster(path, samples, row, width, height, maxval, tol) -> None:
+    """Write the ``width`` x ``height`` window of a flat raster with rows ``row`` apart.
 
-    Samples are clamped to [0, 1] and quantized to round(v * maxval)
-    half up; anything outside the window is not written.
+    A sample at or below ``tol`` is gray 0, one at or above 1 is maxval, and the rest
+    round ``v * maxval`` half up; a NaN in the window raises :class:`ImageWriteError`.
     """
+    if not 1 <= maxval <= 65535:
+        raise ImageWriteError(f"maxval {maxval} outside 1..65535")
+    window = chain.from_iterable(samples[y * row : y * row + width] for y in range(height))
+    try:
+        grays = [0 if v <= tol else maxval if v >= 1.0 else int(v * maxval + 0.5) for v in window]
+    except ValueError:  # int() of a NaN, which fails both comparisons
+        raise ImageWriteError("cannot quantize a NaN sample") from None
+    data = array("B" if maxval < 256 else "H", grays)
+    if data.itemsize == 2 and sys.byteorder == "little":
+        data.byteswap()  # the raster is big-endian
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    Path(path).write_bytes(header + data.tobytes())
+
+
+def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) -> None:
+    """Write the window [0,width) x [0,height) of a rank-2 signal, see :func:`_write_raster`."""
     if seq.rank != 2:
         raise RankMismatchError("image output needs a rank-2 signal")
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval {maxval} outside 1..65535")
-    grays = bytearray(width * height) if maxval < 256 else array("H", bytes(2 * width * height))
+    samples = [0.0] * (width * height)
     for (x, y), v in seq._terms.items():
         if 0 <= x < width and 0 <= y < height:
-            if v != v:
-                raise ValueError("cannot quantize a NaN sample")
-            # clamp to [0, 1], then round half up
-            grays[y * width + x] = 0 if v <= 0.0 else maxval if v >= 1.0 else int(v * maxval + 0.5)
-    if maxval >= 256 and sys.byteorder == "little":
-        grays.byteswap()
-    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + bytes(grays))
+            samples[y * width + x] = v
+    _write_raster(path, samples, width, width, height, maxval, getattr(seq.field, "tolerance", 0))
 
 
 def _json_list(items, depth):

@@ -62,6 +62,14 @@ def _index_bounds(terms, rank):
     return list(map(min, axes)), list(map(max, axes))
 
 
+def _slice_add(padded, terms, size):
+    """Per cell, from 0.0 and in order, the sum over (off, c) ``terms`` of c times cell + off."""
+    acc = [0.0] * size
+    for off, c in terms:
+        acc = list(map(add, acc, map(mul, repeat(c), padded[off : off + size])))
+    return acc
+
+
 def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq, d_bounds, w_bounds) -> FiniteSeq:
     """Float shift on the output's bounding box, one slice-add per kernel term.
 
@@ -87,10 +95,8 @@ def _shift_finite_dense(d: LaurentPoly, w: FiniteSeq, d_bounds, w_bounds) -> Fin
     deque(map(padded.__setitem__, flat, w._terms.values()), 0)
     # output cell o reads W at padded cell o + alpha - d_lo
     size = sum((n - 1) * s for n, s in zip(shape, strides)) + 1
-    acc = [0.0] * size
-    for alpha, c in d._terms.items():
-        off = sum(map(mul, map(sub, alpha, d_lo), strides))
-        acc = list(map(add, acc, map(mul, repeat(c), padded[off : off + size])))
+    offsets = (sum(map(mul, map(sub, alpha, d_lo), strides)) for alpha in d._terms)
+    acc = _slice_add(padded, zip(offsets, d._terms.values()), size)
     del padded
     row = shape[-1]
     starts = (sum(map(mul, o, strides)) for o in product(*map(range, shape[:-1])))

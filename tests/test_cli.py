@@ -345,6 +345,14 @@ class TestNumpyImport:
         assert not loaded & (NEVER_LOADED | SOLVER_AND_LAWS) and "bishift.operators" in loaded
         assert out.read_bytes() == (DATA / "tiny-filtered.pgm").read_bytes()
 
+    def test_sixteen_bit_golden(self, tmp_path):
+        # maxval 1000, with grays 0, 1, 1001 and 1500; written by the per-pixel map writer
+        out = tmp_path / "out.pgm"
+        argv = ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
+                "--input", str(DATA / "tiny16.pgm"), "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (DATA / "tiny16-filtered.pgm").read_bytes()
+
     def test_signal_commands_load_no_solver(self, difference_file, tmp_path):
         seq = tmp_path / "w.csv"
         seq.write_text("0,1\n")

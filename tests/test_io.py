@@ -9,9 +9,11 @@ from bishift import io as formats
 from bishift.errors import (
     BadMagicError,
     BadValueTokenError,
+    BishiftError,
     DigitLimitError,
     DuplicateIndexError,
     FloatFieldUnsupportedError,
+    ImageWriteError,
     RankMismatchError,
     SchemaError,
     TruncatedPixelDataError,
@@ -346,6 +348,15 @@ class TestPgmEdgeCases:
         assert out.read_bytes() == b"P5\n2 2\n255\n\xff\x00\x00\x00"
         with pytest.raises(ValueError, match="NaN"):
             formats.write_pgm(out, FiniteSeq._wrap(2, F, {(0, 0): math.nan}), 1, 1, 255)
+
+    @pytest.mark.parametrize("maxval, match", [(0, "outside"), (65536, "outside"), (255, "NaN")])
+    def test_write_errors_are_typed(self, tmp_path, maxval, match):
+        out = tmp_path / "out.pgm"
+        seq = FiniteSeq._wrap(2, F, {(1, 0): math.nan, (0, 0): 0.5})
+        with pytest.raises(ImageWriteError, match=match) as caught:
+            formats.write_pgm(out, seq, 2, 1, maxval)
+        assert isinstance(caught.value, BishiftError) and isinstance(caught.value, ValueError)
+        assert not out.exists()
 
 
 def difference_system(field=GF2):
