@@ -1,9 +1,11 @@
 """Dense univariate polynomials over an exact field, on payload lists.
 
 The rank-1 kernel solver of :mod:`bishift.systems` works in F[X].  A
-polynomial is a list of payloads, lowest degree first, with no trailing
-zero, so the zero polynomial is ``[]``.  Over GF(p) the payloads are
-ints in ``[0, p)``, over Q they are ``Fraction``s.
+polynomial is a list of the field's payloads, lowest degree first, with
+no trailing zero, so the zero polynomial is ``[]``.  Every coefficient
+comes from the field's payload hooks (``_add``, ``_mul``, ``_neg``,
+``_inv``, and ``_dot_columns`` for the product), so it is canonical when
+it is made and this module does no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -36,20 +38,19 @@ def _small_orders(n: int, degree: int) -> list:
 class PolyRing:
     """Arithmetic in F[X] for one exact field."""
 
-    __slots__ = ("p", "zero", "one")
+    __slots__ = ("field", "zero", "one", "cyclic_gcd")
 
     def __init__(self, field):
-        self.p = field.p if isinstance(field, PrimeField) else None
+        self.field = field
         self.zero = field.zero.payload
         self.one = field.one.payload
+        # cyclic_gcd(s, n): the monic gcd(s, X^n - 1) for a nonzero s, not building X^n - 1
+        self.cyclic_gcd = self._power_gcd if isinstance(field, PrimeField) else self._cyclotomic_gcd
 
     # ------------------------------------------------------------ basics
 
     def _trim(self, values):
-        """``values`` reduced mod p in place, without trailing zeros."""
-        if self.p:
-            p = self.p
-            values[:] = [v % p for v in values]
+        """``values`` without trailing zeros, in place."""
         while values and not values[-1]:
             values.pop()
         return values
@@ -61,58 +62,54 @@ class PolyRing:
             coeffs[e] = c
         return self._trim(coeffs)
 
-    def inverse(self, c):
-        return pow(c, -1, self.p) if self.p else 1 / c
-
     def scale(self, a, c):
-        return self._trim([v * c for v in a]) if c else []
+        return [self.field._mul(v, c) for v in a] if c else []
 
     def monic(self, a):
-        return self.scale(a, self.inverse(a[-1]))
+        return self.scale(a, self.field._inv(a[-1]))
 
     def add(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        return self._trim([x + y for x, y in zip(a, b)] + a[len(b) :])
+        return self._trim(list(map(self.field._add, a, b)) + a[len(b) :])
 
     def sub(self, a, b):
-        return self.add(a, self.scale(b, -self.one))
+        return self.add(a, self.scale(b, self.field._neg(self.one)))
 
     def mul(self, a, b):
-        if not a or not b:
-            return []
         if len(a) > len(b):
             a, b = b, a
-        n = len(b)
-        out = [self.zero] * (len(a) + n - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
-        return self._trim(out)
+        # term i of a reads b, padded by len(a) - 1 zeros each side, from offset len(a) - 1 - i
+        top, size = len(a) - 1, len(a) + len(b) - 1
+        terms = [(c, range(top - i, top - i + size)) for i, c in enumerate(a) if c]
+        if not terms:
+            return []
+        cs, positions = zip(*terms)
+        pad = [self.zero] * top
+        return self._trim(self.field._dot_columns(cs, pad + b + pad, positions))
 
     def divmod(self, a, b):
         """Quotient and remainder of ``a`` by a nonzero ``b``.
 
-        The inner loop runs over the nonzero coefficients of ``b`` only,
-        so dividing by X^N - 1 costs O(deg a).
+        The loop subtracts multiples of b / lead(b), over its nonzero terms
+        only, so dividing by X^N - 1 costs O(deg a); a monic b scales no q term.
         """
         d = len(b) - 1
         if len(a) <= d:
-            return [], list(a)
-        p = self.p
-        inv = self.inverse(b[-1])
-        terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+            return [], self._trim(list(a))
+        add, mul, neg = self.field._add, self.field._mul, self.field._neg
+        inv = self.field._inv(b[-1])
+        monic = inv == self.one
+        terms = [(j, neg(mul(c, inv))) for j, c in enumerate(b[:-1]) if c]
         r = list(a)
         q = [self.zero] * (len(a) - d)
         for i in range(len(a) - 1, d - 1, -1):
             c = r[i]
             if c:
-                c = c * inv % p if p else c * inv
-                q[i - d] = c
                 base = i - d
-                for j, bj in terms:
-                    v = r[base + j] - c * bj
-                    r[base + j] = v % p if p else v
+                q[base] = c if monic else mul(c, inv)
+                for j, t in terms:
+                    r[base + j] = add(r[base + j], mul(c, t))
         del r[d:]
         return self._trim(q), self._trim(r)
 
@@ -127,7 +124,7 @@ class PolyRing:
 
     def cyclic(self, n):
         """X^n - 1."""
-        return [-self.one % self.p if self.p else -self.one] + [self.zero] * (n - 1) + [self.one]
+        return [self.field._neg(self.one)] + [self.zero] * (n - 1) + [self.one]
 
     def xpow_mod(self, n, s):
         """X^n mod s, for s of degree >= 1, by repeated squaring."""
@@ -138,20 +135,18 @@ class PolyRing:
                 r = self.rem([self.zero] + r, s)
         return r
 
-    def cyclic_gcd(self, s, n):
-        """Monic gcd(s, X^n - 1) for a nonzero s, without building X^n - 1.
+    def _power_gcd(self, s, n):
+        """``cyclic_gcd`` over GF(p): gcd(s, (X^n mod s) - 1)."""
+        return [self.one] if len(s) == 1 else self.gcd(s, self.sub(self.xpow_mod(n, s), [self.one]))
 
-        Over GF(p) it is gcd(s, (X^n mod s) - 1).  Over Q, X^n - 1 is the
-        product of the distinct irreducible cyclotomic polynomials Phi_d
-        over the divisors d of n, and Phi_d divides s only if
-        phi(d) <= deg s, so the gcd is the product of those Phi_d that
-        divide s.  Each Phi_d is X^d - 1 divided by the Phi_e of its
-        proper divisors, so no coefficient grows with n.
+    def _cyclotomic_gcd(self, s, n):
+        """``cyclic_gcd`` over Q: the product of the cyclotomic Phi_d, d | n, that divide s.
+
+        X^n - 1 is the product of the distinct irreducible Phi_d over the
+        divisors d of n, and Phi_d divides s only if phi(d) <= deg s.
+        Each Phi_d is X^d - 1 divided by the Phi_e of its proper divisors,
+        so no coefficient grows with n.
         """
-        if len(s) == 1:
-            return [self.one]
-        if self.p:
-            return self.gcd(s, self.sub(self.xpow_mod(n, s), [self.one]))
         g, cyclotomic = [self.one], {}
         for d in _small_orders(n, len(s) - 1):
             phi = self.cyclic(d)
@@ -254,7 +249,7 @@ class PolyRing:
                 column = rest
             if c >= k:
                 pivot = column[0]
-                lead = self.inverse(pivot[c][-1])
+                lead = self.field._inv(pivot[c][-1])
                 basis.append([self.scale(e, lead) for e in pivot[k:]])
         for j in range(l):
             for i in range(j + 1, l):
@@ -276,7 +271,7 @@ class PolyRing:
         t + 1 is X times the row of t, with at most one multiple of each
         h_j subtracted to restore those degrees, so a row costs O(l n).
         """
-        p, zero = self.p, self.zero
+        add, mul, neg, zero = self.field._add, self.field._mul, self.field._neg, self.zero
         l = len(basis)
         heads = [len(basis[j][j]) - 1 for j in range(l)]
         out = []
@@ -290,12 +285,13 @@ class PolyRing:
                         top = heads[j]
                         c = row[j][top] if len(row[j]) > top else zero
                         if c:
+                            c = neg(c)
                             for e, h in zip(row[j:], basis[j][j:]):
                                 if len(e) < len(h):
                                     e.extend([zero] * (len(h) - len(e)))
                                 for a, v in enumerate(h):
                                     if v:
-                                        e[a] = (e[a] - c * v) % p if p else e[a] - c * v
+                                        e[a] = add(e[a], mul(c, v))
                         if j > i:
                             del row[j][top:]
                 flat = []

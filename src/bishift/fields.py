@@ -15,11 +15,11 @@ after checking once per operation that their operands share a field.
 Sums of products go through three hooks: ``_dot`` (one sum, the
 pairing), ``_convolve`` (the sums at each index ``alpha + beta`` of two
 sparse maps, the product and the finite shift) and ``_dot_columns`` (one
-sum per storage position, the periodic shift).  Each output takes its sum
-in the field's native numbers: Python ints reduced mod p once, floats in
-the in-order ``+`` chain, and for rationals integer (numerator,
-denominator) pairs over a running lcm of that output's own denominators,
-with one ``Fraction`` built per output.
+sum per storage position: the periodic shift, and the dense product of
+:mod:`bishift._univariate`).  Each output takes its sum in the field's
+native numbers: Python ints reduced mod p once, floats in the in-order
+``+`` chain, and for rationals integer (numerator, denominator) pairs over
+a running lcm of that output's own denominators, one ``Fraction`` each.
 At the public API, scalars are :class:`FieldValue` instances that
 remember which field they belong to, so accidentally mixing coefficients
 from two different fields raises :class:`~bishift.errors.MixedFieldError`

@@ -183,9 +183,10 @@ def _json_list(items, depth):
 def _write_lattice_doc(path, lattice, members) -> None:
     """Write ``rank``, ``field`` and ``periods`` of ``lattice``, then ``members``.
 
-    ``members`` are (key, JSON text) pairs.  The text is the json module's
-    ``indent=2`` layout plus a newline, joined by hand because a kernel
-    basis can hold millions of entries.
+    ``members`` are (key, JSON text) pairs, all formatted before the file is
+    opened, so a value that cannot be written leaves no file.  They are written
+    one at a time, in the json module's ``indent=2`` layout plus a newline,
+    because a kernel basis can hold millions of entries.
     """
     members = [
         ("rank", decimal_text(lattice.rank)),
@@ -193,8 +194,10 @@ def _write_lattice_doc(path, lattice, members) -> None:
         ("periods", _json_list(map(decimal_text, lattice.periods), 1)),
         *members,
     ]
-    body = ",\n".join(f'  "{key}": {text}' for key, text in members)
-    Path(path).write_text(f"{{\n{body}\n}}\n")
+    with open(path, "w") as out:
+        for i, (key, text) in enumerate(members):
+            out.writelines((f'{"," if i else "{"}\n  "{key}": ', text))
+        out.write("\n}\n")
 
 
 def write_kernel_report(kernel: KernelBasis, path) -> None:
