@@ -12,8 +12,8 @@ An operation checks rank and field once, for the whole container, and
 then runs the field's payload hooks (``_add``, ``_mul``, ...) in its
 loop.  :class:`~bishift.fields.FieldValue` objects are made only at the
 public boundary: :meth:`SparseTerms.coeff` and the :attr:`terms` view.
-The map is the only storage of a signal; the dense float shift packs it
-into a plain list, and ``filter --pgm`` never builds it (one flat raster).
+The map is the only storage of a signal, the finite shift included;
+``filter --pgm`` never builds it (one flat raster).
 """
 
 from collections.abc import Mapping

@@ -40,17 +40,14 @@ def _cmd_pair(args) -> int:
 
 def _cmd_filter(args) -> int:
     from . import io as formats
-    from .operators import _slice_add, shift
     from .parsing import parse_poly
 
     field = parse_field_spec(args.field)
     if args.pgm:
-        kernel = parse_poly(args.kernel, 2, field)
-        image = formats._read_raster(args.input, field, kernel._terms)
-        raster, terms, row, width, height, maxval = image
-        filtered = _slice_add(raster, terms, (height - 1) * row + width)
-        formats._write_raster(args.output, filtered, row, width, height, maxval, field.tolerance)
+        formats.filter_pgm(args.input, args.output, parse_poly(args.kernel, 2, field))
         return 0
+    from .operators import shift
+
     kernel = parse_poly(args.kernel, args.rank, field)
     seq = formats.read_seq_csv(args.input, args.rank, field)
     formats.write_seq_csv(args.output, shift(kernel, seq))

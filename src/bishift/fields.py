@@ -14,9 +14,11 @@ Each field works on raw payloads (a ``Fraction``, an ``int`` in
 after checking once per operation that their operands share a field.
 Sums of products go through three hooks: ``_dot`` (one sum, the
 pairing), ``_convolve`` (the sums at each index ``alpha + beta`` of two
-sparse maps, the product and the finite shift) and ``_dot_columns`` (one
-sum per storage position: the periodic shift, and the dense product of
-:mod:`bishift._univariate`).  Each output takes its sum in the field's
+sparse maps, the product and the finite shift of every field) and
+``_dot_columns`` (one sum per storage position: the periodic shift over
+rolled position lists, and the dense product of :mod:`bishift._univariate`
+and the raster filter of ``filter --pgm`` over ranges, each step-1 range
+read as one slice).  Each output takes its sum in the field's
 native numbers: Python ints reduced mod p once, floats in the in-order
 ``+`` chain, and for rationals integer (numerator, denominator) pairs over
 a running lcm of that output's own denominators, one ``Fraction`` each.
@@ -424,7 +426,10 @@ def _native_dot_columns(cs, values, positions):
     gather = values.__getitem__
     acc = repeat(0)
     for c, pos in zip(cs, positions):
-        acc = list(map(add, acc, map(mul, repeat(c), map(gather, pos))))
+        # a step-1 range inside values is read as one slice of it
+        sliced = type(pos) is range and pos.step == 1 and 0 <= pos.start and pos.stop <= len(values)
+        column = values[pos.start : pos.stop] if sliced else map(gather, pos)
+        acc = list(map(add, acc, map(mul, repeat(c), column)))
     return acc
 
 

@@ -173,6 +173,25 @@ def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) 
     _write_raster(path, samples, width, width, height, maxval, getattr(seq.field, "tolerance", 0))
 
 
+def filter_pgm(src, dst, kernel) -> None:
+    """Write the P5 image ``src`` shifted by ``kernel`` to ``dst``, in ``kernel.field``.
+
+    The bytes of ``write_pgm`` of the ``shift`` of ``read_pgm(src)``, from one
+    padded raster: each kernel term is one slice of it in ``field._dot_columns``.
+    """
+    if kernel.rank != 2:
+        raise RankMismatchError("image filtering needs a rank-2 kernel")
+    field = kernel.field
+    raster, terms, row, width, height, maxval = _read_raster(src, field, kernel._terms)
+    size = (height - 1) * row + width
+    if terms:
+        starts, cs = zip(*terms)
+        samples = field._dot_columns(cs, raster, [range(at, at + size) for at in starts])
+    else:
+        samples = [0.0] * size
+    _write_raster(dst, samples, row, width, height, maxval, field.tolerance)
+
+
 def _json_list(items, depth):
     """JSON text of a list of JSON texts, in the json module's ``indent=2`` layout at ``depth``."""
     pad = "\n" + "  " * (depth + 1)

@@ -6,7 +6,6 @@ from hypothesis import given
 from oracles import dense_mul, finite_shift_box, shift_by_definition
 from strategies import WIDE_Q, poly_with_seq, widen
 
-from bishift import operators
 from bishift.errors import DimensionMismatchError, MixedFieldError, RankMismatchError
 from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly, PolyMatrix
@@ -130,8 +129,7 @@ def _random_float_case(rng, field):
 
     Coefficients of +-1 against samples of +-1 and 1 + a fraction of the
     tolerance make sums that cancel exactly or land within the
-    tolerance; a far outlier sample spreads the signal so wide that the
-    chooser keeps it on the sparse loop.
+    tolerance; a far outlier sample spreads the signal wide.
     """
     rank = rng.randint(1, 3)
     tol = field.tolerance
@@ -151,59 +149,33 @@ def _random_float_case(rng, field):
     return d, FiniteSeq(rank, field, terms)
 
 
-def _bounds(d, w):
-    return operators._index_bounds(d._terms, d.rank), operators._index_bounds(w._terms, w.rank)
-
-
-class TestDenseFloatShift:
+class TestFloatShift:
     @pytest.mark.parametrize("tol, seed", [(1e-9, 561), (1e-3, 562)])
-    def test_dense_matches_sparse_and_oracle(self, tol, seed, monkeypatch):
+    def test_matches_oracle(self, tol, seed):
         field = FloatField(tol)
         rng = random.Random(seed)
-        dense, sparse = operators._shift_finite_dense, operators._shift_finite_sparse
-        chosen = []
-        monkeypatch.setattr(
-            operators, "_shift_finite_dense",
-            lambda d, w, *bounds: chosen.append("dense") or dense(d, w, *bounds),
-        )
-        monkeypatch.setattr(
-            operators, "_shift_finite_sparse", lambda d, w: chosen.append("sparse") or sparse(d, w)
-        )
         # a sample dropped for being within the tolerance may be kept by
         # the oracle, whose sums run in another order, as a value a few
         # ulps above it
         bound = tol + 1e-12
         for _ in range(200):
             d, w = _random_float_case(rng, field)
-            a, b = sparse(d, w), dense(d, w, *_bounds(d, w))
-            assert a.terms.keys() == b.terms.keys()
-            assert all(a.terms[k].payload == b.terms[k].payload for k in a.terms)
-            assert shift(d, w) == a
+            out = shift(d, w)
+            assert all(abs(v.payload) > tol for v in out.terms.values())
             oracle = shift_by_definition(d, w, finite_shift_box(d, w))
-            for k in oracle.keys() | a.terms.keys():
-                got = a.terms[k].payload if k in a.terms else 0.0
+            for k in oracle.keys() | out.terms.keys():
+                got = out.terms[k].payload if k in out.terms else 0.0
                 want = oracle[k].payload if k in oracle else 0.0
                 assert abs(got - want) <= bound
-        assert chosen.count("dense") > 40 and chosen.count("sparse") > 40
 
-    def test_indices_beyond_int64_on_both_branches(self):
+    def test_indices_beyond_int64(self):
         field = FloatField()
         kernel = parse_poly("X + 0.5", 1, field)
-        # Python ints do not overflow, so either branch takes any index
+        # Python ints do not overflow, so the shift takes any index
         for big in (2**62 - 1, 2**70, -(2**62)):
             w = FiniteSeq(1, field, {(big,): 1.5, (big + 1,): 2.0})
             expected = FiniteSeq(1, field, {(big - 1,): 1.5, (big,): 2.75, (big + 1,): 1.0})
-            assert operators._shift_finite_dense(kernel, w, *_bounds(kernel, w)) == expected
-            assert operators._shift_finite_sparse(kernel, w) == expected
             assert shift(kernel, w) == expected
-
-    def test_exact_fields_stay_sparse(self, monkeypatch):
-        monkeypatch.setattr(operators, "_shift_finite_dense", None)
-        rng = random.Random(563)
-        for field in (Q, GF7):
-            d = random_poly(rng, 2, field, max_terms=4, span=2)
-            w = random_finite_seq(rng, 2, field, max_terms=20, span=2)
-            assert dict(shift(d, w).terms) == shift_by_definition(d, w, finite_shift_box(d, w))
 
 
 class TestShiftPeriodic:

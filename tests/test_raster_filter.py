@@ -1,8 +1,8 @@
-"""``filter --pgm`` on one padded raster, byte for byte against the sparse shift.
+"""``filter --pgm`` on one padded raster, byte for byte against the finite shift.
 
 Each case runs the CLI and compares its output with two references that
-run no slice add: ``write_pgm(_shift_finite_sparse(kernel, read_pgm(src)))``
-and the same sparse shift of the image decoded by formula, quantized by the
+read no raster slice: ``write_pgm(shift(kernel, read_pgm(src)))``
+and the same shift of the image decoded by formula, quantized by the
 writer's rules (a deleted or non-positive sample is gray 0, one at or above
 1 is maxval, the rest round half up).
 """
@@ -13,9 +13,9 @@ import pytest
 
 from bishift import io as formats
 from bishift.cli import main
-from bishift.errors import BishiftError, ImageWriteError
+from bishift.errors import BishiftError, ImageWriteError, RankMismatchError
 from bishift.fields import parse_field_spec
-from bishift.operators import _shift_finite_sparse
+from bishift.operators import shift
 from bishift.parsing import parse_poly
 from bishift.sequences import FiniteSeq
 
@@ -72,7 +72,7 @@ def check(tmp_path, width, height, maxval, grays, kernel, spec):
     seq, w, h, m = formats.read_pgm(tmp_path / "in.pgm", field)
     assert (w, h, m) == (width, height, maxval)
     assert seq._terms == decoded(width, grays, maxval, field)
-    shifted = _shift_finite_sparse(d, seq)
+    shifted = shift(d, seq)
     ref = tmp_path / "ref.pgm"
     formats.write_pgm(ref, shifted, w, h, m)
     got = out.read_bytes()
@@ -171,7 +171,19 @@ def test_nan_in_the_window_is_a_typed_error(tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
     field = parse_field_spec("float")
     seq = FiniteSeq._wrap(2, field, decoded(2, grays, 100, field))
-    shifted = _shift_finite_sparse(parse_poly(kernel, 2, field), seq)
+    shifted = shift(parse_poly(kernel, 2, field), seq)
     with pytest.raises(ImageWriteError, match="NaN") as caught:
         formats.write_pgm(out, shifted, 2, 2, 100)
     assert isinstance(caught.value, BishiftError) and isinstance(caught.value, ValueError)
+
+
+def test_filter_pgm_needs_a_rank_two_kernel(tmp_path):
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    src.write_bytes(pgm_bytes(3, 2, 255, range(6)))
+    field = parse_field_spec("float")
+    for rank in (1, 3):
+        with pytest.raises(RankMismatchError):
+            formats.filter_pgm(src, out, parse_poly("0.5 + 0.5*X1", rank, field))
+        assert not out.exists()
+    formats.filter_pgm(src, out, parse_poly("0.5 + 0.5*X1", 2, field))
+    assert out.read_bytes() == pgm_bytes(3, 2, 255, [1, 2, 1, 4, 5, 3])

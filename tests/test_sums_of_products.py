@@ -191,3 +191,63 @@ def test_float_sums_are_the_in_order_chain(tol, rank):
                 if isinstance(signal, PeriodicSeq) or alpha in signal._terms:
                     s += x * y
             assert scalar_product(d, signal).payload.hex() == s.hex()
+
+
+# ------------------------------------------------------- range positions
+
+
+def _payload_text(xs):
+    """Payloads as text that tells floats apart bit for bit (``-0.0`` from ``0.0``)."""
+    return [x.hex() if isinstance(x, float) else repr(x) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        pytest.param(PrimeField(2), id="gf2"),
+        pytest.param(PrimeField(7), id="gf7"),
+        pytest.param(PrimeField(2**31 - 1), id="gf2147483647"),
+        pytest.param(Q, id="rational"),
+        pytest.param(FloatField(), id="float"),
+    ],
+)
+def test_range_positions_read_as_lists(field):
+    # a step-1 range may be read as one slice of the values; each call must
+    # return what the same positions give as lists, payload for payload
+    rng = random.Random(1830)
+
+    def payload():
+        if isinstance(field, FloatField):
+            return rng.choice((0.0, -0.0, 1.0, rng.uniform(-2, 2)))
+        if field is Q:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.randrange(field.p)
+
+    sizes = ends = 0
+    for trial in range(200):
+        n = rng.randint(1, 24)
+        values = [payload() for _ in range(n)]
+        if trial % 2:
+            values = tuple(values)  # the periodic shift passes a tuple
+        length = rng.randint(1, n)
+        starts = [rng.randint(0, n - length) for _ in range(rng.randint(1, 5))]
+        if trial % 3 == 0:
+            starts[0] = 0
+        if trial % 3 == 1:
+            starts[-1] = n - length
+        ranges = [range(at, at + length) for at in starts]
+        cs = [payload() for _ in ranges]
+        got = field._dot_columns(cs, values, ranges)
+        want = field._dot_columns(cs, values, [list(r) for r in ranges])
+        assert _payload_text(got) == _payload_text(want)
+        sizes += len(ranges) == 1
+        ends += ranges[-1].stop == n
+    assert sizes and ends
+    # ranges reaching outside the values keep the meaning of their indices
+    values = [payload() for _ in range(6)]
+    for ranges in ([range(-2, 3)], [range(1, 6), range(-1, 4)], [range(2, 6, 2)]):
+        cs = [payload() for _ in ranges]
+        want = field._dot_columns(cs, values, [list(r) for r in ranges])
+        assert _payload_text(field._dot_columns(cs, values, ranges)) == _payload_text(want)
+    with pytest.raises(IndexError):
+        field._dot_columns([payload()], values, [range(4, 8)])
