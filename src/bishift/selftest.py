@@ -11,6 +11,10 @@ generator, so a failure is reproducible from the seed alone.  The laws:
 * bilinearity in each pairing argument;
 * the finite-support bound on shifted signals.
 
+The adjoint and module-action laws share each instance: one draw of
+(c, d, W), one product c * d and one shift d o W serve both checks, and
+each law keeps its own result.
+
 The suites require exact fields; float arithmetic would need loose
 tolerances that defeat the point.
 """
@@ -153,17 +157,19 @@ def _describe(seed, trial, parts):
     return ", ".join(bits)
 
 
-def _run(name, seed, trials, draw, check):
+def _run(names, seed, trials, draw, check):
+    """One result per law in ``names``; ``check`` returns one verdict per law."""
     rng = random.Random(seed)
-    failures = 0
-    example = None
+    failures = [0] * len(names)
+    examples = [None] * len(names)
     for trial in range(trials):
         instance = draw(rng)
-        if not check(**instance):
-            failures += 1
-            if example is None:
-                example = _describe(seed, trial, instance)
-    return SuiteResult(name=name, trials=trials, failures=failures, example=example)
+        for law, ok in enumerate(check(**instance)):
+            if not ok:
+                failures[law] += 1
+                if examples[law] is None:
+                    examples[law] = _describe(seed, trial, instance)
+    return [SuiteResult(name, trials, f, e) for name, f, e in zip(names, failures, examples)]
 
 
 def _require_exact(field):
@@ -171,25 +177,8 @@ def _require_exact(field):
         raise FloatFieldUnsupportedError("law suites run on exact fields only")
 
 
-def adjoint_suite(field, rank, kind, trials, seed=DEFAULT_SEED) -> SuiteResult:
-    """<c * d, W> = <c, d o W> on random triples."""
-    _require_exact(field)
-
-    def draw(rng):
-        return {
-            "c": random_poly(rng, rank, field),
-            "d": random_poly(rng, rank, field),
-            "w": random_signal(rng, rank, field, kind),
-        }
-
-    def check(c, d, w):
-        return operators.check_adjoint(c, d, w)
-
-    return _run(f"adjoint[{field.spec()},r={rank},{kind}]", seed, trials, draw, check)
-
-
-def module_action_suite(field, rank, kind, trials, seed=DEFAULT_SEED) -> SuiteResult:
-    """Composition law for the shift action, plus identity of the constant 1."""
+def _shift_law_suites(field, rank, kind, trials, seed):
+    """The adjoint and module-action suites, both checked on each drawn (c, d, W)."""
     _require_exact(field)
     one = LaurentPoly.one(rank, field)
 
@@ -201,13 +190,24 @@ def module_action_suite(field, rank, kind, trials, seed=DEFAULT_SEED) -> SuiteRe
         }
 
     def check(c, d, w):
-        composed = operators.shift(c, operators.shift(d, w))
-        direct = operators.shift(c * d, w)
-        return composed == direct and operators.shift(one, w) == w
+        shift, pair = operators.shift, operators.scalar_product
+        cd, dw = c * d, shift(d, w)
+        adjoint = field.eq(pair(cd, w), pair(c, dw))
+        action = shift(c, dw) == shift(cd, w) and shift(one, w) == w
+        return adjoint, action
 
-    return _run(
-        f"module-action[{field.spec()},r={rank},{kind}]", seed, trials, draw, check
-    )
+    spec = f"{field.spec()},r={rank},{kind}"
+    return _run([f"adjoint[{spec}]", f"module-action[{spec}]"], seed, trials, draw, check)
+
+
+def adjoint_suite(field, rank, kind, trials, seed=DEFAULT_SEED) -> SuiteResult:
+    """<c * d, W> = <c, d o W> on random triples."""
+    return _shift_law_suites(field, rank, kind, trials, seed)[0]
+
+
+def module_action_suite(field, rank, kind, trials, seed=DEFAULT_SEED) -> SuiteResult:
+    """Composition law for the shift action, plus identity of the constant 1."""
+    return _shift_law_suites(field, rank, kind, trials, seed)[1]
 
 
 def extraction_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
@@ -226,9 +226,9 @@ def extraction_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
         ok_sample = field.eq(operators.scalar_product(mono, w), w.coeff(gamma))
         delta = FiniteSeq.delta(rank, field, gamma)
         ok_coeff = field.eq(operators.scalar_product(d, delta), d.coeff(gamma))
-        return ok_sample and ok_coeff
+        return (ok_sample and ok_coeff,)
 
-    return _run(f"extraction[{field.spec()},r={rank}]", seed, trials, draw, check)
+    return _run([f"extraction[{field.spec()},r={rank}]"], seed, trials, draw, check)[0]
 
 
 def bilinearity_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
@@ -252,17 +252,12 @@ def bilinearity_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
 
     def check(c, d, a, w1, w2):
         pair = operators.scalar_product
-        left_ok = field.eq(
-            pair(c * a + d, w1),
-            field.add(field.mul(a, pair(c, w1)), pair(d, w1)),
-        )
-        right_ok = field.eq(
-            pair(c, w1 * a + w2),
-            field.add(field.mul(a, pair(c, w1)), pair(c, w2)),
-        )
-        return left_ok and right_ok
+        a_cw1 = field.mul(a, pair(c, w1))
+        left_ok = field.eq(pair(c * a + d, w1), field.add(a_cw1, pair(d, w1)))
+        right_ok = field.eq(pair(c, w1 * a + w2), field.add(a_cw1, pair(c, w2)))
+        return (left_ok and right_ok,)
 
-    return _run(f"bilinearity[{field.spec()},r={rank}]", seed, trials, draw, check)
+    return _run([f"bilinearity[{field.spec()},r={rank}]"], seed, trials, draw, check)[0]
 
 
 def support_bound_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
@@ -281,9 +276,9 @@ def support_bound_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
             for idx in w.support()
             for alpha in d.support()
         }
-        return operators.shift(d, w).support() <= allowed
+        return (operators.shift(d, w).support() <= allowed,)
 
-    return _run(f"support-bound[{field.spec()},r={rank}]", seed, trials, draw, check)
+    return _run([f"support-bound[{field.spec()},r={rank}]"], seed, trials, draw, check)[0]
 
 
 def run_all(field, trials, seed=DEFAULT_SEED):
@@ -291,8 +286,7 @@ def run_all(field, trials, seed=DEFAULT_SEED):
     results = []
     for rank in _RANKS:
         for kind in _KINDS:
-            results.append(adjoint_suite(field, rank, kind, trials, seed))
-            results.append(module_action_suite(field, rank, kind, trials, seed))
+            results.extend(_shift_law_suites(field, rank, kind, trials, seed))
         results.append(extraction_suite(field, rank, trials, seed))
         results.append(bilinearity_suite(field, rank, trials, seed))
         results.append(support_bound_suite(field, rank, trials, seed))

@@ -196,7 +196,10 @@ def test_suite_draws_match_randrange_and_choice(monkeypatch, field, suite):
     # leaves the generator state that the wrapper calls give, so a printed
     # failure example names the same instance
     draws = []
-    monkeypatch.setattr(selftest, "_run", lambda name, seed, trials, draw, check: draws.append(draw))
+    monkeypatch.setattr(
+        selftest, "_run",
+        lambda names, seed, trials, draw, check: draws.append(draw) or [None] * len(names),
+    )
     run_suite = getattr(selftest, f"{suite}_suite")
     with_kind = suite in ("adjoint", "module_action")
     for seed in (5, 77):
@@ -210,6 +213,115 @@ def test_suite_draws_match_randrange_and_choice(monkeypatch, field, suite):
                     got = {k: _raw(v) for k, v in draw(got_rng).items()}
                     _same(got, ref.instance(suite, rank, kind))
                     assert got_rng.getstate() == want_rng.getstate()
+
+
+def _build(field, rank, key, raw):
+    """A ``WrapperDraws`` value as the object a suite checks, by its instance key."""
+    if key in ("c", "d"):
+        return LaurentPoly._wrap(rank, field, raw)
+    if key == "a":
+        return FieldValue(field, raw)
+    if key == "gamma":
+        return raw
+    if raw[0] == "finite":
+        return FiniteSeq._wrap(rank, field, raw[1])
+    return PeriodicSeq._wrap(rank, field, raw[1], raw[2])
+
+
+def _reference_law(suite, field, rank):
+    """Each law as its own check, written without shared intermediate values."""
+    shift, pair = bishift.operators.shift, bishift.operators.scalar_product
+    if suite == "adjoint":
+        return bishift.operators.check_adjoint
+    if suite == "module_action":
+        one = LaurentPoly.one(rank, field)
+        return lambda c, d, w: shift(c, shift(d, w)) == shift(c * d, w) and shift(one, w) == w
+    if suite == "extraction":
+        return lambda gamma, d, w: (
+            field.eq(pair(LaurentPoly.monomial(rank, field, gamma), w), w.coeff(gamma))
+            and field.eq(pair(d, FiniteSeq.delta(rank, field, gamma)), d.coeff(gamma))
+        )
+    if suite == "bilinearity":
+        def check(c, d, a, w1, w2):
+            add, mul = field.add, field.mul
+            left = field.eq(pair(c * a + d, w1), add(mul(a, pair(c, w1)), pair(d, w1)))
+            right = field.eq(pair(c, w1 * a + w2), add(mul(a, pair(c, w1)), pair(c, w2)))
+            return left and right
+        return check
+
+    def check(d, w):
+        allowed = {
+            tuple(i - a for i, a in zip(idx, alpha)) for idx in w.support() for alpha in d.support()
+        }
+        return shift(d, w).support() <= allowed
+    return check
+
+
+def _reference_suite(suite, field, rank, kind, trials, seed):
+    """One law in its own loop over the ``WrapperDraws`` stream.
+
+    Returns (name, trials, failures, example), as ``run_all`` reports it.
+    """
+    law, ref = _reference_law(suite, field, rank), WrapperDraws(random.Random(seed), field)
+    failures, example = 0, None
+    for trial in range(trials):
+        raw = ref.instance(suite, rank, kind)
+        instance = {k: _build(field, rank, k, v) for k, v in raw.items()}
+        if not law(**instance):
+            failures += 1
+            if example is None:
+                example = ", ".join([f"seed={seed}", f"trial={trial}"] + [
+                    f"{k}={str(v)!r}" if isinstance(v, LaurentPoly) else f"{k}={v!r}"
+                    for k, v in instance.items()
+                ])
+    tag = f"{field.spec()},r={rank}" + (f",{kind}" if kind else "")
+    return (f"{suite.replace('_', '-')}[{tag}]", trials, failures, example)
+
+
+def _inject_faults(monkeypatch):
+    """A product of more than 4 terms loses one; a periodic shift by 5 terms moves a sample."""
+    real_mul, real_periodic = LaurentPoly.__mul__, bishift.operators._shift_periodic
+
+    def mul(self, other):
+        out = real_mul(self, other)
+        if isinstance(out, LaurentPoly) and len(out._terms) > 4:
+            terms = dict(out._terms)
+            terms.popitem()
+            out = LaurentPoly._wrap(out.rank, out.field, terms)
+        return out
+
+    def shift_periodic(d, w):
+        out = real_periodic(d, w)
+        if len(d._terms) == 5:  # the first sample moves to the end
+            values = out._values[1:] + out._values[:1]
+            out = PeriodicSeq._wrap(out.rank, out.field, out.periods, values)
+        return out
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+    monkeypatch.setattr(bishift.operators, "_shift_periodic", shift_periodic)
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+@pytest.mark.parametrize("field", [PrimeField(2), GF7, Q], ids=lambda f: f.spec())
+def test_run_all_matches_one_loop_per_law(monkeypatch, field, faults):
+    # the adjoint and module-action laws share each draw in run_all; every
+    # result must still be the one its law gives in a loop of its own
+    if faults:
+        _inject_faults(monkeypatch)
+    failing = set()
+    for seed in (3, 58, 2024):
+        want = []
+        for rank in (1, 2, 3):
+            for kind in _KINDS:
+                for suite in ("adjoint", "module_action"):
+                    want.append(_reference_suite(suite, field, rank, kind, 25, seed))
+            for suite in ("extraction", "bilinearity", "support_bound"):
+                want.append(_reference_suite(suite, field, rank, None, 25, seed))
+        got = [(r.name, r.trials, r.failures, r.example) for r in run_all(field, 25, seed)]
+        assert got == want
+        failing.update(name.split("[")[0] for name, _, failures, _ in got if failures)
+    # under the faults both shift laws fail, so their examples are compared too
+    assert failing >= {"adjoint", "module-action"} if faults else not failing
 
 
 def test_all_suites_pass_small():

@@ -9,9 +9,10 @@ by ``--workload`` (by default all four: ``image_filter``, ``kernel_rank1``,
 ``kernel_rank2`` and ``selftest_laws``) is written once by
 ``perfbench/inputs.py``, which this script imports and does not change.
 The job then runs as ``python -m bishift.cli ...`` against the ``src`` of
-each side.  Exit code, stdout and the output file's bytes must be equal on
-both sides; a job that writes no file (``selftest``) compares its exit code
-and stdout only.  The parent's tree is exported with ``git
+each side.  Exit code, stdout, stderr and the output file's bytes must be
+equal on both sides; a job that writes no file (``selftest``) compares its
+exit code, stdout and stderr, where it prints its first-failure lines and
+its ``--trials 0`` warning.  The parent's tree is exported with ``git
 archive`` under the git-ignored ``.perfbench/`` and removed at the end.
 
 Prints one line per job and a summary line; exits 1 if any job differs.
@@ -36,7 +37,7 @@ from bench_pairs import export_tree, git  # noqa: E402
 
 
 def run_job(root: Path, job) -> tuple:
-    """Exit code, stdout and output bytes of one CLI job on the sources under ``root``.
+    """Exit code, stdout, stderr and output bytes of one CLI job on the sources under ``root``.
 
     The output bytes are None for a job that names no output file or did not
     write it.
@@ -50,7 +51,7 @@ def run_job(root: Path, job) -> tuple:
         capture_output=True, timeout=600,
     )
     report = output.read_bytes() if output is not None and output.exists() else None
-    return result.returncode, result.stdout, report
+    return result.returncode, result.stdout, result.stderr, report
 
 
 def main(argv=None) -> int:
@@ -76,12 +77,12 @@ def main(argv=None) -> int:
                         job = inputs.make_job(workload, seed, index, Path(work))
                         outcomes = {side: run_job(root, job) for side, root in roots.items()}
                         same = outcomes["parent"] == outcomes["change"]
-                        code, stdout, report = outcomes["change"]
+                        code, stdout, stderr, report = outcomes["change"]
                         jobs += 1
                         differing += not same
                         print(f"{name} seed {seed} job {index}: "
                               f"{'identical' if same else 'DIFFERENT'} (exit {code}, "
-                              f"stdout {len(stdout)} B, output "
+                              f"stdout {len(stdout)} B, stderr {len(stderr)} B, output "
                               f"{'none' if report is None else f'{len(report)} B'})", flush=True)
     finally:
         shutil.rmtree(parent_root, ignore_errors=True)
