@@ -8,12 +8,14 @@ both.  It stores raw payloads, the field's own scalar representation (a
 tuples of the container's rank, and keeps the map canonical: no stored
 payload is zero (within tolerance, for the float field).
 
-An operation checks rank and field once, for the whole container, and
-then runs the field's payload hooks (``_add``, ``_mul``, ...) in its
-loop.  :class:`~bishift.fields.FieldValue` objects are made only at the
-public boundary: :meth:`SparseTerms.coeff` and the :attr:`terms` view.
-The map is the only storage of a signal, the finite shift included;
-``filter --pgm`` never builds it (one flat raster).
+An operation checks rank and field once, for the whole container
+(:func:`require_same_context`), and then runs the field's payload hooks
+(``_add``, ``_mul``, ...) in its loop.  A scalar comes in through
+:meth:`~bishift.fields.Field.value`, which owns its coercion and its
+field check, and goes out as a :class:`~bishift.fields.FieldValue` only
+at the public boundary: :meth:`SparseTerms.coeff` and the :attr:`terms`
+view.  The map is the only storage of a signal, the finite shift
+included; ``filter --pgm`` never builds it (one flat raster).
 """
 
 from collections.abc import Mapping
@@ -32,24 +34,18 @@ def exponent_tuple(alpha, rank):
     return t
 
 
-def to_payload(field, v):
-    """Raw payload of ``v`` in ``field``: a FieldValue of that field, or a raw number."""
-    if isinstance(v, FieldValue):
-        if v.field is not field and v.field != field:
-            raise MixedFieldError(
-                f"value from {v.field.spec()} used in a {field.spec()} container"
-            )
-        return v.payload
-    return field._normalize(v, None)
+def check_rank(rank):
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"rank must be a positive int, got {rank!r}")
 
 
 def canonical_terms(rank, field, mapping):
     """Validated payload map of ``mapping`` with zero coefficients dropped."""
-    is_zero = field._is_zero
+    is_zero, value = field._is_zero, field.value
     out = {}
     for alpha, v in mapping.items():
         a = exponent_tuple(alpha, rank)
-        p = to_payload(field, v)
+        p = value(v).payload
         if not is_zero(p):
             out[a] = p
     return out
@@ -97,8 +93,7 @@ class SparseTerms:
     __slots__ = ("rank", "field", "_terms")
 
     def __init__(self, rank, field, terms=None):
-        if type(rank) is not int or rank < 1:
-            raise ValueError(f"rank must be a positive int, got {rank!r}")
+        check_rank(rank)
         self.rank = rank
         self.field = field
         self._terms = canonical_terms(rank, field, terms or {})
@@ -182,7 +177,7 @@ class SparseTerms:
             return NotImplemented
         field = self.field
         mul, is_zero = field._mul, field._is_zero
-        c = to_payload(field, other)
+        c = field.value(other).payload
         out = {}
         if not is_zero(c):
             for k, v in self._terms.items():

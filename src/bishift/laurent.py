@@ -11,7 +11,7 @@ used whenever a deterministic order is needed.
 from __future__ import annotations
 
 from ._sparse import SparseTerms, require_same_context
-from .errors import MixedFieldError, RaggedMatrixError, RankMismatchError
+from .errors import RaggedMatrixError
 
 
 class LaurentPoly(SparseTerms):
@@ -61,16 +61,11 @@ class PolyMatrix:
                     f"row of length {len(row)} in a matrix of width {width}"
                 )
         first = grid[0][0]
-        if not isinstance(first, LaurentPoly):
-            raise TypeError("matrix entries must be LaurentPoly")
         for row in grid:
             for e in row:
                 if not isinstance(e, LaurentPoly):
                     raise TypeError("matrix entries must be LaurentPoly")
-                if e.rank != first.rank:
-                    raise RankMismatchError("matrix entries disagree on rank")
-                if e.field != first.field:
-                    raise MixedFieldError("matrix entries disagree on field")
+                require_same_context(first, e)
         self.rows = len(grid)
         self.cols = width
         self.rank = first.rank

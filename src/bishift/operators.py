@@ -95,13 +95,10 @@ def shift_matrix(r: PolyMatrix, w: SeqVector) -> SeqVector:
             f"matrix has {r.cols} columns but the signal vector has {len(w)}"
         )
     out = []
-    for i in range(r.rows):
-        if w.kind == "periodic":
-            row_sum = PeriodicSeq.zero(w.rank, w.field, w.periods)
-        else:
-            row_sum = FiniteSeq.zero(w.rank, w.field)
-        for j in range(r.cols):
-            row_sum = row_sum + shift(r.entry(i, j), w[j])
+    for row in r.entries:
+        row_sum = shift(row[0], w[0])
+        for j in range(1, r.cols):
+            row_sum = row_sum + shift(row[j], w[j])
         out.append(row_sum)
     return SeqVector(out)
 

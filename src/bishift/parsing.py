@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 
+from ._sparse import check_rank
 from .errors import (
     ParseError,
     PolySyntaxError,
@@ -160,8 +161,7 @@ def parse_poly(text: str, rank: int = 1, field=None) -> LaurentPoly:
     """
     if field is None:
         raise TypeError("parse_poly needs a field")
-    if type(rank) is not int or rank < 1:
-        raise ValueError(f"rank must be a positive int, got {rank!r}")
+    check_rank(rank)
     if rank > MAX_RANK:
         raise ValueError(f"rank {rank} is above the largest supported rank {MAX_RANK}")
     cur = _Cursor(text, rank, field)

@@ -19,13 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from ._sparse import SparseTerms, exponent_tuple, require_same_context, to_payload
-from .errors import (
-    MixedFieldError,
-    PeriodMismatchError,
-    RankMismatchError,
-    RepresentationMismatchError,
-)
+from ._sparse import SparseTerms, check_rank, exponent_tuple, require_same_context
+from .errors import PeriodMismatchError, RankMismatchError, RepresentationMismatchError
 from .fields import FieldValue
 from .laurent import LaurentPoly
 
@@ -81,11 +76,11 @@ class PeriodicSeq:
     __slots__ = ("rank", "field", "periods", "_values", "_strides")
 
     def __init__(self, rank, field, periods, values):
-        if type(rank) is not int or rank < 1:
-            raise ValueError(f"rank must be a positive int, got {rank!r}")
+        check_rank(rank)
         periods = check_periods(periods, rank, "periods")
         size = math.prod(periods)
-        vals = tuple(to_payload(field, v) for v in values)
+        value = field.value
+        vals = tuple(value(v).payload for v in values)
         if len(vals) != size:
             raise ValueError(
                 f"{len(vals)} values given for a fundamental domain of size {size}"
@@ -168,7 +163,7 @@ class PeriodicSeq:
         if not isinstance(other, (FieldValue, int)):
             return NotImplemented
         mul = self.field._mul
-        c = to_payload(self.field, other)
+        c = self.field.value(other).payload
         return self._with(mul(c, v) for v in self._values)
 
     __rmul__ = __mul__
@@ -215,16 +210,10 @@ class SeqVector:
         if not isinstance(first, (FiniteSeq, PeriodicSeq)):
             raise TypeError("components must be FiniteSeq or PeriodicSeq")
         for c in comps[1:]:
-            if type(c) is not type(first):
+            if not first._same_kind(c):
                 raise RepresentationMismatchError(
                     "all components must share one representation"
                 )
-            if c.rank != first.rank:
-                raise RankMismatchError("components disagree on rank")
-            if c.field != first.field:
-                raise MixedFieldError("components disagree on field")
-            if isinstance(first, PeriodicSeq) and c.periods != first.periods:
-                raise PeriodMismatchError("components disagree on periods")
         self.components = comps
 
     @property

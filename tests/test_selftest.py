@@ -371,6 +371,29 @@ def test_corrupted_shift_is_caught(monkeypatch):
     assert "seed=14" in result.example
 
 
+@pytest.mark.parametrize("field", [GF7, Q], ids=lambda f: f.spec())
+def test_broken_identity_shift_is_caught(monkeypatch, field):
+    # mutation check: a shift by exactly the constant 1 that bumps one
+    # sample must make the module-action law fail on every instance
+    real_shift = bishift.operators.shift
+
+    def bumped(d, w):
+        out = real_shift(d, w)
+        if d != LaurentPoly.one(d.rank, d.field):
+            return out
+        if isinstance(out, FiniteSeq):
+            return out + FiniteSeq.delta(out.rank, out.field, (0,) * out.rank)
+        values = (out.field._add(out._values[0], out.field.one.payload),) + out._values[1:]
+        return PeriodicSeq._wrap(out.rank, out.field, out.periods, values)
+
+    monkeypatch.setattr(bishift.operators, "shift", bumped)
+    results = [r for r in run_all(field, 20, seed=19) if r.name.startswith("module-action[")]
+    assert len(results) == len(_KINDS) * 3
+    for r in results:
+        assert r.failures == r.trials == 20, r.name
+        assert r.example.startswith("seed=19, trial=0,")
+
+
 def test_other_suites_pass():
     assert extraction_suite(Q, 2, 100, seed=15).passed
     assert bilinearity_suite(GF7, 1, 100, seed=16).passed
