@@ -172,12 +172,13 @@ class SparseTerms:
         return self._wrap(self.rank, self.field, {k: neg(v) for k, v in self._terms.items()})
 
     def __mul__(self, other):
-        """Scalar multiple by a FieldValue of this field or an int."""
-        if not isinstance(other, (FieldValue, int)):
-            return NotImplemented
+        """Scalar multiple by any number :meth:`~bishift.fields.Field.value` accepts."""
         field = self.field
+        try:
+            c = field.value(other).payload
+        except TypeError:
+            return NotImplemented
         mul, is_zero = field._mul, field._is_zero
-        c = field.value(other).payload
         out = {}
         if not is_zero(c):
             for k, v in self._terms.items():
@@ -196,8 +197,7 @@ class SparseTerms:
         a, b = self._terms, other._terms
         if a.keys() != b.keys():
             return False
-        eq = self.field._eq
-        return all(eq(v, b[k]) for k, v in a.items())
+        return all(map(self.field._eq, a.values(), map(b.__getitem__, a)))
 
     __hash__ = None
 

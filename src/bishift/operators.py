@@ -18,6 +18,8 @@ rolled index lists (``Field._dot_columns``).
 
 from __future__ import annotations
 
+from operator import neg
+
 from ._sparse import require_same_context
 from .errors import DimensionMismatchError
 from .fields import FieldValue
@@ -52,19 +54,18 @@ def scalar_product(d: LaurentPoly, w) -> FieldValue:
 def _shift_finite(d: LaurentPoly, w: FiniteSeq) -> FiniteSeq:
     # (d o W)_beta collects d_alpha * W_idx at beta = idx - alpha: the
     # product of W with d reflected through the origin, in d's term order
-    reflected = {tuple(-x for x in alpha): c for alpha, c in d._terms.items()}
+    reflected = {tuple(map(neg, alpha)): c for alpha, c in d._terms.items()}
     return FiniteSeq._wrap(w.rank, d.field, d.field._convolve(reflected, w._terms))
 
 
 def _shift_periodic(d: LaurentPoly, w: PeriodicSeq) -> PeriodicSeq:
     field, values = d.field, w._values
     if not d._terms:
-        return PeriodicSeq._wrap(w.rank, field, w.periods, (field.zero.payload,) * len(values))
+        return w._with((field.zero.payload,) * len(values))
     # the rolled index list of term alpha holds the storage position of
     # W_(alpha + beta) for every beta in storage order
     positions = rolled_indices(d._terms, w.periods, w._strides)
-    out = tuple(field._dot_columns(d._terms.values(), values, positions))
-    return PeriodicSeq._wrap(w.rank, field, w.periods, out)
+    return w._with(field._dot_columns(d._terms.values(), values, positions))
 
 
 def shift(d: LaurentPoly, w):

@@ -25,6 +25,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from operator import sub
 
 from . import operators
 from .errors import FloatFieldUnsupportedError
@@ -66,7 +67,7 @@ def _payload_drawer(field: Field):
         def draw(randbelow, nonzero=False):
             while True:
                 v = table[randbelow(19) * 9 + randbelow(9)]
-                if v or not nonzero:
+                if not nonzero or v:
                     return v
 
         return draw
@@ -74,7 +75,7 @@ def _payload_drawer(field: Field):
     def draw(randbelow, nonzero=False):
         while True:
             v = (randbelow(17) - 8) / 4.0
-            if v or not nonzero:
+            if not nonzero or v:
                 return v
 
     return draw
@@ -90,11 +91,15 @@ def random_exponent(rng: random.Random, rank: int, span: int = 4):
 
 
 def _random_terms(rng, rank, field, max_terms, span):
-    """A canonical payload map: later draws at a repeated index overwrite."""
-    randbelow, draw = rng._randbelow, _payload_drawer(field)
+    """A canonical payload map: later draws at a repeated index overwrite.
+
+    Each term draws its payload, then its index as ``random_exponent`` does:
+    an assignment evaluates its right-hand side before its target.
+    """
+    randbelow, draw, width = rng._randbelow, _payload_drawer(field), 2 * span + 1
     terms = {}
     for _ in range(randbelow(max_terms + 1)):
-        terms[random_exponent(rng, rank, span)] = draw(randbelow)
+        terms[tuple([randbelow(width) - span for _ in range(rank)])] = draw(randbelow)
     is_zero = field._is_zero
     return {k: v for k, v in terms.items() if not is_zero(v)}
 
@@ -271,11 +276,7 @@ def support_bound_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
         }
 
     def check(d, w):
-        allowed = {
-            tuple(i - a for i, a in zip(idx, alpha))
-            for idx in w.support()
-            for alpha in d.support()
-        }
+        allowed = {tuple(map(sub, idx, alpha)) for idx in w.support() for alpha in d.support()}
         return (operators.shift(d, w).support() <= allowed,)
 
     return _run([f"support-bound[{field.spec()},r={rank}]"], seed, trials, draw, check)[0]

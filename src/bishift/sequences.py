@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import mod, mul
 
 from ._sparse import SparseTerms, check_rank, exponent_tuple, require_same_context
 from .errors import PeriodMismatchError, RankMismatchError, RepresentationMismatchError
@@ -85,21 +86,21 @@ class PeriodicSeq:
             raise ValueError(
                 f"{len(vals)} values given for a fundamental domain of size {size}"
             )
-        self._fill(rank, field, periods, vals)
+        self._fill(rank, field, periods, vals, row_major_strides(periods))
 
     @classmethod
     def _wrap(cls, rank, field, periods, values):
         # trusted constructor: checked periods, a tuple of canonical payloads
         obj = object.__new__(cls)
-        obj._fill(rank, field, periods, values)
+        obj._fill(rank, field, periods, values, row_major_strides(periods))
         return obj
 
-    def _fill(self, rank, field, periods, values):
+    def _fill(self, rank, field, periods, values, strides):
         self.rank = rank
         self.field = field
         self.periods = periods
         self._values = values
-        self._strides = row_major_strides(periods)
+        self._strides = strides
 
     @classmethod
     def zero(cls, rank, field, periods):
@@ -116,7 +117,7 @@ class PeriodicSeq:
 
     def _flat(self, alpha) -> int:
         # storage position of an already checked index
-        return sum((x % n) * s for x, n, s in zip(alpha, self.periods, self._strides))
+        return sum(map(mul, map(mod, alpha, self.periods), self._strides))
 
     def flat_index(self, alpha) -> int:
         return self._flat(exponent_tuple(alpha, self.rank))
@@ -143,7 +144,10 @@ class PeriodicSeq:
         return True
 
     def _with(self, values):
-        return PeriodicSeq._wrap(self.rank, self.field, self.periods, tuple(values))
+        # the same lattice, its strides included, with other payloads
+        obj = object.__new__(PeriodicSeq)
+        obj._fill(self.rank, self.field, self.periods, tuple(values), self._strides)
+        return obj
 
     def __add__(self, other):
         if not self._same_kind(other):
@@ -153,18 +157,19 @@ class PeriodicSeq:
     def __sub__(self, other):
         if not self._same_kind(other):
             return NotImplemented
-        add, neg = self.field._add, self.field._neg
-        return self._with(add(a, neg(b)) for a, b in zip(self._values, other._values))
+        field = self.field
+        return self._with(map(field._add, self._values, map(field._neg, other._values)))
 
     def __neg__(self):
         return self._with(map(self.field._neg, self._values))
 
     def __mul__(self, other):
-        if not isinstance(other, (FieldValue, int)):
+        """Scalar multiple by any number :meth:`~bishift.fields.Field.value` accepts."""
+        try:
+            c = self.field.value(other).payload
+        except TypeError:
             return NotImplemented
-        mul = self.field._mul
-        c = self.field.value(other).payload
-        return self._with(mul(c, v) for v in self._values)
+        return self._with(map(self.field._mul, itertools.repeat(c), self._values))
 
     __rmul__ = __mul__
 
@@ -294,12 +299,19 @@ class KernelBasis:
 
 
 def rolled_indices(alphas, periods, strides):
-    """Per exponent alpha, the storage position of (alpha + beta) mod periods for each beta."""
+    """Per exponent alpha, the storage position of (alpha + beta) mod periods for each beta.
+
+    Along axis i these are ((alpha_i + j) mod N_i) * stride_i for j = 0 .. N_i - 1:
+    the list of j * stride_i, built once per call, rotated left by alpha_i mod N_i.
+    A position adds one entry of each axis list, the last axis fastest.
+    """
+    bases = [list(range(0, n * stride, stride)) for n, stride in zip(periods, strides)]
     rolled = []
     for alpha in alphas:
         flat = [0]
-        for a, n, stride in zip(alpha, periods, strides):
-            axis = [(a + j) % n * stride for j in range(n)]
+        for a, base in zip(alpha, bases):
+            r = a % len(base)
+            axis = base[r:] + base[:r]
             flat = [i + k for i in flat for k in axis]
         rolled.append(flat)
     return rolled

@@ -300,7 +300,7 @@ def _rational_kernel(matrix, width):
         tried *= p
         capped = tried.bit_length() > 5 * height_bits + 1
         # the kernel's RREF mod p at the pivot columns of the reduction, row by row
-        image = [-pivots[q].get(f, 0) % p for f in free for q in bound]
+        image = [row[q] for row in _nullspace(pivots, width, p) for q in bound]
         if best is None or signature < best:
             # the first prime, or every kept one was unlucky: start over
             best, candidate, columns, kept = signature, None, bound, 1

@@ -7,6 +7,7 @@ scalar joins a container only through ``Field.value``.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from bishift.errors import (
     RankMismatchError,
     RepresentationMismatchError,
 )
-from bishift.fields import PrimeField, RationalField
+from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.operators import scalar_product, shift
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
@@ -111,3 +112,41 @@ def test_value_of_another_field_raises_one_text():
         lambda: alien * per,
     ):
         assert raised(call) == want
+
+
+# (name, container, a plain number its field's value() takes, the product's samples)
+PLAIN_SCALARS = [
+    ("finite-float", FiniteSeq(1, FloatField(), {(0,): 1.0, (2,): -3.0}), 0.5,
+     {(0,): 0.5, (2,): -1.5}),
+    ("poly-rational", poly(2, Q), Fraction(1, 2),
+     {(0, 0): Fraction(1), (1, 0): Fraction(3, 2)}),
+    ("periodic-rational", periodic(1, Q), Fraction(1, 2), (Fraction(0), Fraction(1, 2))),
+    ("periodic-gf7-fraction", periodic(1, GF7), Fraction(1, 2), (0, 4)),
+    ("finite-gf7-int", finite(1, GF7), 10, {(0,): 3, (-1,): 5}),
+]
+
+
+@pytest.mark.parametrize(
+    "x, a, samples", [p[1:] for p in PLAIN_SCALARS], ids=[p[0] for p in PLAIN_SCALARS]
+)
+def test_plain_numbers_scale_from_either_side(x, a, samples):
+    want = x * x.field.value(a)
+    for got in (x * a, a * x):
+        assert type(got) is type(x)
+        assert got == want
+        stored = got._values if isinstance(got, PeriodicSeq) else got._terms
+        assert stored == samples
+
+
+@pytest.mark.parametrize("x", [poly(1, Q), finite(1, Q), periodic(1, Q), finite(1, GF7)])
+def test_what_value_refuses_is_no_scalar(x):
+    # a str, a float over an exact field, a polynomial times a signal
+    if isinstance(x, LaurentPoly):
+        others = ["2", 0.5, finite(1, x.field), periodic(1, x.field)]
+    else:
+        others = ["2", 0.5, poly(1, x.field), x]
+    for other in others:
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x

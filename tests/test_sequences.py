@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from bishift.sequences import (
     check_periods,
     periodize,
     poly_to_seq,
+    rolled_indices,
     row_major_strides,
     seq_to_poly,
 )
@@ -192,6 +194,40 @@ def test_row_major_strides():
     for flat, alpha in enumerate(w.domain()):
         assert sum(a * s for a, s in zip(alpha, strides)) == flat
         assert w.coeff(alpha) == Q.value(flat)
+
+
+@pytest.mark.parametrize("seed", [401, 402, 403, 404, 405, 406])
+def test_rolled_indices_and_flat_match_the_definition(seed):
+    # the storage position of gamma in the fundamental domain is its place in
+    # itertools.product order; rolled_indices must give, per alpha, the
+    # position of (alpha + beta) mod periods for every beta in that order
+    rng = random.Random(seed)
+    for rank, n in itertools.product((1, 2, 3), range(1, 7)):
+        # every rank with every period on one axis, the other axes drawn
+        periods = [rng.randint(1, 6) for _ in range(rank)]
+        periods[rng.randrange(rank)] = n
+        periods = tuple(periods)
+        domain = list(itertools.product(*map(range, periods)))
+        position = {gamma: i for i, gamma in enumerate(domain)}
+
+        def flat(alpha):
+            return position[tuple(a % n for a, n in zip(alpha, periods))]
+
+        def exponent():
+            return tuple(rng.randint(-10**6, 10**6) for _ in range(rank))
+
+        # several exponents share one residue, the others are drawn freely
+        shared = exponent()
+        alphas = {shared: 1}
+        for _ in range(3):
+            alphas[tuple(a + rng.randint(-9, 9) * n for a, n in zip(shared, periods))] = 1
+        for _ in range(3):
+            alphas[exponent()] = 1
+        w = PeriodicSeq.zero(rank, GF3, periods)
+        want = [[flat(tuple(map(sum, zip(a, b)))) for b in domain] for a in alphas]
+        assert rolled_indices(alphas, periods, w._strides) == want
+        assert [w._flat(a) for a in alphas] == [flat(a) for a in alphas]
+        assert rolled_indices({}, periods, w._strides) == []
 
 
 def test_check_periods_names_what_it_checks():
