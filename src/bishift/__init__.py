@@ -18,10 +18,10 @@ _EXPORTS = {
     for module, names in {
         "errors": """BadMagicError BadValueTokenError BishiftError DecimalInExactFieldError
             DigitLimitError DimensionMismatchError DuplicateIndexError FieldSpecError
-            FloatFieldUnsupportedError ImageWriteError LatticeTooLargeError MixedFieldError
-            NonFiniteValueError ParseError PeriodMismatchError PolySyntaxError RaggedMatrixError
-            RankMismatchError RepresentationMismatchError SchemaError TruncatedPixelDataError
-            VariableIndexOutOfRangeError ZeroDenominatorError""",
+            FloatFieldUnsupportedError ImageWriteError InverseOfZeroError LatticeTooLargeError
+            MixedFieldError NonFiniteValueError ParseError PeriodMismatchError PolySyntaxError
+            RaggedMatrixError RankMismatchError RepresentationMismatchError SchemaError
+            TruncatedPixelDataError VariableIndexOutOfRangeError ZeroDenominatorError""",
         "fields": "Field FieldValue FloatField PrimeField RationalField parse_field_spec",
         "io": "io",
         "laurent": "LaurentPoly PolyMatrix System",

@@ -45,6 +45,10 @@ class DigitLimitError(BishiftError):
     """A number to be written has more digits than int() reads back (the readers' limit)."""
 
 
+class InverseOfZeroError(BishiftError, ZeroDivisionError):
+    """A value that is zero in its field was inverted, such as a denominator that p divides."""
+
+
 class ImageWriteError(BishiftError, ValueError):
     """An image cannot be written: maxval outside 1..65535, or a NaN sample to quantize."""
 

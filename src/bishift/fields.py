@@ -18,10 +18,11 @@ sparse maps, the product and the finite shift of every field) and
 ``_dot_columns`` (one sum per storage position: the periodic shift over
 rolled position lists, and the dense product of :mod:`bishift._univariate`
 and the raster filter of ``filter --pgm`` over ranges, each step-1 range
-read as one slice).  Each output takes its sum in the field's
-native numbers: Python ints reduced mod p once, floats in the in-order
-``+`` chain, and for rationals integer (numerator, denominator) pairs over
-a running lcm of that output's own denominators, one ``Fraction`` each.
+read as one slice; outside Q each pass adds two columns).  Each output
+takes its sum in the field's native numbers: Python ints reduced mod p
+once, floats in the in-order ``+`` chain from ``0.0``, and for rationals
+integer (numerator, denominator) pairs over a running lcm of that
+output's own denominators, one ``Fraction`` each.
 At the public API, scalars are :class:`FieldValue` instances that
 remember which field they belong to, so accidentally mixing coefficients
 from two different fields raises :class:`~bishift.errors.MixedFieldError`
@@ -44,6 +45,7 @@ from .errors import (
     DecimalInExactFieldError,
     DigitLimitError,
     FieldSpecError,
+    InverseOfZeroError,
     MixedFieldError,
     NonFiniteValueError,
     ZeroDenominatorError,
@@ -210,7 +212,7 @@ class Field:
     def inv(self, a):
         self._guard(a)
         if self._is_zero(a.payload):
-            raise ZeroDivisionError(f"inverse of zero in {self.spec()}")
+            raise InverseOfZeroError(f"inverse of zero in {self.spec()}")
         return FieldValue(self, self._inv(a.payload))
 
     def eq(self, a, b) -> bool:
@@ -345,23 +347,25 @@ class RationalField(Field):
         # then one reduction to lowest terms
         nums, dens = [], []
         for c, x in zip(cs, xs):
-            nums.append(c.numerator * x.numerator)
-            dens.append(c.denominator * x.denominator)
+            (cn, cd), (xn, xd) = c.as_integer_ratio(), x.as_integer_ratio()
+            nums.append(cn * xn)
+            dens.append(cd * xd)
         den = math.lcm(*dens)
         scales = map(floordiv, repeat(den), dens)
         return Fraction(sum(map(mul, nums, scales)), den)
 
     # The two hooks below lift each operand's payloads to (numerator,
-    # denominator) pairs once, and add each output's products over the
-    # running lcm of that output's own denominators.
+    # denominator) pairs once, by one as_integer_ratio() call each, and add
+    # each output's products over the running lcm of that output's own
+    # denominators.
 
     def _convolve(self, a, b):
         lcm = math.lcm
-        xs = [(beta, x.numerator, x.denominator) for beta, x in b.items()]
+        xs = [(beta, *x.as_integer_ratio()) for beta, x in b.items()]
         acc = {}
         get = acc.get
         for alpha, c in a.items():
-            cn, cd = c.numerator, c.denominator
+            cn, cd = c.as_integer_ratio()
             for beta, xn, xd in xs:
                 k = tuple(map(add, alpha, beta))
                 n, d = cn * xn, cd * xd
@@ -378,11 +382,14 @@ class RationalField(Field):
 
     def _dot_columns(self, cs, values, positions):
         lcm = math.lcm
-        nums = [v.numerator for v in values]
-        dens = [v.denominator for v in values]
+        nums, dens = [], []
+        for v in values:
+            n, d = v.as_integer_ratio()
+            nums.append(n)
+            dens.append(d)
         out_n = out_d = None
         for c, pos in zip(cs, positions):
-            cn, cd = c.numerator, c.denominator
+            cn, cd = c.as_integer_ratio()
             if out_n is None:
                 out_n = [cn * nums[i] for i in pos]
                 out_d = [cd * dens[i] for i in pos]
@@ -398,7 +405,8 @@ class RationalField(Field):
         return list(map(Fraction, out_n, out_d))
 
     def _format(self, a):
-        num, den = decimal_text(a.numerator, "a rational"), a.denominator
+        num, den = a.as_integer_ratio()
+        num = decimal_text(num, "a rational")
         return num if den == 1 else f"{num}/{decimal_text(den, 'a rational')}"
 
     def spec(self):
@@ -421,15 +429,23 @@ def _native_convolve(a, b):
     return acc
 
 
-def _native_dot_columns(cs, values, positions):
-    """``_dot_columns`` in the payloads' own numbers: one column added per term, in order."""
-    gather = values.__getitem__
-    acc = repeat(0)
-    for c, pos in zip(cs, positions):
+def _native_dot_columns(cs, values, positions, zero):
+    """``_dot_columns`` in the payloads' own numbers: ``((zero + c1 * x1) + c2 * x2) + ...``.
+
+    Each pass adds two columns; an odd term count gives the first term a pass of its own.
+    """
+    def column(pos):
         # a step-1 range inside values is read as one slice of it
         sliced = type(pos) is range and pos.step == 1 and 0 <= pos.start and pos.stop <= len(values)
-        column = values[pos.start : pos.stop] if sliced else map(gather, pos)
-        acc = list(map(add, acc, map(mul, repeat(c), column)))
+        return values[pos.start : pos.stop] if sliced else map(values.__getitem__, pos)
+
+    terms = zip(cs, map(column, positions))
+    acc = repeat(zero)
+    if len(cs) % 2:
+        c, xs = next(terms)
+        acc = [zero + c * x for x in xs]
+    for (c, xs), (d, ys) in zip(terms, terms):  # zip of one iterator with itself: two terms a pass
+        acc = [a + c * x + d * y for a, x, y in zip(acc, xs, ys)]
     return acc
 
 
@@ -476,7 +492,7 @@ class PrimeField(Field):
 
     def _normalize(self, x, den):
         if isinstance(x, Fraction):
-            x, den2 = x.numerator, x.denominator
+            x, den2 = x.as_integer_ratio()
             den = den2 if den is None else den * den2
         if not isinstance(x, int):
             raise TypeError(f"cannot build a GF({self.p}) value from {type(x).__name__}")
@@ -488,7 +504,7 @@ class PrimeField(Field):
     def _inv_int(self, a: int) -> int:
         a %= self.p
         if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
+            raise InverseOfZeroError(f"inverse of zero in GF({self.p})")
         return pow(a, -1, self.p)
 
     def _add(self, a, b):
@@ -512,7 +528,7 @@ class PrimeField(Field):
 
     def _dot_columns(self, cs, values, positions):
         p = self.p
-        return [v % p for v in _native_dot_columns(cs, values, positions)]
+        return [v % p for v in _native_dot_columns(cs, values, positions, 0)]
 
     def _format(self, a):
         return str(a)
@@ -589,7 +605,7 @@ class FloatField(Field):
         return {k: v for k, v in _native_convolve(a, b).items() if not abs(v) <= tol}
 
     def _dot_columns(self, cs, values, positions):
-        return _native_dot_columns(cs, values, positions)
+        return _native_dot_columns(cs, values, positions, 0.0)
 
     def _eq(self, a, b):
         return abs(a - b) <= self.tolerance

@@ -2,6 +2,8 @@
 
 All writers are deterministic (same data, same bytes).  All readers
 raise a typed error from :mod:`bishift.errors` on malformed input.
+Signal classes and the JSON encoder are imported where they are used, so
+``filter --pgm`` loads neither.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import math
 import sys
 from array import array
 from itertools import chain, compress
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (
@@ -26,11 +27,12 @@ from .errors import (
 from .fields import FloatField, decimal_int, decimal_text
 from .laurent import System
 from .parsing import document_field, load_document, parse_system, positive_int
-from .sequences import FiniteSeq, KernelBasis, PeriodicSeq, SeqVector
 
 
-def read_seq_csv(path, rank: int, field) -> FiniteSeq:
-    """Read a sparse signal: one row per nonzero sample, ``i_1,..,i_r,value``."""
+def read_seq_csv(path, rank: int, field):
+    """Read a sparse signal (a ``FiniteSeq``): one row per nonzero sample, ``i_1,..,i_r,value``."""
+    from .sequences import FiniteSeq
+
     text = Path(path).read_text()
     terms = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -54,7 +56,7 @@ def read_seq_csv(path, rank: int, field) -> FiniteSeq:
     return FiniteSeq(rank, field, terms)
 
 
-def write_seq_csv(path, seq: FiniteSeq) -> None:
+def write_seq_csv(path, seq) -> None:
     """Write rows in ascending lexicographic index order."""
     fmt, terms = seq.field._format, seq._terms
     rows = [[*map(decimal_text, idx), fmt(terms[idx])] for idx in seq.sorted_support()]
@@ -136,6 +138,8 @@ def _read_raster(path, field, kernel):
 
 def read_pgm(path, field=FloatField()):
     """Read a P5 image as ``(seq, width, height, maxval)``, pixel (x, y) at index (x, y)."""
+    from .sequences import FiniteSeq
+
     raster, _, _, width, height, maxval = _read_raster(path, field, {})
     keys = ((x, y) for y in range(height) for x in range(width))
     terms = dict(compress(zip(keys, raster), raster))
@@ -162,7 +166,7 @@ def _write_raster(path, samples, row, width, height, maxval, tol) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
-def write_pgm(path, seq: FiniteSeq, width: int, height: int, maxval: int = 255) -> None:
+def write_pgm(path, seq, width: int, height: int, maxval: int = 255) -> None:
     """Write the window [0,width) x [0,height) of a rank-2 signal, see :func:`_write_raster`."""
     if seq.rank != 2:
         raise RankMismatchError("image output needs a rank-2 signal")
@@ -207,6 +211,8 @@ def _write_lattice_doc(path, lattice, members) -> None:
     one at a time, in the json module's ``indent=2`` layout plus a newline,
     because a kernel basis can hold millions of entries.
     """
+    from json.encoder import encode_basestring_ascii
+
     members = [
         ("rank", decimal_text(lattice.rank)),
         ("field", encode_basestring_ascii(lattice.field.spec())),
@@ -219,8 +225,10 @@ def _write_lattice_doc(path, lattice, members) -> None:
         out.write("\n}\n")
 
 
-def write_kernel_report(kernel: KernelBasis, path) -> None:
-    """Write periods, dimension and the basis in stacked coordinate order."""
+def write_kernel_report(kernel, path) -> None:
+    """Write a ``KernelBasis``: periods, dimension and the basis in stacked coordinate order."""
+    from json.encoder import encode_basestring_ascii
+
     payloads = (chain.from_iterable(comp._values for comp in vec) for vec in kernel.basis)
     rows = kernel.field._format_rows(payloads, encode_basestring_ascii)
     _write_lattice_doc(path, kernel, [
@@ -241,7 +249,9 @@ def _read_lattice_doc(path, what, keys):
     return doc, rank, document_field(doc["field"], f"{path}: 'field'"), periods
 
 
-def read_kernel_report(path) -> KernelBasis:
+def read_kernel_report(path):
+    from .sequences import KernelBasis, SeqVector
+
     doc, rank, field, periods = _read_lattice_doc(path, "kernel report", ("dimension", "basis"))
     if type(doc["dimension"]) is not int:
         raise SchemaError(f"{path}: 'dimension' must be an int, got {doc['dimension']!r}")
@@ -269,6 +279,10 @@ def read_kernel_report(path) -> KernelBasis:
 
 def write_periodic_json(path, signal) -> None:
     """Write a periodic signal or signal vector as one stacked document."""
+    from json.encoder import encode_basestring_ascii
+
+    from .sequences import PeriodicSeq, SeqVector
+
     if isinstance(signal, PeriodicSeq):
         signal = SeqVector([signal])
     if not isinstance(signal, SeqVector) or signal.kind != "periodic":
@@ -278,8 +292,10 @@ def write_periodic_json(path, signal) -> None:
     _write_lattice_doc(path, signal, [("values", _json_list(tokens, 1))])
 
 
-def read_periodic_json(path, components: int = 1) -> SeqVector:
-    """Read a stacked periodic document with the given component count."""
+def read_periodic_json(path, components: int = 1):
+    """Read a stacked periodic document with the given component count, as a ``SeqVector``."""
+    from .sequences import SeqVector
+
     doc, rank, field, periods = _read_lattice_doc(path, "periodic document", ("values",))
     size = math.prod(periods)
     values = doc["values"]

@@ -19,8 +19,6 @@ order and always round-trips through :func:`parse_poly`.
 
 from __future__ import annotations
 
-import json
-
 from ._sparse import check_rank
 from .errors import (
     ParseError,
@@ -263,6 +261,8 @@ def load_document(data, what, keys):
 
     The object must hold every key of ``keys``.
     """
+    import json
+
     try:
         doc = json.loads(data)
     except ValueError as e:  # bad JSON, undecodable bytes or an integer past int()'s limit
@@ -309,6 +309,8 @@ def parse_system(text) -> System:
 
 def format_system(system: System) -> str:
     """Inverse-oriented writer for system documents (round-trip safe)."""
+    import json
+
     doc = {
         "rank": system.rank,
         "field": system.field.spec(),

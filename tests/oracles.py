@@ -76,6 +76,18 @@ def finite_shift_box(d: LaurentPoly, w: FiniteSeq, pad=1):
     return lo, hi
 
 
+def dot_columns_by_column(cs, values, positions, zero):
+    """``out[i] = sum over j of cs[j] * values[positions[j][i]]`` in native numbers.
+
+    One column is added per pass, from ``zero``, so each output is the chain
+    ``((zero + c1 * x1) + c2 * x2) + ...``; every index is read one by one.
+    """
+    out = [zero] * len(positions[0])
+    for c, pos in zip(cs, positions):
+        out = [a + c * values[i] for a, i in zip(out, pos)]
+    return out
+
+
 def constraint_matrix(system, periods):
     """Dense constraint matrix of a system on a period lattice, as rows of FieldValues.
 

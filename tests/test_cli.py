@@ -306,6 +306,11 @@ NUMPY_BLOCKED = (
     "sys.exit(main(sys.argv[1:]))\n"
 )
 TINY_KERNEL = "0.5 + 0.25*X1 + 0.125*X2^-1 + 0.125*X1^-1*X2"
+# every term of the 3x3 stencil, so the raster sum has an odd term count
+NINE_TERM_KERNEL = (
+    "0.0625*X1^-1*X2^-1 + 0.125*X2^-1 + 0.0625*X1*X2^-1 + 0.125*X1^-1 + 0.3"
+    " + 0.125*X1 + 0.0625*X1^-1*X2 + 0.1*X2 - 0.0375*X1*X2"
+)
 DENSE_KERNEL = (
     "0.25 + 0.125*X1 - 0.125*X1^-1 + 0.0625*X2 + 0.0625*X2^-1"
     " + 0.03125*X1*X2 - 0.5*X1^-1*X2^-1 + 0.1*X1^2 + 0.3*X2^-2"
@@ -357,12 +362,23 @@ class TestNumpyImport:
             assert not run_probe(argv, tmp_path) & file_formats
 
     def test_array_commands_still_run(self, tmp_path):
+        # filter --pgm builds no signal and reads no JSON document
         out = tmp_path / "out.pgm"
         argv = ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
                 "--input", str(DATA / "tiny.pgm"), "--output", str(out)]
         loaded = run_probe(argv, tmp_path)
-        assert not loaded & (NEVER_LOADED | SOLVER_AND_LAWS | {"bishift.operators"})
+        unused = NEVER_LOADED | SOLVER_AND_LAWS | {"bishift.operators", "bishift.sequences", "json"}
+        assert not loaded & unused
+        assert "bishift.io" in loaded
         assert out.read_bytes() == (DATA / "tiny-filtered.pgm").read_bytes()
+
+    def test_nine_term_golden(self, tmp_path):
+        # written by the one-column-per-pass sum; nine terms make the first a pass of its own
+        out = tmp_path / "out.pgm"
+        argv = ["filter", "--pgm", "--field", "float", "--kernel", NINE_TERM_KERNEL,
+                "--input", str(DATA / "tiny.pgm"), "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (DATA / "tiny-filtered-9.pgm").read_bytes()
 
     def test_sixteen_bit_golden(self, tmp_path):
         # maxval 1000, with grays 0, 1, 1001 and 1500; written by the per-pixel map writer
@@ -388,12 +404,15 @@ class TestNumpyImport:
         csv_in.write_text("-1,0.5\n2,1.25\n")
         system = tmp_path / "system.json"
         system.write_text(json.dumps(dict(DIFFERENCE_DOC, field="gf:7")))
+        doc = tmp_path / "w.json"
+        formats.write_periodic_json(doc, PeriodicSeq(1, PrimeField(7), (2,), [1, 1]))
         for argv in (
             ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
              "--input", str(DATA / "tiny.pgm"), "--output", str(out)],
             ["filter", "--field", "float", "--kernel", "0.5*X + X^-1",
              "--input", str(csv_in), "--output", str(csv_out)],
             ["kernel", "--system", str(system), "--period", "12", "--report", str(tmp_path / "r.json")],
+            ["member", "--system", str(system), "--periodic", str(doc)],
             ["selftest", "--trials", "2", "--field", "rational"],
             ["--help"],
         ):

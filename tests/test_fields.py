@@ -7,8 +7,10 @@ import pytest
 
 from bishift.errors import (
     BadValueTokenError,
+    BishiftError,
     DecimalInExactFieldError,
     FieldSpecError,
+    InverseOfZeroError,
     MixedFieldError,
     NonFiniteValueError,
     ZeroDenominatorError,
@@ -22,6 +24,7 @@ from bishift.fields import (
     decimal_token,
     parse_field_spec,
 )
+from bishift.sequences import PeriodicSeq
 
 Q = RationalField()
 GF7 = PrimeField(7)
@@ -68,12 +71,31 @@ def test_mixed_field_rejected():
 
 
 def test_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(InverseOfZeroError):
         Q.value(0).inverse()
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(InverseOfZeroError):
         GF7.value(7).inverse()
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(InverseOfZeroError):
         FloatField().value(0.0).inverse()
+
+
+@pytest.mark.parametrize(
+    "p, call",
+    [
+        pytest.param(2, lambda: PrimeField(2).value(Fraction(1, 2)), id="fraction"),
+        pytest.param(7, lambda: PrimeField(7).value(3, 14), id="pair"),
+        pytest.param(
+            2,
+            lambda: PeriodicSeq(1, PrimeField(2), (2,), [1, 0]) * Fraction(1, 2),
+            id="periodic-times-fraction",
+        ),
+    ],
+)
+def test_denominator_p_divides_is_a_typed_error(p, call):
+    with pytest.raises(InverseOfZeroError, match=rf"^inverse of zero in GF\({p}\)$") as e:
+        call()
+    # still a ZeroDivisionError, which parse_token reads as ZeroDenominatorError
+    assert isinstance(e.value, BishiftError) and isinstance(e.value, ZeroDivisionError)
 
 
 def test_primality_checked():

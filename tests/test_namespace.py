@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = """
     BadMagicError BadValueTokenError BishiftError DecimalInExactFieldError DigitLimitError
     DimensionMismatchError DuplicateIndexError Field FieldSpecError FieldValue FiniteSeq
-    FloatField FloatFieldUnsupportedError ImageWriteError KernelBasis LatticeTooLargeError LaurentPoly
+    FloatField FloatFieldUnsupportedError ImageWriteError InverseOfZeroError KernelBasis
+    LatticeTooLargeError LaurentPoly
     MixedFieldError NonFiniteValueError ParseError PeriodMismatchError PeriodicSeq PolyMatrix
     PolySyntaxError PrimeField RaggedMatrixError RankMismatchError RationalField
     RepresentationMismatchError SchemaError SeqVector System TruncatedPixelDataError

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_mul, finite_shift_box, shift_by_definition
+from oracles import dense_mul, dot_columns_by_column, finite_shift_box, shift_by_definition
 from strategies import WIDE_Q, widen
 
 from bishift.fields import FloatField, PrimeField, RationalField
@@ -251,3 +251,57 @@ def test_range_positions_read_as_lists(field):
         assert _payload_text(field._dot_columns(cs, values, ranges)) == _payload_text(want)
     with pytest.raises(IndexError):
         field._dot_columns([payload()], values, [range(4, 8)])
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        pytest.param(PrimeField(2), id="gf2"),
+        pytest.param(PrimeField(7), id="gf7"),
+        pytest.param(PrimeField(2**31 - 1), id="gf2147483647"),
+        pytest.param(FloatField(), id="float"),
+    ],
+)
+def test_two_columns_per_pass_match_one_per_pass(field):
+    # the native hook adds two columns per pass and the first term alone on an
+    # odd count; the oracle adds one column per pass, in the same term order
+    rng = random.Random(2201)
+    is_float = isinstance(field, FloatField)
+    zero = 0.0 if is_float else 0
+
+    def payload():
+        if is_float:
+            return rng.choice((0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)))
+        return rng.randrange(field.p)
+
+    def reference(cs, values, positions):
+        out = dot_columns_by_column(cs, values, [list(pos) for pos in positions], zero)
+        return out if is_float else [v % field.p for v in out]
+
+    negative_zeros = 0
+    for terms in range(1, 11):
+        for trial in range(12):
+            n = rng.randint(1, 24)
+            values = [payload() for _ in range(n)]
+            if trial % 2:
+                values = tuple(values)  # the periodic shift passes a tuple
+            length = rng.randint(0, n)
+            starts = [rng.randint(0, n - length) for _ in range(terms)]
+            cs = [payload() for _ in range(terms)]
+            lists = [[rng.randrange(n) for _ in range(length)] for _ in range(terms)]
+            ranges = [range(at, at + length) for at in starts]
+            # ranges starting below 0 read negative indices from the end, one by one
+            outside = [range(at, at + length) for at in (rng.randint(-n, -1) for _ in cs)]
+            for positions in (lists, ranges, outside):
+                want = reference(cs, values, positions)
+                got = field._dot_columns(cs, values, positions)
+                assert _payload_text(got) == _payload_text(want), (terms, cs, values, positions)
+                negative_zeros += any(x == 0 and math.copysign(1, x) < 0 for x in values)
+    # the float draws hold -0.0 samples, so a sum that started from its first
+    # product instead of the field's zero would differ from the oracle
+    assert not is_float or negative_zeros
+    # sums of -0.0 products only are the field's zero, +0.0 over floats
+    cs = [payload() for _ in range(3)]
+    for positions in ([range(0, 1), range(0, 1), range(0, 1)], [[0], [0], [0]]):
+        got = field._dot_columns(cs, [-0.0 if is_float else 0], positions)
+        assert _payload_text(got) == _payload_text([zero])
