@@ -5,7 +5,9 @@ polynomial is a list of the field's payloads, lowest degree first, with
 no trailing zero, so the zero polynomial is ``[]``.  Every coefficient
 comes from the field's payload hooks (``_add``, ``_mul``, ``_neg``,
 ``_inv``, and ``_dot_columns`` for the product), so it is canonical when
-it is made and this module does no arithmetic of its own.
+it is made and this module does no arithmetic of its own.  A zero payload
+is falsy in every exact field (the inherited ``_is_zero`` is ``not a``), so
+``if c`` and ``_trim`` test coefficients for zero by truth value.
 """
 
 from __future__ import annotations

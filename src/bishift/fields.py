@@ -9,9 +9,12 @@ coefficients.  Three concrete fields are provided:
   meant for signal filtering rather than for the exact algebra.
 
 Each field works on raw payloads (a ``Fraction``, an ``int`` in
-``[0, p)`` or a ``float``) through its payload hooks (``_add``, ``_mul``,
-...).  The containers store those payloads and call the hooks directly,
-after checking once per operation that their operands share a field.
+``[0, p)`` or a ``float``) through its payload hooks, which the containers
+call directly after checking once per operation that their operands share
+a field.  A field defines ``_normalize``, ``_dot``, ``_convolve``,
+``_dot_columns``, ``_format`` and ``spec``; it inherits ``_add``, ``_mul``,
+``_neg``, ``_inv``, ``_eq`` and ``_is_zero`` as Python's arithmetic on its
+payloads unless its arithmetic reduces (mod p) or has a tolerance.
 Sums of products go through three hooks: ``_dot`` (one sum, the
 pairing), ``_convolve`` (the sums at each index ``alpha + beta`` of two
 sparse maps, the product and the finite shift of every field) and
@@ -32,6 +35,7 @@ instead of producing a wrong number.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from decimal import Decimal
@@ -139,9 +143,11 @@ class FieldValue:
 class Field:
     """Common behaviour for the concrete coefficient fields.
 
-    Subclasses implement the payload-level hooks (``_normalize``,
-    ``_add``, ...); this base class wraps them with field-mismatch
-    checking and :class:`FieldValue` packaging for scalar arithmetic.
+    Subclasses define ``_normalize``, ``_dot``, ``_convolve``,
+    ``_dot_columns``, ``_format`` and ``spec``, and inherit the payload
+    arithmetic ``_add``, ``_mul``, ``_neg``, ``_inv``, ``_eq`` and
+    ``_is_zero`` unless theirs reduces.  This base class wraps the hooks
+    with field-mismatch checking and :class:`FieldValue` packaging.
     Fields compare, hash and print by their type and parameter, so two
     separately parsed specs of one field are equal.
     """
@@ -261,20 +267,13 @@ class Field:
 
     # subclass hooks ----------------------------------------------------
 
-    def _normalize(self, x, den):
-        raise NotImplementedError
-
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
+    # Python's arithmetic on payloads, named through operator: in this class
+    # body add, mul, neg and eq are the boxed methods above
+    _add, _mul, _neg = operator.add, operator.mul, operator.neg
+    _eq, _is_zero = operator.eq, operator.not_
 
     def _inv(self, a):
-        raise NotImplementedError
+        return 1 / a
 
     def _dot(self, cs, xs):
         """Payload of the sum of ``c * x`` over paired payloads, taken in order."""
@@ -297,19 +296,10 @@ class Field:
         """
         raise NotImplementedError
 
-    def _eq(self, a, b):
-        return a == b
-
-    def _is_zero(self, a):
-        return not a
-
     def format_value(self, v: FieldValue) -> str:
         """Text form of a value of this field; MixedFieldError for another field's."""
         self._guard(v)
         return self._format(v.payload)
-
-    def _format(self, a) -> str:
-        raise NotImplementedError
 
     def _format_rows(self, rows, encode):
         """Per row of payloads, lazily, the tokens ``encode(self._format(a))`` of its ``a``."""
@@ -325,22 +315,12 @@ class RationalField(Field):
 
     def _normalize(self, x, den):
         if den is not None:
+            if den == 0:
+                raise InverseOfZeroError(f"inverse of zero in {self.spec()}")
             return Fraction(x, den)
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise TypeError(f"cannot build a rational from {type(x).__name__}")
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        return 1 / a
 
     def _dot(self, cs, xs):
         # one integer sum over the lcm of this sum's own term denominators,
@@ -498,10 +478,10 @@ class PrimeField(Field):
             raise TypeError(f"cannot build a GF({self.p}) value from {type(x).__name__}")
         v = x % self.p
         if den is not None:
-            v = v * self._inv_int(den) % self.p
+            v = v * self._inv(den) % self.p
         return v
 
-    def _inv_int(self, a: int) -> int:
+    def _inv(self, a):
         a %= self.p
         if a == 0:
             raise InverseOfZeroError(f"inverse of zero in GF({self.p})")
@@ -515,9 +495,6 @@ class PrimeField(Field):
 
     def _neg(self, a):
         return -a % self.p
-
-    def _inv(self, a):
-        return self._inv_int(a)
 
     def _dot(self, cs, xs):
         return sum(map(mul, cs, xs)) % self.p
@@ -574,24 +551,14 @@ class FloatField(Field):
         try:
             v = float(x)
             if den is not None:
+                if den == 0:
+                    raise InverseOfZeroError(f"inverse of zero in {self.spec()}")
                 v /= den
         except OverflowError:
             raise NonFiniteValueError("value out of float range") from None
         if not math.isfinite(v):
             raise NonFiniteValueError(f"float field values must be finite, got {v!r}")
         return v
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        return 1.0 / a
 
     def _dot(self, cs, xs):
         # the plain in-order chain: builtin sum() may compensate rounding

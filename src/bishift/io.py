@@ -33,7 +33,10 @@ def read_seq_csv(path, rank: int, field):
     """Read a sparse signal (a ``FiniteSeq``): one row per nonzero sample, ``i_1,..,i_r,value``."""
     from .sequences import FiniteSeq
 
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode()
+    except UnicodeDecodeError as e:
+        raise BadValueTokenError(f"{path}: not UTF-8 text", position=e.start) from None
     terms = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

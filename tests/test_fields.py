@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from bishift.errors import (
     ZeroDenominatorError,
 )
 from bishift.fields import (
+    FieldValue,
     FloatField,
     PrimeField,
     RationalField,
@@ -96,6 +98,84 @@ def test_denominator_p_divides_is_a_typed_error(p, call):
         call()
     # still a ZeroDivisionError, which parse_token reads as ZeroDenominatorError
     assert isinstance(e.value, BishiftError) and isinstance(e.value, ZeroDivisionError)
+
+
+@pytest.mark.parametrize(
+    "spec, call",
+    [
+        pytest.param("rational", lambda: Q.value(1, 0), id="Q-pair"),
+        pytest.param("rational", lambda: Q.value(0, 0), id="Q-zero-over-zero"),
+        pytest.param("rational", lambda: Q.value(Fraction(1, 2), 0), id="Q-fraction"),
+        pytest.param("rational", lambda: Q.value(-3, Fraction(0)), id="Q-fraction-den"),
+        pytest.param("float:1e-09", lambda: FloatField().value(1, 0), id="float-pair"),
+        pytest.param("float:1e-09", lambda: FloatField().value(1, 0.0), id="float-float-den"),
+        pytest.param("float:1e-09", lambda: FloatField().value(0.5, -0.0), id="float-negative-zero"),
+        pytest.param(
+            "float:0.001", lambda: FloatField(1e-3).value(Fraction(1, 2), 0), id="float-tol-fraction"
+        ),
+    ],
+)
+def test_zero_denominator_over_q_and_float_is_a_typed_error(spec, call):
+    with pytest.raises(InverseOfZeroError, match=rf"^inverse of zero in {re.escape(spec)}$") as e:
+        call()
+    assert isinstance(e.value, BishiftError) and isinstance(e.value, ZeroDivisionError)
+
+
+def test_fields_inherit_python_arithmetic():
+    hooks = {"_add", "_mul", "_neg", "_inv", "_eq", "_is_zero"}
+    assert not hooks & vars(RationalField).keys()
+    assert hooks & vars(FloatField).keys() == {"_eq", "_is_zero"}
+    assert hooks & vars(PrimeField).keys() == {"_add", "_mul", "_neg", "_inv"}
+    assert "_inv_int" not in vars(PrimeField)
+
+
+def _hook_payloads(field, rng):
+    """Payloads of ``field`` for the hook test: edge values, then seeded draws."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return [0, 1, p - 1, p // 2] + [rng.randrange(p) for _ in range(40)]
+    if isinstance(field, RationalField):
+        wide = 10**40
+        return [Fraction(0), Fraction(1), Fraction(-1, 3)] + [
+            Fraction(rng.randint(-wide, wide), rng.randint(1, wide)) for _ in range(40)
+        ]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -1e-300,
+             1e300, -1e300, 1.7976931348623157e308, 1e-3, -1e-3, 1.0, -0.5]
+    return edges + [math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1023)) for _ in range(30)]
+
+
+@pytest.mark.parametrize(
+    "spec", ["gf:2", "gf:7", "gf:2305843009213693951", "rational", "float", "float:1e-3"]
+)
+def test_payload_hooks_match_boxed_and_inline_arithmetic(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random(f"hooks:{spec}")
+    xs = _hook_payloads(field, rng)
+    pairs = [(a, b) for a in xs[:12] for b in xs[:12]] + [
+        (rng.choice(xs), rng.choice(xs)) for _ in range(200)
+    ]
+    for a, b in pairs:
+        va, vb = FieldValue(field, a), FieldValue(field, b)
+        assert field._add(a, b) == (va + vb).payload
+        assert field._mul(a, b) == (va * vb).payload
+        assert field._eq(a, b) is (va == vb)
+        if not field.is_exact:
+            assert field._add(a, b).hex() == (a + b).hex()
+            assert field._mul(a, b).hex() == (a * b).hex()
+    for a in xs:
+        va = FieldValue(field, a)
+        assert field._neg(a) == (-va).payload
+        assert field._is_zero(a) is va.is_zero()
+        if field.is_exact:
+            assert field._is_zero(a) == (not a)
+        else:
+            assert field._neg(a).hex() == (-a).hex()
+            if a:
+                assert field._inv(a).hex() == (1.0 / a).hex()
+        if not field._is_zero(a):
+            assert field._inv(a) == va.inverse().payload
+            if field.is_exact:
+                assert field._mul(a, field._inv(a)) == field.one.payload
 
 
 def test_primality_checked():
@@ -248,8 +328,9 @@ def test_parse_token_forms():
 def test_parse_token_rejects():
     with pytest.raises(DecimalInExactFieldError):
         Q.parse_token("0.5")
-    with pytest.raises(ZeroDenominatorError):
-        Q.parse_token("1/0")
+    for field in (Q, FloatField(), GF7):
+        with pytest.raises(ZeroDenominatorError, match=r"^zero denominator in '1/0'$"):
+            field.parse_token("1/0")
     with pytest.raises(ZeroDenominatorError):
         PrimeField(5).parse_token("1/5")
     for bad in ["", "x", "1/2/3", "1.2.3", "--1", "1e5", " 1"]:

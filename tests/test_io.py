@@ -95,6 +95,27 @@ class TestSeqCsv:
         assert path.read_text() == "-1,1,6\n0,1,2\n1,0,3\n"
         assert formats.read_seq_csv(path, 2, GF7) == seq
 
+    @pytest.mark.parametrize(
+        "data, offset", [(b"\xff", 0), (b"0,1\n1,\xc3(\n", 6), (b"0,\x80", 2)]
+    )
+    def test_undecodable_bytes_name_path_and_offset(self, tmp_path, data, offset):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(data)
+        with pytest.raises(BadValueTokenError) as e:
+            formats.read_seq_csv(path, 1, Q)
+        assert str(e.value) == f"{path}: not UTF-8 text: at byte {offset}"
+        assert e.value.position == offset
+
+    def test_crlf_and_utf8_text_read_as_before(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"0,1\r\n\r\n 2 , 1/2 \r3,-4\n")
+        assert formats.read_seq_csv(path, 1, Q) == FiniteSeq(
+            1, Q, {(0,): 1, (2,): Fraction(1, 2), (3,): -4}
+        )
+        path.write_bytes("0,\u00e9\n".encode())
+        with pytest.raises(BadValueTokenError, match="'\u00e9'"):
+            formats.read_seq_csv(path, 1, Q)
+
     def test_wrong_arity_rejected(self, tmp_path):
         path = tmp_path / "arity.csv"
         path.write_text("1,2,3\n")

@@ -99,8 +99,13 @@ def test_json_readers_fail_typed(tmp_path, name, valid, reader):
         _run(reader, path)
 
 
+# bytes that are not UTF-8 text, or that read as text no cell accepts
+_RAW_BYTES = [bytes([b]) for b in range(0x80, 0x100)] + [b"\x00", b"\xef\xbb\xbf"]
+
+
 def test_seq_csv_reader_fails_typed(tmp_path):
     rng = random.Random(f"{SEED}:csv")
+    raw = random.Random(f"{SEED}:csv-bytes")  # its own stream, so the text cases stay as drawn
     path = tmp_path / "seq.csv"
     fields = [RationalField(), PrimeField(7), FloatField(), FloatField(1e-3)]
     for _ in range(CASES):
@@ -109,7 +114,11 @@ def test_seq_csv_reader_fails_typed(tmp_path):
         for _ in range(rng.randint(0, 5)):
             cells = [rng.choice(_TOKENS + ["3", "-1"]) for _ in range(rng.randint(0, rank + 2))]
             rows.append(rng.choice([",", ", ", ";"]).join(cells))
-        path.write_text("\n".join(rows))
+        data = "\n".join(rows).encode()
+        for _ in range(raw.choice([0, 0, 1, 2])):
+            at = raw.randint(0, len(data))
+            data = data[:at] + raw.choice(_RAW_BYTES) + data[at:]
+        path.write_bytes(data)
         field = rng.choice(fields)
         _run(lambda p: formats.read_seq_csv(p, rank, field), path)
 
