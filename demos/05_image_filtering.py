@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 from bishift import FloatField, parse_poly, shift
-from bishift import io as formats
+from bishift import pgm
 
 F = FloatField()
 workdir = Path(tempfile.mkdtemp(prefix="images-"))
@@ -20,7 +20,7 @@ pixels = bytes(240 if 4 <= x < 8 and 4 <= y < 8 else 0 for y in range(12) for x 
 src = workdir / "card.pgm"
 src.write_bytes(b"P5\n12 12\n255\n" + pixels)
 
-image, width, height, maxval = formats.read_pgm(src)
+image, width, height, maxval = pgm.read_pgm(src)
 print(f"loaded {width}x{height} image, maxval {maxval}, "
       f"{len(image.support())} nonzero pixels")
 
@@ -29,7 +29,7 @@ blur = parse_poly("0.25*X1^-1 + 0.25*X1 + 0.25*X2^-1 + 0.25*X2", 2, F)
 blurred = shift(blur, image)
 
 dst = workdir / "blurred.pgm"
-formats.write_pgm(dst, blurred, width, height, maxval)
+pgm.write_pgm(dst, blurred, width, height, maxval)
 print(f"blurred image written to {dst}")
 
 # show a horizontal slice through the square before and after

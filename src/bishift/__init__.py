@@ -12,7 +12,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# public name -> its defining submodule ("io" is one), imported on first use (PEP 562)
+# public name -> defining submodule ("io", "pgm" name themselves), imported on first use (PEP 562)
 _EXPORTS = {
     name: module
     for module, names in {
@@ -27,6 +27,7 @@ _EXPORTS = {
         "laurent": "LaurentPoly PolyMatrix System",
         "operators": "check_adjoint scalar_product shift shift_matrix",
         "parsing": "format_poly format_system parse_poly parse_system",
+        "pgm": "pgm",
         "sequences": "FiniteSeq KernelBasis PeriodicSeq SeqVector periodize poly_to_seq seq_to_poly",
         "systems": """enumerate_periodic_vectors kernel_dimension periodic_kernel_basis
             periodic_system_matrix""",

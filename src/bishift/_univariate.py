@@ -1,6 +1,9 @@
-"""Dense univariate polynomials over an exact field, on payload lists.
+"""Dense univariate polynomials over an exact field, and the rank-1 kernel solver on them.
 
-The rank-1 kernel solver of :mod:`bishift.systems` works in F[X].  A
+A rank-1 system's kernel on period N is computed in F[X]/(X^N - 1)
+(:func:`_rank1_structure`, :func:`_rank1_kernel_rows`), under the budgets
+MAX_POLY_WORK and MAX_KERNEL_CELLS.  :mod:`bishift.systems` imports this
+module only in its rank-1 branches, so rank-2 jobs never compile it.  A
 polynomial is a list of the field's payloads, lowest degree first, with
 no trailing zero, so the zero polynomial is ``[]``.  Every coefficient
 comes from the field's payload hooks (``_add``, ``_mul``, ``_neg``,
@@ -12,7 +15,16 @@ is falsy in every exact field (the inherited ``_is_zero`` is ``not a``), so
 
 from __future__ import annotations
 
+from .errors import LatticeTooLargeError
 from .fields import PrimeField, _is_prime
+
+# largest basis, in cells (dimension x l x N), that the rank-1 solver builds
+MAX_KERNEL_CELLS = 2**17
+# largest k * l * (D + 1)**2 * bit length of N, for entries of degree D, that
+# the rank-1 solver takes on: about its coefficient operations before the
+# basis.  Every system within systems.MAX_MATRIX_CELLS has N <= 4096 and
+# D < N, so it stays admitted.
+MAX_POLY_WORK = 2**28
 
 
 def _small_orders(n: int, degree: int) -> list:
@@ -305,3 +317,80 @@ class PolyRing:
             block.reverse()
             out.extend(block)
         return out
+
+
+def _rank1_structure(system, n: int):
+    """The rank-1 ``System`` as a polynomial matrix, with its kernel dimension on period n.
+
+    Reading a period-n signal w as the polynomial w^ = sum of w_b X^-b in
+    F[X]/(X^n - 1) turns d o w into d * w^, so the behaviour is the kernel
+    of R over that ring.  Row i of R is multiplied by X^-m_i, m_i its
+    lowest exponent, and its exponents are folded mod n: X is a unit of
+    the ring and X^n = 1 there, so neither changes the kernel.  The
+    kernel's dimension is the sum of deg gcd(s_i, X^n - 1) over the
+    invariant factors s_1, ..., s_r of the resulting polynomial matrix,
+    plus n for each of its l - r free directions.
+
+    Returns ``(ring, matrix, gcds, dimension)``, ``gcds`` holding
+    gcd(s_i, X^n - 1) for i = 1..r.  Raises
+    LatticeTooLargeError, before building any polynomial, when the work
+    estimate exceeds MAX_POLY_WORK.
+    """
+    add, zero = system.field._add, system.field.zero.payload
+    folded = []
+    for i in range(system.k):
+        row = [system.matrix.entry(i, j)._terms for j in range(system.l)]
+        m = min((a for terms in row for (a,) in terms), default=0)
+        entries = []
+        for terms in row:
+            entry = {}
+            for (a,), c in terms.items():
+                e = (a - m) % n
+                entry[e] = add(entry.get(e, zero), c)
+            entries.append(entry)
+        folded.append(entries)
+    degree = max((e for row in folded for entry in row for e in entry), default=0)
+    work = system.k * system.l * (degree + 1) ** 2 * n.bit_length()
+    if work > MAX_POLY_WORK:
+        raise LatticeTooLargeError(
+            f"period {n} with entries of degree up to {degree} needs about {work} "
+            f"coefficient operations, more than {MAX_POLY_WORK}"
+        )
+    ring = PolyRing(system.field)
+    matrix = [[ring.from_exponents(entry) for entry in entries] for entries in folded]
+    gcds = [ring.cyclic_gcd(s, n) for s in ring.smith_invariants(matrix)]
+    dimension = sum(len(g) - 1 for g in gcds) + n * (system.l - len(gcds))
+    return ring, matrix, gcds, dimension
+
+
+def _rank1_kernel_rows(system, n: int):
+    """The kernel's RREF basis on period n of a rank-1 system, as rows of payloads.
+
+    The kernel is K~ / (X^n - 1) F[X]^l for the F[X]-module K~ of
+    polynomial vectors v with R v = 0 mod X^n - 1.  When R has full column
+    rank r = l, every element of the kernel is c u for c = (X^n - 1) / L
+    and L = gcd(s_r, X^n - 1), which every gcd(s_i, X^n - 1) divides, so
+    K~ = c {u : R u = 0 mod L} and its Hermite basis comes from one over
+    the small modulus L.  Otherwise the kernel has at least n dimensions
+    and the Hermite basis is computed mod X^n - 1 itself.
+
+    Raises LatticeTooLargeError, before any row exists, when the basis
+    would have more than MAX_KERNEL_CELLS cells.
+    """
+    ring, matrix, gcds, dimension = _rank1_structure(system, n)
+    cells = dimension * system.l * n
+    if cells > MAX_KERNEL_CELLS:
+        raise LatticeTooLargeError(
+            f"period {n} gives a kernel of dimension {dimension} in l = {system.l} "
+            f"components: {cells} basis cells, more than {MAX_KERNEL_CELLS}"
+        )
+    if not dimension:
+        return []
+    modulus = ring.cyclic(n)
+    if len(gcds) == system.l:
+        small = gcds[-1]
+        c = ring.divmod(modulus, small)[0]
+        basis = [[ring.mul(c, e) for e in row] for row in ring.kernel_hermite(matrix, small)]
+    else:
+        basis = ring.kernel_hermite(matrix, modulus)
+    return ring.rref_rows(basis, n)

@@ -39,13 +39,15 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    from . import io as formats
     from .parsing import parse_poly
 
     field = parse_field_spec(args.field)
     if args.pgm:
-        formats.filter_pgm(args.input, args.output, parse_poly(args.kernel, 2, field))
+        from .pgm import filter_pgm
+
+        filter_pgm(args.input, args.output, parse_poly(args.kernel, 2, field))
         return 0
+    from . import io as formats
     from .operators import shift
 
     kernel = parse_poly(args.kernel, args.rank, field)

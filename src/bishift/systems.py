@@ -12,10 +12,11 @@ why kernel work is restricted to exact fields.
 
 Rank-1 systems build no matrix.  A period-N signal is a polynomial in
 F[X]/(X^N - 1), where the shift by R is multiplication, so the kernel
-follows from the invariant factors of R and a Hermite basis over F[X]
-(see :func:`_rank1_structure` and :mod:`bishift._univariate`), in pure
-Python, with RREF rows written in time of the order of the output.  The
-rest of this docstring is about rank 2 and above.
+follows from the invariant factors of R and a Hermite basis over F[X],
+in pure Python, with RREF rows written in time of the order of the
+output.  That solver and its budgets live in :mod:`bishift._univariate`,
+which only the rank-1 branches import, so a rank-2 job never compiles
+it.  The rest of this docstring is about rank 2 and above.
 
 The constraint matrix is a list of sparse rows, dicts {column: payload}
 of its nonzero entries (:func:`periodic_system_matrix`).  One
@@ -44,7 +45,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from ._univariate import PolyRing
 from .errors import FloatFieldUnsupportedError, LatticeTooLargeError
 from .fields import PrimeField, _is_prime
 from .laurent import System
@@ -63,13 +63,6 @@ MAX_MATRIX_CELLS = 2**24
 # bytes, 5 to 11 times an int64 cell, so over GF(p) this keeps memory below
 # the 128 MiB of a dense int64 matrix of MAX_MATRIX_CELLS cells.
 MAX_FILL = 2**20
-# largest basis, in cells (dimension x l x N), that the rank-1 path builds
-MAX_KERNEL_CELLS = 2**17
-# largest k * l * (D + 1)**2 * bit length of N, for entries of degree D, that
-# the rank-1 path takes on: about its coefficient operations before the
-# basis.  Every system within MAX_MATRIX_CELLS has N <= 4096 and D < N, so
-# it stays admitted.
-MAX_POLY_WORK = 2**28
 
 
 def periodic_system_matrix(system: System, periods):
@@ -332,88 +325,13 @@ def _rational_kernel(matrix, width):
             )
 
 
-def _rank1_structure(system: System, n: int):
-    """The rank-1 system as a polynomial matrix, with its kernel dimension on period n.
-
-    Reading a period-n signal w as the polynomial w^ = sum of w_b X^-b in
-    F[X]/(X^n - 1) turns d o w into d * w^, so the behaviour is the kernel
-    of R over that ring.  Row i of R is multiplied by X^-m_i, m_i its
-    lowest exponent, and its exponents are folded mod n: X is a unit of
-    the ring and X^n = 1 there, so neither changes the kernel.  The
-    kernel's dimension is the sum of deg gcd(s_i, X^n - 1) over the
-    invariant factors s_1, ..., s_r of the resulting polynomial matrix,
-    plus n for each of its l - r free directions.
-
-    Returns ``(ring, matrix, gcds, dimension)``, ``gcds`` holding
-    gcd(s_i, X^n - 1) for i = 1..r.  Raises
-    LatticeTooLargeError, before building any polynomial, when the work
-    estimate exceeds MAX_POLY_WORK.
-    """
-    add, zero = system.field._add, system.field.zero.payload
-    folded = []
-    for i in range(system.k):
-        row = [system.matrix.entry(i, j)._terms for j in range(system.l)]
-        m = min((a for terms in row for (a,) in terms), default=0)
-        entries = []
-        for terms in row:
-            entry = {}
-            for (a,), c in terms.items():
-                e = (a - m) % n
-                entry[e] = add(entry.get(e, zero), c)
-            entries.append(entry)
-        folded.append(entries)
-    degree = max((e for row in folded for entry in row for e in entry), default=0)
-    work = system.k * system.l * (degree + 1) ** 2 * n.bit_length()
-    if work > MAX_POLY_WORK:
-        raise LatticeTooLargeError(
-            f"period {n} with entries of degree up to {degree} needs about {work} "
-            f"coefficient operations, more than {MAX_POLY_WORK}"
-        )
-    ring = PolyRing(system.field)
-    matrix = [[ring.from_exponents(entry) for entry in entries] for entries in folded]
-    gcds = [ring.cyclic_gcd(s, n) for s in ring.smith_invariants(matrix)]
-    dimension = sum(len(g) - 1 for g in gcds) + n * (system.l - len(gcds))
-    return ring, matrix, gcds, dimension
-
-
-def _rank1_kernel_rows(system: System, n: int):
-    """The kernel's RREF basis on period n of a rank-1 system, as rows of payloads.
-
-    The kernel is K~ / (X^n - 1) F[X]^l for the F[X]-module K~ of
-    polynomial vectors v with R v = 0 mod X^n - 1.  When R has full column
-    rank r = l, every element of the kernel is c u for c = (X^n - 1) / L
-    and L = gcd(s_r, X^n - 1), which every gcd(s_i, X^n - 1) divides, so
-    K~ = c {u : R u = 0 mod L} and its Hermite basis comes from one over
-    the small modulus L.  Otherwise the kernel has at least n dimensions
-    and the Hermite basis is computed mod X^n - 1 itself.
-
-    Raises LatticeTooLargeError, before any row exists, when the basis
-    would have more than MAX_KERNEL_CELLS cells.
-    """
-    ring, matrix, gcds, dimension = _rank1_structure(system, n)
-    cells = dimension * system.l * n
-    if cells > MAX_KERNEL_CELLS:
-        raise LatticeTooLargeError(
-            f"period {n} gives a kernel of dimension {dimension} in l = {system.l} "
-            f"components: {cells} basis cells, more than {MAX_KERNEL_CELLS}"
-        )
-    if not dimension:
-        return []
-    modulus = ring.cyclic(n)
-    if len(gcds) == system.l:
-        small = gcds[-1]
-        c = ring.divmod(modulus, small)[0]
-        basis = [[ring.mul(c, e) for e in row] for row in ring.kernel_hermite(matrix, small)]
-    else:
-        basis = ring.kernel_hermite(matrix, modulus)
-    return ring.rref_rows(basis, n)
-
-
 def _kernel_rows(system: System, periods):
     """The kernel's RREF basis on the lattice, as rows of payloads."""
     if not system.field.is_exact:
         raise FloatFieldUnsupportedError("kernel computation needs an exact field")
     if system.rank == 1:
+        from ._univariate import _rank1_kernel_rows
+
         return _rank1_kernel_rows(system, periods[0])
     matrix = periodic_system_matrix(system, periods)
     width = system.l * math.prod(periods)
@@ -432,6 +350,8 @@ def kernel_dimension(system: System, periods) -> int:
     periods = check_periods(periods, system.rank, "periods")
     field = system.field
     if system.rank == 1 and field.is_exact:
+        from ._univariate import _rank1_structure
+
         return _rank1_structure(system, periods[0])[-1]
     if isinstance(field, PrimeField):
         pivots = rref(periodic_system_matrix(system, periods), field.p)

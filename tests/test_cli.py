@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bishift import io as formats
+from bishift import pgm
 from bishift.cli import main
 from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.sequences import FiniteSeq, PeriodicSeq
@@ -151,7 +152,7 @@ class TestFilter:
             ]
         )
         assert code == 0
-        seq, w, h, maxval = formats.read_pgm(out)
+        seq, w, h, maxval = pgm.read_pgm(out)
         assert (w, h, maxval) == (3, 1, 255)
         assert round(seq.coeff((0, 0)).payload * 255) == 100
         assert seq.coeff((1, 0)).payload == 0.0
@@ -348,8 +349,11 @@ class TestNumpyImport:
                 report = tmp_path / f"{spec[:2]}-{doc['rank']}-report.json"
                 argv = ["kernel", "--system", str(path), "--period", period, "--report", str(report)]
                 loaded = run_probe(argv, tmp_path)
-                assert not loaded & (NEVER_LOADED | {"bishift.selftest", "bishift.operators"})
+                unused = NEVER_LOADED | {"bishift.selftest", "bishift.operators", "bishift.pgm"}
+                assert not loaded & unused
                 assert "bishift.systems" in loaded
+                # only the rank-1 branches import the polynomial solver
+                assert ("bishift._univariate" in loaded) == (doc["rank"] == 1)
                 assert json.loads(report.read_text())["dimension"] == dimension
             loaded = run_probe(["selftest", "--trials", "2", "--field", spec], tmp_path)
             assert not loaded & NEVER_LOADED and "bishift.selftest" in loaded
@@ -362,14 +366,14 @@ class TestNumpyImport:
             assert not run_probe(argv, tmp_path) & file_formats
 
     def test_array_commands_still_run(self, tmp_path):
-        # filter --pgm builds no signal and reads no JSON document
+        # filter --pgm builds no signal and reads no CSV or JSON document
         out = tmp_path / "out.pgm"
         argv = ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
                 "--input", str(DATA / "tiny.pgm"), "--output", str(out)]
         loaded = run_probe(argv, tmp_path)
-        unused = NEVER_LOADED | SOLVER_AND_LAWS | {"bishift.operators", "bishift.sequences", "json"}
-        assert not loaded & unused
-        assert "bishift.io" in loaded
+        unused = {"bishift.io", "bishift.operators", "bishift.sequences", "json"}
+        assert not loaded & (NEVER_LOADED | SOLVER_AND_LAWS | unused)
+        assert "bishift.pgm" in loaded
         assert out.read_bytes() == (DATA / "tiny-filtered.pgm").read_bytes()
 
     def test_nine_term_golden(self, tmp_path):
@@ -391,7 +395,8 @@ class TestNumpyImport:
     def test_signal_commands_load_no_solver(self, difference_file, tmp_path):
         seq = tmp_path / "w.csv"
         seq.write_text("0,1\n")
-        unused = NEVER_LOADED | SOLVER_AND_LAWS
+        # nor the image format
+        unused = NEVER_LOADED | SOLVER_AND_LAWS | {"bishift.pgm"}
         assert not run_probe(["pair", "--poly", "X^-1 + 2", "--seq", str(seq)], tmp_path) & unused
         doc = tmp_path / "w.json"
         formats.write_periodic_json(doc, PeriodicSeq(1, GF2, (2,), [1, 1]))

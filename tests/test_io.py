@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bishift import io as formats
+from bishift import pgm
 from bishift.errors import (
     BadMagicError,
     BadValueTokenError,
@@ -116,6 +117,23 @@ class TestSeqCsv:
         with pytest.raises(BadValueTokenError, match="'\u00e9'"):
             formats.read_seq_csv(path, 1, Q)
 
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,1\r\n2,1/2\n")
+        assert formats.read_seq_csv(path, 1, Q) == FiniteSeq(1, Q, {(0,): 1, (2,): Fraction(1, 2)})
+        path.write_bytes(b"\xef\xbb\xbf")
+        assert formats.read_seq_csv(path, 1, Q).is_zero()
+        # a mark anywhere else, a second one included, is text no cell accepts
+        bom = b"\xef\xbb\xbf"
+        for data in (bom + bom + b"0,1\n", b"0,1\n" + bom + b"2,1\n", b"0," + bom + b"1\n"):
+            path.write_bytes(data)
+            with pytest.raises(BishiftError):
+                formats.read_seq_csv(path, 1, Q)
+        # the offset of an undecodable byte counts the mark
+        path.write_bytes(b"\xef\xbb\xbf0,\x80\n")
+        with pytest.raises(BadValueTokenError, match="at byte 5$"):
+            formats.read_seq_csv(path, 1, Q)
+
     def test_wrong_arity_rejected(self, tmp_path):
         path = tmp_path / "arity.csv"
         path.write_text("1,2,3\n")
@@ -141,7 +159,7 @@ def _write_pgm_bytes(tmp_path, width, height, maxval, pixels):
 class TestPgm:
     def test_single_white_pixel(self, tmp_path):
         path = _write_pgm_bytes(tmp_path, 1, 1, 255, [255])
-        seq, width, height, maxval = formats.read_pgm(path)
+        seq, width, height, maxval = pgm.read_pgm(path)
         assert (width, height, maxval) == (1, 1, 255)
         assert seq.coeff((0, 0)).payload == 1.0
 
@@ -149,9 +167,9 @@ class TestPgm:
         rng = random.Random(2302)
         pixels = [rng.randint(0, 255) for _ in range(12)]
         path = _write_pgm_bytes(tmp_path, 4, 3, 255, pixels)
-        seq, w, h, maxval = formats.read_pgm(path)
+        seq, w, h, maxval = pgm.read_pgm(path)
         out = tmp_path / "out.pgm"
-        formats.write_pgm(out, seq, w, h, maxval)
+        pgm.write_pgm(out, seq, w, h, maxval)
         assert out.read_bytes() == path.read_bytes()
 
     def test_sixteen_bit_round_trip(self, tmp_path):
@@ -161,9 +179,9 @@ class TestPgm:
             g = rng.randint(0, 65535)
             raw += [g >> 8, g & 0xFF]
         path = _write_pgm_bytes(tmp_path, 3, 2, 65535, raw)
-        seq, w, h, maxval = formats.read_pgm(path)
+        seq, w, h, maxval = pgm.read_pgm(path)
         out = tmp_path / "out.pgm"
-        formats.write_pgm(out, seq, w, h, maxval)
+        pgm.write_pgm(out, seq, w, h, maxval)
         assert out.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("bad", [b"1_0", b"+4", "\u0664".encode(), b"4.0", b"0x4"])
@@ -174,12 +192,12 @@ class TestPgm:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n" + b" ".join(fields) + b"\n" + bytes(40))
         with pytest.raises(BadMagicError):
-            formats.read_pgm(path)
+            pgm.read_pgm(path)
 
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n\x00\xff")
-        seq, w, h, maxval = formats.read_pgm(path)
+        seq, w, h, maxval = pgm.read_pgm(path)
         assert (w, h) == (2, 1)
         assert seq.coeff((1, 0)).payload == 1.0
 
@@ -187,30 +205,30 @@ class TestPgm:
         path = tmp_path / "p2.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0")
         with pytest.raises(BadMagicError):
-            formats.read_pgm(path)
+            pgm.read_pgm(path)
 
     def test_truncated_raster(self, tmp_path):
         path = _write_pgm_bytes(tmp_path, 2, 2, 255, [1, 2, 3])
         with pytest.raises(TruncatedPixelDataError):
-            formats.read_pgm(path)
+            pgm.read_pgm(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = _write_pgm_bytes(tmp_path, 1, 1, 255, [1, 99])
         with pytest.raises(TruncatedPixelDataError):
-            formats.read_pgm(path)
+            pgm.read_pgm(path)
 
     def test_maxval_out_of_range(self, tmp_path):
         path = tmp_path / "big.pgm"
         path.write_bytes(b"P5\n1 1\n70000\n\x00\x00")
         with pytest.raises(BadMagicError):
-            formats.read_pgm(path)
+            pgm.read_pgm(path)
 
     def test_four_neighbour_average(self, tmp_path):
         # 3x3 image, centre filter; oracle is a literal per-pixel loop
         rng = random.Random(2304)
         pixels = [rng.randint(0, 255) for _ in range(9)]
         path = _write_pgm_bytes(tmp_path, 3, 3, 255, pixels)
-        seq, w, h, maxval = formats.read_pgm(path)
+        seq, w, h, maxval = pgm.read_pgm(path)
         kernel = parse_poly(
             "0.25*X1^-1 + 0.25*X1 + 0.25*X2^-1 + 0.25*X2", 2, F
         )
@@ -231,30 +249,30 @@ class TestPgm:
     def test_samples_within_tolerance_not_stored(self, tmp_path):
         # gray 1 of 65535 is about 1.5e-5, below float:1e-3's tolerance
         path = _write_pgm_bytes(tmp_path, 2, 1, 65535, [0, 1, 0xFF, 0xFF])
-        seq, w, h, maxval = formats.read_pgm(path, FloatField(1e-3))
+        seq, w, h, maxval = pgm.read_pgm(path, FloatField(1e-3))
         assert seq.field == FloatField(1e-3)
         assert seq.support() == {(1, 0)}
         assert seq.coeff((1, 0)).payload == 1.0
-        again, _, _, _ = formats.read_pgm(path)
+        again, _, _, _ = pgm.read_pgm(path)
         assert again.support() == {(0, 0), (1, 0)}
         assert again.coeff((0, 0)).payload == 1 / 65535
 
     def test_exact_field_rejected(self, tmp_path):
         path = _write_pgm_bytes(tmp_path, 1, 1, 255, [9])
         with pytest.raises(FloatFieldUnsupportedError):
-            formats.read_pgm(path, Q)
+            pgm.read_pgm(path, Q)
 
     def test_write_skips_samples_outside_the_window(self, tmp_path):
         seq = FiniteSeq(2, F, {(-1, 0): 0.5, (1, 1): 0.25, (2, 0): 1.0, (0, 2): 1.0})
         out = tmp_path / "w.pgm"
-        formats.write_pgm(out, seq, 2, 2, 255)
+        pgm.write_pgm(out, seq, 2, 2, 255)
         assert out.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 0, 0, 64])
 
     def test_write_clamps_and_quantizes(self, tmp_path):
         seq = FiniteSeq(2, F, {(0, 0): 1.7, (1, 0): -0.4, (2, 0): 0.5019})
         out = tmp_path / "q.pgm"
-        formats.write_pgm(out, seq, 3, 1, 255)
-        again, _, _, _ = formats.read_pgm(out)
+        pgm.write_pgm(out, seq, 3, 1, 255)
+        again, _, _, _ = pgm.read_pgm(out)
         assert again.coeff((0, 0)).payload == 1.0
         assert again.coeff((1, 0)).payload == 0.0
         assert round(again.coeff((2, 0)).payload * 255) == 128
@@ -288,12 +306,12 @@ class TestPgmEdgeCases:
         values, written = self.SIXTEEN_BIT[maxval]
         grays = [0x0102, 0, 0x1234, maxval, 1, 0xFFFF]
         path = _write_pgm_bytes(tmp_path, 3, 2, maxval, _big_endian(grays))
-        seq, w, h, m = formats.read_pgm(path)
+        seq, w, h, m = pgm.read_pgm(path)
         # keys in row-major order; the zero pixel is not stored
         assert list(seq.terms) == [(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
         assert [v.payload for v in seq.terms.values()] == values
         out = tmp_path / "out.pgm"
-        formats.write_pgm(out, seq, w, h, m)
+        pgm.write_pgm(out, seq, w, h, m)
         assert out.read_bytes() == f"P5\n3 2\n{maxval}\n".encode() + written
 
     @pytest.mark.parametrize(
@@ -314,31 +332,31 @@ class TestPgmEdgeCases:
     )
     def test_single_row_and_column(self, tmp_path, width, height, shifted, written):
         path = _write_pgm_bytes(tmp_path, width, height, 255, [3, 0, 255, 128, 7])
-        seq, w, h, maxval = formats.read_pgm(path)
+        seq, w, h, maxval = pgm.read_pgm(path)
         along = [(0, 0), (0, 2), (0, 3), (0, 4)]
         assert list(seq.terms) == (along if width == 1 else [(y, x) for x, y in along])
         out = tmp_path / "out.pgm"
-        formats.write_pgm(out, seq, w, h, maxval)
+        pgm.write_pgm(out, seq, w, h, maxval)
         assert out.read_bytes() == path.read_bytes()
         kernel = parse_poly("0.5 + 0.25*X1 + 0.25*X2^-1", 2, F)
         filtered = shift(kernel, seq)
         assert {k: v.payload for k, v in filtered.terms.items()} == shifted
-        formats.write_pgm(out, filtered, w, h, maxval)
+        pgm.write_pgm(out, filtered, w, h, maxval)
         assert out.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + written
 
     def test_gray_above_maxval_reads_above_one_and_clamps(self, tmp_path):
         path = _write_pgm_bytes(tmp_path, 2, 2, 100, [200, 100, 0, 255])
-        seq, w, h, maxval = formats.read_pgm(path)
+        seq, w, h, maxval = pgm.read_pgm(path)
         assert {k: v.payload for k, v in seq.terms.items()} == {
             (0, 0): 2.0, (1, 0): 1.0, (1, 1): 2.55
         }
         out = tmp_path / "out.pgm"
-        formats.write_pgm(out, seq, w, h, maxval)
+        pgm.write_pgm(out, seq, w, h, maxval)
         assert out.read_bytes() == b"P5\n2 2\n100\ndd\x00d"
         path = _write_pgm_bytes(tmp_path, 2, 1, 1000, _big_endian([65535, 1001]))
-        seq, w, h, maxval = formats.read_pgm(path)
+        seq, w, h, maxval = pgm.read_pgm(path)
         assert {k: v.payload for k, v in seq.terms.items()} == {(0, 0): 65.535, (1, 0): 1.001}
-        formats.write_pgm(out, seq, w, h, maxval)
+        pgm.write_pgm(out, seq, w, h, maxval)
         assert out.read_bytes() == b"P5\n2 1\n1000\n\x03\xe8\x03\xe8"
 
     @pytest.mark.parametrize(
@@ -356,7 +374,7 @@ class TestPgmEdgeCases:
             (2, 1): 0.998, (0, 2): 0.5,
         })
         out = tmp_path / "out.pgm"
-        formats.write_pgm(out, seq, 3, 3, maxval)
+        pgm.write_pgm(out, seq, 3, 3, maxval)
         assert out.read_bytes() == f"P5\n3 3\n{maxval}\n".encode() + raster
 
     def test_write_non_finite_samples(self, tmp_path):
@@ -365,17 +383,36 @@ class TestPgmEdgeCases:
             (0, 0): math.inf, (1, 0): -math.inf, (-1, 0): math.nan, (1, 1): -0.0
         })
         out = tmp_path / "out.pgm"
-        formats.write_pgm(out, odd, 2, 2, 255)
+        pgm.write_pgm(out, odd, 2, 2, 255)
         assert out.read_bytes() == b"P5\n2 2\n255\n\xff\x00\x00\x00"
         with pytest.raises(ValueError, match="NaN"):
-            formats.write_pgm(out, FiniteSeq._wrap(2, F, {(0, 0): math.nan}), 1, 1, 255)
+            pgm.write_pgm(out, FiniteSeq._wrap(2, F, {(0, 0): math.nan}), 1, 1, 255)
+
+    @pytest.mark.parametrize("maxval", [255, 1000])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_writer_grays_match_the_int_formula(self, tmp_path, maxval, tol):
+        rng = random.Random(f"quantize:{maxval}:{tol}")
+        edges = [tol, 0.0, -0.0, 1.0, math.nextafter(1.0, 0.0)]
+        edges += [(g + h) / maxval for g in range(maxval + 1) for h in (-0.5, 0.5)]
+        samples = [rng.uniform(-0.1, 1.1) for _ in range(2000)]
+        for x in edges:
+            samples += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+        out = tmp_path / "out.pgm"
+        pgm._write_raster(out, samples, len(samples), len(samples), 1, maxval, tol)
+        expected = [0 if v <= tol else maxval if v >= 1.0 else int(v * maxval + 0.5)
+                    for v in samples]
+        raster = out.read_bytes()[len(f"P5\n{len(samples)} 1\n{maxval}\n"):]
+        if maxval < 256:
+            assert list(raster) == expected
+        else:
+            assert raster == b"".join(g.to_bytes(2, "big") for g in expected)
 
     @pytest.mark.parametrize("maxval, match", [(0, "outside"), (65536, "outside"), (255, "NaN")])
     def test_write_errors_are_typed(self, tmp_path, maxval, match):
         out = tmp_path / "out.pgm"
         seq = FiniteSeq._wrap(2, F, {(1, 0): math.nan, (0, 0): 0.5})
         with pytest.raises(ImageWriteError, match=match) as caught:
-            formats.write_pgm(out, seq, 2, 1, maxval)
+            pgm.write_pgm(out, seq, 2, 1, maxval)
         assert isinstance(caught.value, BishiftError) and isinstance(caught.value, ValueError)
         assert not out.exists()
 
@@ -597,7 +634,7 @@ class TestIntDigitLimit:
         path = tmp_path / "big.pgm"
         path.write_bytes(b"P5\n" + b"1" * (int_digit_limit + 1) + b" 1 255\n" + bytes(4))
         with pytest.raises(BadMagicError):
-            formats.read_pgm(path)
+            pgm.read_pgm(path)
 
     def test_lattice_documents(self, tmp_path, int_digit_limit):
         long = "1" * (int_digit_limit + 1)

@@ -23,7 +23,7 @@ PUBLIC = """
     PolySyntaxError PrimeField RaggedMatrixError RankMismatchError RationalField
     RepresentationMismatchError SchemaError SeqVector System TruncatedPixelDataError
     VariableIndexOutOfRangeError ZeroDenominatorError check_adjoint enumerate_periodic_vectors
-    format_poly format_system io kernel_dimension parse_field_spec parse_poly parse_system
+    format_poly format_system io kernel_dimension parse_field_spec parse_poly parse_system pgm
     periodic_kernel_basis periodic_system_matrix periodize poly_to_seq scalar_product
     seq_to_poly shift shift_matrix
 """.split()
@@ -36,8 +36,8 @@ def test_public_names():
 def test_each_name_is_its_defining_modules_object():
     for name in bishift.__all__:
         value = getattr(bishift, name)
-        if name == "io":
-            assert value is sys.modules["bishift.io"]
+        if name in ("io", "pgm"):
+            assert value is sys.modules[f"bishift.{name}"]
         else:
             assert getattr(sys.modules[value.__module__], name) is value
 

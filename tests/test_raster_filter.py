@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from bishift import io as formats
+from bishift import pgm
 from bishift.cli import main
 from bishift.errors import BishiftError, ImageWriteError, RankMismatchError
 from bishift.fields import parse_field_spec
@@ -69,12 +69,12 @@ def check(tmp_path, width, height, maxval, grays, kernel, spec):
     code, out = run_filter(tmp_path, pgm_bytes(width, height, maxval, grays), kernel, spec)
     assert code == 0
     d = parse_poly(kernel, 2, field)
-    seq, w, h, m = formats.read_pgm(tmp_path / "in.pgm", field)
+    seq, w, h, m = pgm.read_pgm(tmp_path / "in.pgm", field)
     assert (w, h, m) == (width, height, maxval)
     assert seq._terms == decoded(width, grays, maxval, field)
     shifted = shift(d, seq)
     ref = tmp_path / "ref.pgm"
-    formats.write_pgm(ref, shifted, w, h, m)
+    pgm.write_pgm(ref, shifted, w, h, m)
     got = out.read_bytes()
     assert got == ref.read_bytes() == quantized(shifted, w, h, m)
     return got
@@ -156,7 +156,7 @@ def test_padding_stays_within_the_image(tmp_path):
     path.write_bytes(pgm_bytes(4, 3, 255, range(12)))
     field = parse_field_spec("float")
     d = parse_poly("0.5*X1^100000000 + 0.25*X1^-3 + 0.25*X2^-3 + X1^3*X2^2", 2, field)
-    raster, terms, row, width, height, maxval = formats._read_raster(path, field, d._terms)
+    raster, terms, row, width, height, maxval = pgm._read_raster(path, field, d._terms)
     # X1^1e8 and X2^-3 read no pixel; X1^-3 and X1^3*X2^2 widen the rows both ways
     assert [c for _, c in terms] == [0.25, 1.0]
     assert (row, len(raster)) == (4 + 3 + 3, 10 * (3 + 2))
@@ -173,7 +173,7 @@ def test_nan_in_the_window_is_a_typed_error(tmp_path, capsys):
     seq = FiniteSeq._wrap(2, field, decoded(2, grays, 100, field))
     shifted = shift(parse_poly(kernel, 2, field), seq)
     with pytest.raises(ImageWriteError, match="NaN") as caught:
-        formats.write_pgm(out, shifted, 2, 2, 100)
+        pgm.write_pgm(out, shifted, 2, 2, 100)
     assert isinstance(caught.value, BishiftError) and isinstance(caught.value, ValueError)
 
 
@@ -183,7 +183,7 @@ def test_filter_pgm_needs_a_rank_two_kernel(tmp_path):
     field = parse_field_spec("float")
     for rank in (1, 3):
         with pytest.raises(RankMismatchError):
-            formats.filter_pgm(src, out, parse_poly("0.5 + 0.5*X1", rank, field))
+            pgm.filter_pgm(src, out, parse_poly("0.5 + 0.5*X1", rank, field))
         assert not out.exists()
-    formats.filter_pgm(src, out, parse_poly("0.5 + 0.5*X1", 2, field))
+    pgm.filter_pgm(src, out, parse_poly("0.5 + 0.5*X1", 2, field))
     assert out.read_bytes() == pgm_bytes(3, 2, 255, [1, 2, 1, 4, 5, 3])

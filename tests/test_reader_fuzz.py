@@ -14,6 +14,7 @@ import random
 import pytest
 
 from bishift import io as formats
+from bishift import pgm
 from bishift.errors import BishiftError
 from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.parsing import MAX_RANK
@@ -155,4 +156,4 @@ def test_pgm_reader_fails_typed(tmp_path):
     for _ in range(CASES):
         path.write_bytes(_mutated_pgm(rng))
         field = rng.choice(fields)
-        _run(lambda p: formats.read_pgm(p, field), path)
+        _run(lambda p: pgm.read_pgm(p, field), path)

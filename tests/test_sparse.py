@@ -5,6 +5,7 @@ import json
 import pytest
 
 from bishift import io as formats
+from bishift import pgm
 from bishift.errors import RepresentationMismatchError
 from bishift.fields import FieldValue, FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly
@@ -104,9 +105,9 @@ class TestRawStorage:
 
     def test_readers_and_parsers(self, tmp_path):
         made = [parse_poly("3*X^-1 - 1/2*X^2", 1, Q)]
-        pgm = tmp_path / "a.pgm"
-        pgm.write_bytes(b"P5\n2 1\n255\n\x00\x80")
-        made.append(formats.read_pgm(pgm)[0])
+        image = tmp_path / "a.pgm"
+        image.write_bytes(b"P5\n2 1\n255\n\x00\x80")
+        made.append(pgm.read_pgm(image)[0])
         doc = tmp_path / "p.json"
         doc.write_text(json.dumps({"rank": 1, "field": "gf:7", "periods": [2], "values": ["3", "9"]}))
         made.extend(formats.read_periodic_json(doc))

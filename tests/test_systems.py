@@ -24,10 +24,9 @@ from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.parsing import parse_poly
 from bishift.selftest import random_poly
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
-from bishift._univariate import PolyRing
+from bishift._univariate import MAX_KERNEL_CELLS, PolyRing
 from bishift.systems import (
     MAX_FILL,
-    MAX_KERNEL_CELLS,
     MAX_MATRIX_CELLS,
     KernelBasis,
     System,
