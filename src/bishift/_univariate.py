@@ -1,9 +1,9 @@
 """Dense univariate polynomials over an exact field, and the rank-1 kernel solver on them.
 
 A rank-1 system's kernel on period N is computed in F[X]/(X^N - 1)
-(:func:`_rank1_structure`, :func:`_rank1_kernel_rows`), under the budgets
-MAX_POLY_WORK and MAX_KERNEL_CELLS.  :mod:`bishift.systems` imports this
-module only in its rank-1 branches, so rank-2 jobs never compile it.  A
+(:func:`_rank1_solve`), under the budgets MAX_POLY_WORK and, for the
+basis only, MAX_KERNEL_CELLS.  :mod:`bishift.systems` imports this module
+only in its rank-1 branch, so rank-2 jobs never compile it.  A
 polynomial is a list of the field's payloads, lowest degree first, with
 no trailing zero, so the zero polynomial is ``[]``.  Every coefficient
 comes from the field's payload hooks (``_add``, ``_mul``, ``_neg``,
@@ -319,8 +319,8 @@ class PolyRing:
         return out
 
 
-def _rank1_structure(system, n: int):
-    """The rank-1 ``System`` as a polynomial matrix, with its kernel dimension on period n.
+def _rank1_solve(system, n: int):
+    """Kernel dimension on period n of a rank-1 ``System``, and a function building its basis.
 
     Reading a period-n signal w as the polynomial w^ = sum of w_b X^-b in
     F[X]/(X^n - 1) turns d o w into d * w^, so the behaviour is the kernel
@@ -331,10 +331,19 @@ def _rank1_structure(system, n: int):
     invariant factors s_1, ..., s_r of the resulting polynomial matrix,
     plus n for each of its l - r free directions.
 
-    Returns ``(ring, matrix, gcds, dimension)``, ``gcds`` holding
-    gcd(s_i, X^n - 1) for i = 1..r.  Raises
-    LatticeTooLargeError, before building any polynomial, when the work
-    estimate exceeds MAX_POLY_WORK.
+    The kernel is K~ / (X^n - 1) F[X]^l for the F[X]-module K~ of
+    polynomial vectors v with R v = 0 mod X^n - 1.  When R has full column
+    rank r = l, every element of the kernel is c u for c = (X^n - 1) / L
+    and L = gcd(s_r, X^n - 1), which every gcd(s_i, X^n - 1) divides, so
+    K~ = c {u : R u = 0 mod L} and its Hermite basis comes from one over
+    the small modulus L.  Otherwise the kernel has at least n dimensions
+    and the Hermite basis is computed mod X^n - 1 itself.
+
+    Returns ``(dimension, rows)``; ``rows()`` gives the kernel's RREF basis
+    as rows of payloads.  Raises LatticeTooLargeError, before building any
+    polynomial, when the work estimate exceeds MAX_POLY_WORK; ``rows()``
+    raises it, before any row exists, when the basis would have more than
+    MAX_KERNEL_CELLS cells.
     """
     add, zero = system.field._add, system.field.zero.payload
     folded = []
@@ -360,37 +369,23 @@ def _rank1_structure(system, n: int):
     matrix = [[ring.from_exponents(entry) for entry in entries] for entries in folded]
     gcds = [ring.cyclic_gcd(s, n) for s in ring.smith_invariants(matrix)]
     dimension = sum(len(g) - 1 for g in gcds) + n * (system.l - len(gcds))
-    return ring, matrix, gcds, dimension
 
+    def rows():
+        cells = dimension * system.l * n
+        if cells > MAX_KERNEL_CELLS:
+            raise LatticeTooLargeError(
+                f"period {n} gives a kernel of dimension {dimension} in l = {system.l} "
+                f"components: {cells} basis cells, more than {MAX_KERNEL_CELLS}"
+            )
+        if not dimension:
+            return []
+        modulus = ring.cyclic(n)
+        if len(gcds) == system.l:
+            small = gcds[-1]
+            c = ring.divmod(modulus, small)[0]
+            basis = [[ring.mul(c, e) for e in row] for row in ring.kernel_hermite(matrix, small)]
+        else:
+            basis = ring.kernel_hermite(matrix, modulus)
+        return ring.rref_rows(basis, n)
 
-def _rank1_kernel_rows(system, n: int):
-    """The kernel's RREF basis on period n of a rank-1 system, as rows of payloads.
-
-    The kernel is K~ / (X^n - 1) F[X]^l for the F[X]-module K~ of
-    polynomial vectors v with R v = 0 mod X^n - 1.  When R has full column
-    rank r = l, every element of the kernel is c u for c = (X^n - 1) / L
-    and L = gcd(s_r, X^n - 1), which every gcd(s_i, X^n - 1) divides, so
-    K~ = c {u : R u = 0 mod L} and its Hermite basis comes from one over
-    the small modulus L.  Otherwise the kernel has at least n dimensions
-    and the Hermite basis is computed mod X^n - 1 itself.
-
-    Raises LatticeTooLargeError, before any row exists, when the basis
-    would have more than MAX_KERNEL_CELLS cells.
-    """
-    ring, matrix, gcds, dimension = _rank1_structure(system, n)
-    cells = dimension * system.l * n
-    if cells > MAX_KERNEL_CELLS:
-        raise LatticeTooLargeError(
-            f"period {n} gives a kernel of dimension {dimension} in l = {system.l} "
-            f"components: {cells} basis cells, more than {MAX_KERNEL_CELLS}"
-        )
-    if not dimension:
-        return []
-    modulus = ring.cyclic(n)
-    if len(gcds) == system.l:
-        small = gcds[-1]
-        c = ring.divmod(modulus, small)[0]
-        basis = [[ring.mul(c, e) for e in row] for row in ring.kernel_hermite(matrix, small)]
-    else:
-        basis = ring.kernel_hermite(matrix, modulus)
-    return ring.rref_rows(basis, n)
+    return dimension, rows

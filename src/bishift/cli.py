@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import BishiftError
-from .fields import decimal_int, parse_field_spec
+from .fields import decimal_int, decimal_text, parse_field_spec
 
 # handlers import the modules they run, so a command loads only those
 PARSE_ERROR = 2
@@ -58,15 +58,18 @@ def _cmd_filter(args) -> int:
 
 def _cmd_kernel(args) -> int:
     from . import io as formats
-    from .systems import periodic_kernel_basis
+    from .systems import kernel_dimension, periodic_kernel_basis
 
     system = formats.read_system(args.system)
     periods = _parse_periods(args.period)
-    basis = periodic_kernel_basis(system, periods)
-    # write first, so a report that cannot be written leaves stdout empty
     if args.report:
+        basis = periodic_kernel_basis(system, periods)
+        # write first, so a report that cannot be written leaves stdout empty
         formats.write_kernel_report(basis, args.report)
-    print(f"dimension: {basis.dimension}")
+        dimension = basis.dimension
+    else:
+        dimension = kernel_dimension(system, periods)
+    print(f"dimension: {decimal_text(dimension, 'a dimension')}")
     return 0
 
 

@@ -15,8 +15,8 @@ F[X]/(X^N - 1), where the shift by R is multiplication, so the kernel
 follows from the invariant factors of R and a Hermite basis over F[X],
 in pure Python, with RREF rows written in time of the order of the
 output.  That solver and its budgets live in :mod:`bishift._univariate`,
-which only the rank-1 branches import, so a rank-2 job never compiles
-it.  The rest of this docstring is about rank 2 and above.
+which only the rank-1 branch of :func:`_solve` imports, so a rank-2 job
+never compiles it.  The rest of this docstring is about rank 2 and above.
 
 The constraint matrix is a list of sparse rows, dicts {column: payload}
 of its nonzero entries (:func:`periodic_system_matrix`).  One
@@ -325,55 +325,49 @@ def _rational_kernel(matrix, width):
             )
 
 
-def _kernel_rows(system: System, periods):
-    """The kernel's RREF basis on the lattice, as rows of payloads."""
-    if not system.field.is_exact:
+def _solve(system: System, periods):
+    """The behaviour's dimension on a period lattice, and a function building its basis.
+
+    Returns ``(dimension, rows)``; ``rows()`` gives the kernel's RREF
+    basis as rows of payloads.  Rank 1 takes the polynomial path, whose
+    dimension needs no basis.  Otherwise, over GF(p) one elimination gives
+    the dimension and ``rows`` reads the basis off its pivot rows; over Q
+    the dimension is the size of the certified basis.
+    """
+    periods = check_periods(periods, system.rank, "periods")
+    field = system.field
+    if not field.is_exact:
         raise FloatFieldUnsupportedError("kernel computation needs an exact field")
     if system.rank == 1:
-        from ._univariate import _rank1_kernel_rows
+        from ._univariate import _rank1_solve
 
-        return _rank1_kernel_rows(system, periods[0])
+        return _rank1_solve(system, periods[0])
     matrix = periodic_system_matrix(system, periods)
     width = system.l * math.prod(periods)
-    if isinstance(system.field, PrimeField):
-        return _nullspace(rref(matrix, system.field.p), width, system.field.p)
-    return _rational_kernel(matrix, width)
+    if isinstance(field, PrimeField):
+        pivots = rref(matrix, field.p)
+        return width - len(pivots), lambda: _nullspace(pivots, width, field.p)
+    rows = _rational_kernel(matrix, width)
+    return len(rows), lambda: rows
 
 
 def kernel_dimension(system: System, periods) -> int:
     """Dimension of the behaviour on a period lattice.
 
-    For rank 1 it comes from the invariant factors of R, without a basis.
-    Otherwise, over GF(p) one elimination gives it; over Q it is the size
-    of the certified basis.
+    For rank 1 it comes from the invariant factors of R, and over GF(p) from
+    one elimination, so no basis is built and MAX_KERNEL_CELLS does not
+    apply.  Over Q at rank >= 2 it is the size of the certified basis.
     """
-    periods = check_periods(periods, system.rank, "periods")
-    field = system.field
-    if system.rank == 1 and field.is_exact:
-        from ._univariate import _rank1_structure
-
-        return _rank1_structure(system, periods[0])[-1]
-    if isinstance(field, PrimeField):
-        pivots = rref(periodic_system_matrix(system, periods), field.p)
-        return system.l * math.prod(periods) - len(pivots)
-    return len(_kernel_rows(system, periods))
+    return _solve(system, periods)[0]
 
 
 def periodic_kernel_basis(system: System, periods) -> KernelBasis:
     """Exact basis of the behaviour restricted to a period lattice."""
     periods = check_periods(periods, system.rank, "periods")
+    dimension, rows = _solve(system, periods)
     field = system.field
-    basis = tuple(
-        SeqVector._stacked(system.rank, field, periods, row)
-        for row in _kernel_rows(system, periods)
-    )
-    return KernelBasis(
-        rank=system.rank,
-        field=field,
-        periods=periods,
-        dimension=len(basis),
-        basis=basis,
-    )
+    basis = tuple(SeqVector._stacked(system.rank, field, periods, row) for row in rows())
+    return KernelBasis(system.rank, field, periods, dimension, basis)
 
 
 def enumerate_periodic_vectors(system: System, periods):

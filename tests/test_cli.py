@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from bishift import io as formats
-from bishift import pgm
-from bishift.cli import main
+from bishift import pgm, systems
+from bishift._univariate import PolyRing
+from bishift.cli import build_parser, main
+from bishift.errors import DigitLimitError
 from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.sequences import FiniteSeq, PeriodicSeq
 
@@ -243,13 +245,58 @@ class TestKernel:
         )
         assert main(["kernel", "--system", str(path), "--period", "2"]) == 2
 
-    def test_oversized_lattice_rejected_fast(self, difference_file, capsys):
+    def test_oversized_lattice_rejected_fast(self, difference_file, tmp_path, capsys):
+        # the basis budget refuses the report; the dimension alone is admitted
+        report = tmp_path / "report.json"
+        argv = ["kernel", "--system", str(difference_file), "--period", "100000"]
         start = time.perf_counter()
-        assert main(["kernel", "--system", str(difference_file), "--period", "100000"]) == 2
+        assert main([*argv, "--report", str(report)]) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert not report.exists()
+
+    def test_dimension_without_report_builds_no_basis(self, difference_file, capsys, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("basis built for the dimension alone")
+
+        monkeypatch.setattr(PolyRing, "kernel_hermite", no_basis)
+        monkeypatch.setattr(PolyRing, "rref_rows", no_basis)
+        for period in ("100000", "1000000"):
+            start = time.perf_counter()
+            assert main(["kernel", "--system", str(difference_file), "--period", period]) == 0
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().out == "dimension: 2\n"
+
+    def test_rank2_dimension_without_report_reads_no_nullspace(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "system.json"
+        doc = {"rank": 2, "field": "gf:7", "k": 1, "l": 2, "entries": [["X1 - X1^-1", "X2 - 1"]]}
+        path.write_text(json.dumps(doc))
+        argv = ["kernel", "--system", str(path), "--period", "4,4"]
+        assert main([*argv, "--report", str(tmp_path / "report.json")]) == 0
+        with_report = capsys.readouterr().out
+
+        def no_nullspace(*args):
+            raise AssertionError("nullspace built for the dimension alone")
+
+        monkeypatch.setattr(systems, "_nullspace", no_nullspace)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == with_report == "dimension: 18\n"
+
+    def test_dimension_over_the_int_digit_limit(self, tmp_path, capsys, int_digit_limit):
+        # 20 free components on a period of 4300 nines: a dimension of 4302 digits
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"rank": 1, "field": "gf:7", "k": 1, "l": 20, "entries": [["0"] * 20]}))
+        argv = ["kernel", "--system", str(path), "--period", "9" * int_digit_limit]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(DigitLimitError, match=f"a dimension of {int_digit_limit + 2} digits"):
+            args.handler(args)
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write a dimension of {int_digit_limit + 2} digits")
 
     def test_huge_rank_rejected_fast(self, tmp_path, capsys):
         path = tmp_path / "system.json"
@@ -340,20 +387,24 @@ class TestNumpyImport:
     """No command imports numpy, which is not a runtime dependency, nor the
     modules it does not run."""
 
-    def test_exact_commands_do_not_import_numpy(self, tmp_path):
+    def test_exact_commands_do_not_import_numpy(self, tmp_path, capsys):
         rank2 = {"rank": 2, "k": 1, "l": 2, "entries": [["X1 - X2^-1", "2"]]}
         for spec in ("gf:7", "rational"):
             for doc, period, dimension in ((DIFFERENCE_DOC, "12", 2), (rank2, "3,2", 6)):
                 path = tmp_path / f"{spec[:2]}-{doc['rank']}.json"
                 path.write_text(json.dumps(dict(doc, field=spec)))
                 report = tmp_path / f"{spec[:2]}-{doc['rank']}-report.json"
-                argv = ["kernel", "--system", str(path), "--period", period, "--report", str(report)]
-                loaded = run_probe(argv, tmp_path)
-                unused = NEVER_LOADED | {"bishift.selftest", "bishift.operators", "bishift.pgm"}
-                assert not loaded & unused
-                assert "bishift.systems" in loaded
-                # only the rank-1 branches import the polynomial solver
-                assert ("bishift._univariate" in loaded) == (doc["rank"] == 1)
+                argv = ["kernel", "--system", str(path), "--period", period]
+                # with and without a report
+                for args in ([*argv, "--report", str(report)], argv):
+                    loaded = run_probe(args, tmp_path)
+                    unused = NEVER_LOADED | {"bishift.selftest", "bishift.operators", "bishift.pgm"}
+                    assert not loaded & unused
+                    assert "bishift.systems" in loaded
+                    # only the rank-1 branch imports the polynomial solver
+                    assert ("bishift._univariate" in loaded) == (doc["rank"] == 1)
+                    assert main(args) == 0
+                    assert capsys.readouterr().out == f"dimension: {dimension}\n"
                 assert json.loads(report.read_text())["dimension"] == dimension
             loaded = run_probe(["selftest", "--trials", "2", "--field", spec], tmp_path)
             assert not loaded & NEVER_LOADED and "bishift.selftest" in loaded
