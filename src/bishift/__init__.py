@@ -23,10 +23,10 @@ _EXPORTS = {
             RaggedMatrixError RankMismatchError RepresentationMismatchError SchemaError
             TruncatedPixelDataError VariableIndexOutOfRangeError ZeroDenominatorError""",
         "fields": "Field FieldValue FloatField PrimeField RationalField parse_field_spec",
-        "io": "io",
+        "io": "format_system io parse_system",
         "laurent": "LaurentPoly PolyMatrix System",
         "operators": "check_adjoint scalar_product shift shift_matrix",
-        "parsing": "format_poly format_system parse_poly parse_system",
+        "parsing": "format_poly parse_poly",
         "pgm": "pgm",
         "sequences": "FiniteSeq KernelBasis PeriodicSeq SeqVector periodize poly_to_seq seq_to_poly",
         "systems": """enumerate_periodic_vectors kernel_dimension periodic_kernel_basis

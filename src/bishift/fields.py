@@ -525,7 +525,7 @@ class PrimeField(Field):
 def decimal_token(x: float) -> str:
     """Positional decimal string for a float, round-trip safe via float()."""
     if not math.isfinite(x):
-        raise ValueError(f"cannot format non-finite value {x!r}")
+        raise NonFiniteValueError(f"cannot format non-finite value {x!r}")
     s = repr(x)
     if "e" in s or "E" in s:
         s = format(Decimal(s), "f")

@@ -1,9 +1,10 @@
-"""Text file formats: sparse CSV signals, periodic documents, kernel reports.
+"""Text file formats: sparse CSV signals, system and periodic documents, kernel reports.
 
-All writers are deterministic (same data, same bytes).  All readers
-raise a typed error from :mod:`bishift.errors` on malformed input.
-Signal classes and the JSON encoder are imported where they are used.
-P5 images are read and written by :mod:`bishift.pgm`.
+One loader reads the three JSON documents and checks the ``rank`` and ``field``
+they share; one writer joins their members by hand.  All writers are
+deterministic (same data, same bytes).  All readers raise a typed error from
+:mod:`bishift.errors` on malformed input.  Signal classes and the JSON codec are
+imported where they are used.  P5 images are read and written by :mod:`bishift.pgm`.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from itertools import chain
 from pathlib import Path
 
 from .errors import (
-    BadValueTokenError,
-    DuplicateIndexError,
-    RankMismatchError,
-    SchemaError,
+    BadValueTokenError, DuplicateIndexError, ParseError, RankMismatchError, SchemaError
 )
-from .fields import decimal_int, decimal_text
-from .laurent import System
-from .parsing import document_field, load_document, parse_system, positive_int
+from .fields import decimal_int, decimal_text, parse_field_spec
+from .laurent import PolyMatrix, System
+from .parsing import MAX_RANK, format_poly, parse_poly
+
+_SYSTEM_KEYS = ("rank", "field", "k", "l", "entries")
 
 
 def read_seq_csv(path, rank: int, field):
@@ -64,6 +64,42 @@ def write_seq_csv(path, seq) -> None:
     Path(path).write_text("".join(",".join(cells) + "\n" for cells in rows))
 
 
+def _positive_int(value, what):
+    """``value`` if it is an int >= 1, else SchemaError; booleans are refused."""
+    if type(value) is not int or value < 1:
+        raise SchemaError(f"{what} must be an int >= 1, got {value!r}")
+    return value
+
+
+def _load_document(data, what, keys, path=None):
+    """The JSON object in ``data`` (text or bytes), with its rank and its field.
+
+    The object must hold every key of ``keys``, which include ``rank`` (an
+    int from 1 to MAX_RANK) and ``field`` (a field spec string).  Anything
+    else raises SchemaError naming ``what``, after ``path`` if given; a
+    string that names no field raises FieldSpecError.
+    """
+    import json
+
+    where = "" if path is None else f"{path}: "
+    try:
+        doc = json.loads(data)
+    except ValueError as e:  # bad JSON, undecodable bytes or an integer past int()'s limit
+        raise SchemaError(f"{where}{what} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}{what} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise SchemaError(f"{where}{what} is missing {missing}")
+    rank = _positive_int(doc["rank"], f"{where}'rank'")
+    if rank > MAX_RANK:
+        raise SchemaError(f"{where}'rank' {rank} is above the largest supported rank {MAX_RANK}")
+    spec = doc["field"]
+    if not isinstance(spec, str):
+        raise SchemaError(f"{where}'field' must be a field spec string, got {spec!r}")
+    return doc, rank, parse_field_spec(spec)
+
+
 def _json_list(items, depth):
     """JSON text of a list of JSON texts, in the json module's ``indent=2`` layout at ``depth``."""
     pad = "\n" + "  " * (depth + 1)
@@ -71,26 +107,34 @@ def _json_list(items, depth):
     return f"[{pad}{body}{pad[:-2]}]" if body else "[]"
 
 
-def _write_lattice_doc(path, lattice, members) -> None:
-    """Write ``rank``, ``field`` and ``periods`` of ``lattice``, then ``members``.
+def _document(obj, members):
+    """Text of the JSON document holding ``rank`` and ``field`` of ``obj``, then ``members``.
 
-    ``members`` are (key, JSON text) pairs, all formatted before the file is
-    opened, so a value that cannot be written leaves no file.  They are written
-    one at a time, in the json module's ``indent=2`` layout plus a newline,
-    because a kernel basis can hold millions of entries.
+    ``members`` are (key, JSON text) pairs.  The text is in the json
+    module's ``indent=2`` layout plus a newline, and comes as a list of
+    pieces, so a kernel basis of millions of entries is not copied once
+    more to be written.
     """
     from json.encoder import encode_basestring_ascii
 
     members = [
-        ("rank", decimal_text(lattice.rank)),
-        ("field", encode_basestring_ascii(lattice.field.spec())),
-        ("periods", _json_list(map(decimal_text, lattice.periods), 1)),
+        ("rank", decimal_text(obj.rank)),
+        ("field", encode_basestring_ascii(obj.field.spec())),
         *members,
     ]
+    pieces = []
+    for i, (key, text) in enumerate(members):
+        pieces += (f'{"," if i else "{"}\n  "{key}": ', text)
+    pieces.append("\n}\n")
+    return pieces
+
+
+def _write_lattice_doc(path, lattice, members) -> None:
+    """Write ``lattice``'s document, its periods before ``members``; a bad value leaves no file."""
+    periods = _json_list(map(decimal_text, lattice.periods), 1)
+    pieces = _document(lattice, [("periods", periods), *members])
     with open(path, "w") as out:
-        for i, (key, text) in enumerate(members):
-            out.writelines((f'{"," if i else "{"}\n  "{key}": ', text))
-        out.write("\n}\n")
+        out.writelines(pieces)
 
 
 def write_kernel_report(kernel, path) -> None:
@@ -106,15 +150,14 @@ def write_kernel_report(kernel, path) -> None:
 
 
 def _read_lattice_doc(path, what, keys):
-    """Load a JSON document on a period lattice; check its field, rank and periods."""
+    """Load a JSON document on a period lattice; check its rank, field and periods."""
     keys = ("rank", "field", "periods", *keys)
-    doc = load_document(Path(path).read_bytes(), f"{path}: {what}", keys)
-    rank = positive_int(doc["rank"], f"{path}: 'rank'")
+    doc, rank, field = _load_document(Path(path).read_bytes(), what, keys, path)
     periods = doc["periods"]
     if not isinstance(periods, list) or len(periods) != rank:
         raise SchemaError(f"{path}: 'periods' must be a list of {rank} ints, got {periods!r}")
-    periods = tuple(positive_int(n, f"{path}: period") for n in periods)
-    return doc, rank, document_field(doc["field"], f"{path}: 'field'"), periods
+    periods = tuple(_positive_int(n, f"{path}: period") for n in periods)
+    return doc, rank, field, periods
 
 
 def read_kernel_report(path):
@@ -175,6 +218,47 @@ def read_periodic_json(path, components: int = 1):
         )
     parsed = [field.parse_token(str(t)).payload for t in values]
     return SeqVector._stacked(rank, field, periods, parsed)
+
+
+def parse_system(text) -> System:
+    """Read a system document (text or bytes): rank, field, k, l and a k-by-l entries grid."""
+    doc, rank, field = _load_document(text, "system document", _SYSTEM_KEYS)
+    extra = doc.keys() - _SYSTEM_KEYS
+    if extra:
+        raise SchemaError(f"system document has unknown keys {sorted(extra)}")
+    k, l = (_positive_int(doc[key], repr(key)) for key in ("k", "l"))
+    entries = doc["entries"]
+    if not isinstance(entries, list) or len(entries) != k:
+        raise SchemaError(f"'entries' must be a list of {k} rows")
+    grid = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != l:
+            raise SchemaError(f"entries row {i} must be a list of {l} expressions")
+        parsed_row = []
+        for j, src in enumerate(row):
+            if not isinstance(src, str):
+                raise SchemaError(f"entry ({i},{j}) must be a string expression")
+            try:
+                parsed_row.append(parse_poly(src, rank, field))
+            except ParseError as e:
+                err = type(e)(f"system entry ({i},{j}): {e}")
+                err.position = e.position
+                err.expected = e.expected
+                raise err from None
+        grid.append(parsed_row)
+    return System(PolyMatrix(grid))
+
+
+def format_system(system: System) -> str:
+    """Inverse-oriented writer for system documents (round-trip safe)."""
+    from json.encoder import encode_basestring_ascii
+
+    entry = system.matrix.entry
+    rows = ([encode_basestring_ascii(format_poly(entry(i, j))) for j in range(system.l)]
+            for i in range(system.k))
+    entries = _json_list((_json_list(row, 2) for row in rows), 1)
+    members = [("k", decimal_text(system.k)), ("l", decimal_text(system.l)), ("entries", entries)]
+    return "".join(_document(system, members))
 
 
 def read_system(path) -> System:

@@ -1,4 +1,4 @@
-"""Text syntax for Laurent polynomials and system matrices.
+"""Text syntax for Laurent polynomials.
 
 The expression grammar (LL(1), no parentheses, '^' binds tighter than
 '*' binds tighter than '+'/'-'):
@@ -14,22 +14,18 @@ The expression grammar (LL(1), no parentheses, '^' binds tighter than
 Decimal coefficients are only accepted under the float field.  Error
 positions are 0-based byte offsets of the UTF-8 encoding of the input.
 :func:`format_poly` emits terms in ascending lexicographic exponent
-order and always round-trips through :func:`parse_poly`.
+order and always round-trips through :func:`parse_poly`.  System documents
+are read and written by :mod:`bishift.io`.
 """
 
 from __future__ import annotations
 
 from ._sparse import check_rank
-from .errors import (
-    ParseError,
-    PolySyntaxError,
-    SchemaError,
-    VariableIndexOutOfRangeError,
-)
-from .fields import decimal_text, parse_field_spec, short_text
-from .laurent import LaurentPoly, PolyMatrix, System
+from .errors import ParseError, PolySyntaxError, VariableIndexOutOfRangeError
+from .fields import decimal_text, short_text
+from .laurent import LaurentPoly
 
-# largest rank a polynomial or system document may have
+# largest rank an expression or a document may have
 MAX_RANK = 64
 
 _WS = " \t\r\n"
@@ -234,91 +230,3 @@ def format_poly(d: LaurentPoly) -> str:
         else:
             pieces.append(("- " if sign < 0 else "+ ") + body)
     return " ".join(pieces)
-
-
-_SYSTEM_KEYS = ("rank", "field", "k", "l", "entries")
-
-
-def positive_int(value, what):
-    """``value`` if it is an int >= 1, else SchemaError; booleans are refused."""
-    if type(value) is not int or value < 1:
-        raise SchemaError(f"{what} must be an int >= 1, got {value!r}")
-    return value
-
-
-def document_field(spec, what="'field'"):
-    """The field a document's field spec string names; SchemaError if not a string.
-
-    A string that names no field raises FieldSpecError.
-    """
-    if not isinstance(spec, str):
-        raise SchemaError(f"{what} must be a field spec string, got {spec!r}")
-    return parse_field_spec(spec)
-
-
-def load_document(data, what, keys):
-    """The JSON object in ``data`` (text or bytes), else SchemaError naming ``what``.
-
-    The object must hold every key of ``keys``.
-    """
-    import json
-
-    try:
-        doc = json.loads(data)
-    except ValueError as e:  # bad JSON, undecodable bytes or an integer past int()'s limit
-        raise SchemaError(f"{what} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{what} must be a JSON object")
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise SchemaError(f"{what} is missing {missing}")
-    return doc
-
-
-def parse_system(text) -> System:
-    """Read a system document (text or bytes): rank, field, k, l and a k-by-l entries grid."""
-    doc = load_document(text, "system document", _SYSTEM_KEYS)
-    extra = doc.keys() - _SYSTEM_KEYS
-    if extra:
-        raise SchemaError(f"system document has unknown keys {sorted(extra)}")
-    rank, k, l = (positive_int(doc[key], repr(key)) for key in ("rank", "k", "l"))
-    if rank > MAX_RANK:
-        raise SchemaError(f"'rank' {rank} is above the largest supported rank {MAX_RANK}")
-    field = document_field(doc["field"])
-    entries = doc["entries"]
-    if not isinstance(entries, list) or len(entries) != k:
-        raise SchemaError(f"'entries' must be a list of {k} rows")
-    grid = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != l:
-            raise SchemaError(f"entries row {i} must be a list of {l} expressions")
-        parsed_row = []
-        for j, src in enumerate(row):
-            if not isinstance(src, str):
-                raise SchemaError(f"entry ({i},{j}) must be a string expression")
-            try:
-                parsed_row.append(parse_poly(src, rank, field))
-            except ParseError as e:
-                err = type(e)(f"system entry ({i},{j}): {e}")
-                err.position = e.position
-                err.expected = e.expected
-                raise err from None
-        grid.append(parsed_row)
-    return System(PolyMatrix(grid))
-
-
-def format_system(system: System) -> str:
-    """Inverse-oriented writer for system documents (round-trip safe)."""
-    import json
-
-    doc = {
-        "rank": system.rank,
-        "field": system.field.spec(),
-        "k": system.k,
-        "l": system.l,
-        "entries": [
-            [format_poly(system.matrix.entry(i, j)) for j in range(system.l)]
-            for i in range(system.k)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"

@@ -292,8 +292,8 @@ def _rational_kernel(matrix, width):
         signature = (len(free), tuple(free))
         tried *= p
         capped = tried.bit_length() > 5 * height_bits + 1
-        # the kernel's RREF mod p at the pivot columns of the reduction, row by row
-        image = [row[q] for row in _nullspace(pivots, width, p) for q in bound]
+        # the kernel's RREF mod p at the pivot columns, row by row: -r_q[f] (see _nullspace)
+        image = [-pivots[q].get(f, 0) % p for f in free for q in bound]
         if best is None or signature < best:
             # the first prime, or every kept one was unlucky: start over
             best, candidate, columns, kept = signature, None, bound, 1

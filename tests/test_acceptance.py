@@ -20,9 +20,10 @@ from oracles import count_periodic_members
 from bishift import selftest
 from bishift.errors import ParseError
 from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.io import parse_system
 from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.operators import scalar_product, shift
-from bishift.parsing import format_poly, parse_poly, parse_system
+from bishift.parsing import format_poly, parse_poly
 from bishift.selftest import (
     random_finite_seq,
     random_periodic_seq,

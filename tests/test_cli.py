@@ -75,6 +75,16 @@ class TestPair:
         assert "error" in captured.err
 
 
+    def test_float_overflow_exits_2(self, tmp_path, capsys):
+        # the grammar has no exponent, so 10**300 is written out; the product overflows
+        seq = tmp_path / "w.csv"
+        seq.write_text(f"0,{10**300}\n")
+        assert main(["pair", "--field", "float", "--poly", str(10**300), "--seq", str(seq)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot format non-finite value inf\n"
+
+
 class TestFilter:
     def test_smoothing_case_study(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
@@ -187,6 +197,17 @@ class TestFilter:
                 "--input", str(DATA / "dense16.csv"), "--output", str(out)]
         assert main(argv) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+    def test_float_overflow_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        inp.write_text(f"0,{10**300}\n")
+        out = tmp_path / "out.csv"
+        argv = ["filter", "--field", "float", "--kernel", str(10**300), "--input", str(inp),
+                "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cannot format non-finite value inf\n"
+        assert not out.exists()
 
 
 class TestKernel:
@@ -484,6 +505,15 @@ class TestMember:
         code = main(["member", "--system", str(difference_file), "--periodic", str(doc)])
         assert code == 0
         assert capsys.readouterr().out.strip() == "yes"
+
+    def test_periodic_document_above_the_rank_bound_exits_2(self, difference_file, tmp_path, capsys):
+        doc = tmp_path / "w.json"
+        doc.write_text(json.dumps({"rank": 65, "field": "gf:2", "periods": [1] * 65, "values": [1]}))
+        code = main(["member", "--system", str(difference_file), "--periodic", str(doc)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {doc}: 'rank' 65 is above the largest supported rank 64\n"
 
     def test_delta_not_member(self, difference_file, tmp_path, capsys):
         seq = tmp_path / "w.csv"

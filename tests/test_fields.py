@@ -72,6 +72,29 @@ def test_mixed_field_rejected():
         Q.value(1) == GF7.value(1)
 
 
+def test_boxed_subtraction_and_division():
+    for field, a, b, diff, quot in [
+        (Q, Q.value(1, 2), Q.value(1, 3), Q.value(1, 6), Q.value(3, 2)),
+        (GF7, GF7.value(3), GF7.value(5), GF7.value(5), GF7.value(2)),
+        (FloatField(), FloatField().value(1.5), FloatField().value(0.5),
+         FloatField().value(1.0), FloatField().value(3.0)),
+    ]:
+        assert a - b == diff and a / b == quot
+        assert (a / b) * b == a
+        with pytest.raises(InverseOfZeroError):
+            a / field.zero
+        other = GF7.value(1) if field is not GF7 else Q.value(1)
+        with pytest.raises(MixedFieldError):
+            a - other
+        with pytest.raises(MixedFieldError):
+            a / other
+        for plain in (1, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                a - plain
+            with pytest.raises(TypeError):
+                a / plain
+
+
 def test_inverse_of_zero():
     with pytest.raises(InverseOfZeroError):
         Q.value(0).inverse()
@@ -352,6 +375,14 @@ def test_decimal_token_round_trips():
     for x in [0.5, -1.25, 2.0, 1e-9, 123456.789, 3.141592653589793, -1.23456789e-12]:
         assert float(decimal_token(x)) == x
         assert "e" not in decimal_token(x)
+
+
+def test_format_value_refuses_an_overflowed_float():
+    # arithmetic on boxed floats is unchecked, so the product can leave the float range
+    big = FloatField().value(1e300)
+    for value in (big * big, -big * big):
+        with pytest.raises(NonFiniteValueError, match="non-finite value -?inf"):
+            FloatField().format_value(value)
 
 
 def test_token_round_trip_through_format():

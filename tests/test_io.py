@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +21,11 @@ from bishift.errors import (
     TruncatedPixelDataError,
 )
 from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.io import format_system, parse_system
 from bishift.laurent import PolyMatrix
 from bishift.operators import shift
-from bishift.parsing import parse_poly, parse_system
-from bishift.selftest import random_finite_seq
+from bishift.parsing import MAX_RANK, format_poly, parse_poly
+from bishift.selftest import random_finite_seq, random_poly
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
 from bishift.systems import KernelBasis, System, periodic_kernel_basis
 
@@ -419,6 +421,55 @@ class TestPgmEdgeCases:
 
 def difference_system(field=GF2):
     return System(PolyMatrix([[parse_poly("X - X^-1", 1, field)]]))
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class TestSystemDocument:
+    @pytest.mark.parametrize("field", [GF2, GF7, Q, F], ids=lambda f: f.spec())
+    def test_text_matches_json_dumps(self, field):
+        rng = random.Random(2701)
+        for _ in range(30):
+            rank, k, l = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+            grid = [[random_poly(rng, rank, field, max_terms=4) for _ in range(l)] for _ in range(k)]
+            doc = {
+                "rank": rank,
+                "field": field.spec(),
+                "k": k,
+                "l": l,
+                "entries": [[format_poly(d) for d in row] for row in grid],
+            }
+            assert format_system(System(PolyMatrix(grid))) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name, periods", [("gf7", (3, 2)), ("rational", (2, 3))])
+    def test_goldens(self, tmp_path, name, periods):
+        # the goldens were written by the json.dumps writer that _document replaced;
+        # CI also writes the reports with `kernel --report` and compares them with cmp
+        text = (DATA / f"system-{name}.json").read_text()
+        system = parse_system(text)
+        assert format_system(system) == text
+        path = tmp_path / "report.json"
+        formats.write_kernel_report(periodic_kernel_basis(system, periods), path)
+        assert path.read_bytes() == (DATA / f"kernel-{name}.json").read_bytes()
+
+    def test_every_document_refuses_a_rank_above_the_bound(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for rank, reads in ((MAX_RANK, True), (MAX_RANK + 1, False)):
+            header = {"rank": rank, "field": "gf:7", "periods": [1] * rank}
+            documents = [
+                ({"rank": rank, "field": "gf:7", "k": 1, "l": 1, "entries": [["1"]]},
+                 formats.read_system),
+                (dict(header, values=["3"]), formats.read_periodic_json),
+                (dict(header, dimension=1, basis=[["3"]]), formats.read_kernel_report),
+            ]
+            for doc, read in documents:
+                path.write_text(json.dumps(doc))
+                if reads:
+                    assert read(path).rank == MAX_RANK
+                else:
+                    with pytest.raises(SchemaError, match=f"'rank' {rank} is above"):
+                        read(path)
 
 
 class TestKernelReport:

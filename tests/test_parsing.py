@@ -17,8 +17,9 @@ from bishift.errors import (
     ZeroDenominatorError,
 )
 from bishift.fields import FloatField, PrimeField, RationalField
+from bishift.io import format_system, parse_system
 from bishift.laurent import LaurentPoly
-from bishift.parsing import MAX_RANK, format_poly, format_system, parse_poly, parse_system
+from bishift.parsing import MAX_RANK, format_poly, parse_poly
 from bishift.selftest import random_poly
 
 Q = RationalField()

@@ -17,8 +17,9 @@ import pytest
 from bishift import io as formats
 from bishift.errors import DigitLimitError
 from bishift.fields import PrimeField, RationalField
+from bishift.io import format_system, parse_system
 from bishift.laurent import LaurentPoly, PolyMatrix, System
-from bishift.parsing import format_poly, format_system, parse_poly, parse_system
+from bishift.parsing import format_poly, parse_poly
 from bishift.selftest import random_finite_seq, random_periods, random_poly, random_value
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
 from bishift.systems import KernelBasis, periodic_kernel_basis

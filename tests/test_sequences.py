@@ -163,6 +163,18 @@ def test_rank_and_field_mismatch_rejected():
         PeriodicSeq(2, Q, (2,), [1, 0])
 
 
+def test_periodic_signals_of_another_rank_field_or_periods_are_unequal():
+    w = PeriodicSeq(1, Q, (2,), [1, 0])
+    for other in (
+        PeriodicSeq(2, Q, (2, 1), [1, 0]),
+        PeriodicSeq(1, GF3, (2,), [1, 0]),
+        PeriodicSeq(1, Q, (4,), [1, 0, 1, 0]),
+    ):
+        assert w != other and other != w
+        assert not w == other
+    assert w == PeriodicSeq(1, RationalField(), (2,), [1, 0])
+
+
 def test_periodic_value_count_checked():
     with pytest.raises(ValueError):
         PeriodicSeq(1, Q, (3,), [1, 0])

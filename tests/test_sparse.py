@@ -8,9 +8,10 @@ from bishift import io as formats
 from bishift import pgm
 from bishift.errors import RepresentationMismatchError
 from bishift.fields import FieldValue, FloatField, PrimeField, RationalField
+from bishift.io import parse_system
 from bishift.laurent import LaurentPoly
 from bishift.operators import shift
-from bishift.parsing import parse_poly, parse_system
+from bishift.parsing import parse_poly
 from bishift.sequences import FiniteSeq, PeriodicSeq, periodize, poly_to_seq
 from bishift.systems import periodic_kernel_basis
 
@@ -41,6 +42,15 @@ class TestClassIdentity:
                 a + b
             with pytest.raises(RepresentationMismatchError):
                 a - b
+
+    @pytest.mark.parametrize("cls", [LaurentPoly, FiniteSeq])
+    def test_other_rank_or_field_is_unequal(self, cls):
+        d = cls(1, GF7, {(0,): 3})
+        others = (cls(2, GF7, {(0, 0): 3}), cls(1, Q, {(0,): 3}), cls(1, PrimeField(5), {(0,): 3}))
+        for other in others:
+            assert d != other and other != d
+            assert not d == other
+        assert d == cls(1, PrimeField(7), {(0,): 10})
 
     def test_results_keep_their_class(self):
         d = LaurentPoly(2, Q, {(0, 1): 1})

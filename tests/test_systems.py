@@ -826,6 +826,32 @@ class TestLatticeBudget:
             periodic_kernel_basis(system, (16, 16))
         assert time.process_time() - start < 2.0
 
+    def test_back_substitution_fill_refused(self, monkeypatch):
+        # rref checks the fill after each pivot row of its forward pass, then
+        # after each row of its back-substitution, which fills in further; a
+        # budget of the forward pass's peak stops only the back-substitution
+        system = stencil_system(random.Random("back-fill"), PrimeField(7), 2, 1, 2)
+        rows = periodic_system_matrix(system, (4, 4))
+        checked = []
+
+        class Recorder(int):
+            # `fill > MAX_FILL` asks the right operand, an int subclass, first
+            def __lt__(self, fill):
+                checked.append(fill)
+                return False
+
+        monkeypatch.setattr(systems, "MAX_FILL", Recorder(0))
+        pivots = rref(rows, 7)
+        half = len(checked) // 2
+        assert len(checked) == 2 * len(pivots) > 0
+        forward, back = max(checked[:half]), max(checked[half:])
+        assert back > forward
+        monkeypatch.setattr(systems, "MAX_FILL", forward)
+        with pytest.raises(LatticeTooLargeError, match=f"fills more than {forward} entries"):
+            rref(rows, 7)
+        monkeypatch.setattr(systems, "MAX_FILL", back)
+        assert rref(rows, 7) == pivots
+
     def test_rank1_basis_refused_before_any_row(self, monkeypatch):
         # X^2 - 1 divides X^n - 1 for even n: dimension 2, so 2 * n cells
         system = difference_system(PrimeField(7))
