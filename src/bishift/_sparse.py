@@ -202,7 +202,7 @@ class SparseTerms:
     __hash__ = None
 
     def __repr__(self):
-        shown = {k: self.field._format(v) for k, v in sorted(self._terms.items())}
+        shown = {k: self.field._show(v) for k, v in sorted(self._terms.items())}
         return (
             f"{type(self).__name__}(rank={self.rank}, field={self.field.spec()}, "
             f"terms={shown})"

@@ -137,7 +137,7 @@ class FieldValue:
         return self.field.is_zero(self)
 
     def __repr__(self):
-        return f"FieldValue({self.field.format_value(self)}, {self.field.spec()})"
+        return f"FieldValue({self.field._show(self.payload)}, {self.field.spec()})"
 
 
 class Field:
@@ -300,6 +300,10 @@ class Field:
         """Text form of a value of this field; MixedFieldError for another field's."""
         self._guard(v)
         return self._format(v.payload)
+
+    def _show(self, a):
+        """A payload's text in a repr; by default the ``_format`` that writers share."""
+        return self._format(a)
 
     def _format_rows(self, rows, encode):
         """Per row of payloads, lazily, the tokens ``encode(self._format(a))`` of its ``a``."""
@@ -582,6 +586,10 @@ class FloatField(Field):
 
     def _format(self, a):
         return decimal_token(a)
+
+    def _show(self, a):
+        # writers refuse a non-finite float; a repr prints it
+        return decimal_token(a) if math.isfinite(a) else repr(a)
 
     def spec(self):
         return f"float:{self.tolerance!r}"

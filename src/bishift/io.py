@@ -185,7 +185,7 @@ def read_kernel_report(path):
         basis.append(SeqVector._stacked(rank, field, periods, values))
     if doc["dimension"] != len(basis):
         raise SchemaError(f"{path}: dimension {doc['dimension']} but {len(basis)} basis rows")
-    return KernelBasis(rank, field, periods, len(basis), tuple(basis))
+    return KernelBasis(rank, field, periods, tuple(basis))
 
 
 def write_periodic_json(path, signal) -> None:

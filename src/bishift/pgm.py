@@ -113,17 +113,23 @@ def _write_raster(path, samples, row, width, height, maxval, tol) -> None:
     """Write the ``width`` x ``height`` window of a flat raster with rows ``row`` apart.
 
     A sample at or below ``tol`` is gray 0, one at or above 1 is maxval, and the rest
-    round ``v * maxval`` half up; a NaN in the window raises :class:`ImageWriteError`.
+    round ``v * maxval`` half up; a NaN or an infinity in the window raises
+    :class:`ImageWriteError`.
     """
     if not 1 <= maxval <= 65535:
         raise ImageWriteError(f"maxval {maxval} outside 1..65535")
-    window = chain.from_iterable(samples[y * row : y * row + width] for y in range(height))
+    starts = range(0, height * row, row)
+    window = chain.from_iterable(samples[i : i + width] for i in starts)
     # floor equals int() here, where v * maxval + 0.5 exceeds 0.5, and takes a faster call
     floor = math.floor
     try:
         grays = [0 if v <= tol else maxval if v >= 1.0 else floor(v * maxval + 0.5) for v in window]
     except ValueError:  # floor() of a NaN, which fails both comparisons
         raise ImageWriteError("cannot quantize a NaN sample") from None
+    # an infinity passed the comparisons above as gray 0 or maxval
+    for s in (samples[i : i + width] for i in starts):
+        if math.inf in (max(s, default=0.0), -min(s, default=0.0)):
+            raise ImageWriteError("cannot quantize an infinite sample")
     data = array("B" if maxval < 256 else "H", grays)
     if data.itemsize == 2 and sys.byteorder == "little":
         data.byteswap()  # the raster is big-endian

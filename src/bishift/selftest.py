@@ -182,8 +182,8 @@ def _require_exact(field):
         raise FloatFieldUnsupportedError("law suites run on exact fields only")
 
 
-def _shift_law_suites(field, rank, kind, trials, seed):
-    """The adjoint and module-action suites, both checked on each drawn (c, d, W)."""
+def shift_law_suites(field, rank, kind, trials, seed=DEFAULT_SEED):
+    """The adjoint and module-action results, in that order, both checked on each (c, d, W)."""
     _require_exact(field)
     one = LaurentPoly.one(rank, field)
 
@@ -203,16 +203,6 @@ def _shift_law_suites(field, rank, kind, trials, seed):
 
     spec = f"{field.spec()},r={rank},{kind}"
     return _run([f"adjoint[{spec}]", f"module-action[{spec}]"], seed, trials, draw, check)
-
-
-def adjoint_suite(field, rank, kind, trials, seed=DEFAULT_SEED) -> SuiteResult:
-    """<c * d, W> = <c, d o W> on random triples."""
-    return _shift_law_suites(field, rank, kind, trials, seed)[0]
-
-
-def module_action_suite(field, rank, kind, trials, seed=DEFAULT_SEED) -> SuiteResult:
-    """Composition law for the shift action, plus identity of the constant 1."""
-    return _shift_law_suites(field, rank, kind, trials, seed)[1]
 
 
 def extraction_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
@@ -287,7 +277,7 @@ def run_all(field, trials, seed=DEFAULT_SEED):
     results = []
     for rank in _RANKS:
         for kind in _KINDS:
-            results.extend(_shift_law_suites(field, rank, kind, trials, seed))
+            results.extend(shift_law_suites(field, rank, kind, trials, seed))
         results.append(extraction_suite(field, rank, trials, seed))
         results.append(bilinearity_suite(field, rank, trials, seed))
         results.append(support_bound_suite(field, rank, trials, seed))

@@ -195,7 +195,7 @@ class PeriodicSeq:
     __hash__ = None
 
     def __repr__(self):
-        shown = [self.field._format(v) for v in self._values]
+        shown = [self.field._show(v) for v in self._values]
         return (
             f"PeriodicSeq(rank={self.rank}, field={self.field.spec()}, "
             f"periods={self.periods}, values={shown})"
@@ -211,9 +211,9 @@ class SeqVector:
         comps = tuple(components)
         if not comps:
             raise ValueError("signal vector needs at least one component")
-        first = comps[0]
-        if not isinstance(first, (FiniteSeq, PeriodicSeq)):
+        if not all(isinstance(c, (FiniteSeq, PeriodicSeq)) for c in comps):
             raise TypeError("components must be FiniteSeq or PeriodicSeq")
+        first = comps[0]
         for c in comps[1:]:
             if not first._same_kind(c):
                 raise RepresentationMismatchError(
@@ -276,15 +276,16 @@ class SeqVector:
 class KernelBasis:
     """Basis of the behaviour restricted to one period lattice."""
 
-    __slots__ = ("rank", "field", "periods", "dimension", "basis")
+    __slots__ = ("rank", "field", "periods", "basis")
 
-    def __init__(self, rank, field, periods, dimension, basis):
+    def __init__(self, rank, field, periods, basis):
         self.rank, self.field, self.periods = rank, field, periods
-        self.dimension = dimension
         self.basis = basis  # of SeqVector, each periodic with the stated periods
 
+    dimension = property(lambda self: len(self.basis))
+
     def _key(self):
-        return self.rank, self.field, self.periods, self.dimension, self.basis
+        return self.rank, self.field, self.periods, self.basis
 
     def __eq__(self, other):
         if not isinstance(other, KernelBasis):

@@ -124,13 +124,16 @@ def rref(rows, p):
     through a heap of the columns it holds, against the pivot rows found
     so far, until it meets a column without one: that becomes its pivot.
     Entries are reduced mod p only when their column is reached.  Once
-    every row is in, each pivot row is cleared at the pivot columns it
-    holds, in ascending order, so it subtracts rows that are already
-    reduced.
-
-    Raises LatticeTooLargeError once ``rows`` and the pivot rows together
-    hold more than MAX_FILL entries.
+    every row is in (:func:`_forward`), each pivot row is cleared at the
+    pivot columns it holds, in ascending order, so it subtracts rows that
+    are already reduced (:func:`_clear`).  Raises LatticeTooLargeError
+    once ``rows`` and the pivot rows together hold more than MAX_FILL entries.
     """
+    return _clear(*_forward(rows, p), p)
+
+
+def _forward(rows, p):
+    """The pivot rows of :func:`rref` before clearing, and the entries held with ``rows``."""
     pivots = {}
     fill = sum(map(len, rows))
     rows = sorted(filter(None, rows), key=max)
@@ -166,6 +169,11 @@ def rref(rows, p):
         fill += len(new)
         if fill > MAX_FILL:
             raise _fill_error()
+    return pivots, fill
+
+
+def _clear(pivots, fill, p):
+    """The pivot rows of :func:`_forward`, cleared in place into those of :func:`rref`."""
     for q in sorted(pivots):
         row = pivots[q]
         fill -= len(row)
@@ -330,9 +338,9 @@ def _solve(system: System, periods):
 
     Returns ``(dimension, rows)``; ``rows()`` gives the kernel's RREF
     basis as rows of payloads.  Rank 1 takes the polynomial path, whose
-    dimension needs no basis.  Otherwise, over GF(p) one elimination gives
-    the dimension and ``rows`` reads the basis off its pivot rows; over Q
-    the dimension is the size of the certified basis.
+    dimension needs no basis.  Otherwise, over GF(p) the forward pass of
+    rref gives the dimension and ``rows`` clears its pivot rows into the
+    basis; over Q the dimension is the size of the certified basis.
     """
     periods = check_periods(periods, system.rank, "periods")
     field = system.field
@@ -345,8 +353,9 @@ def _solve(system: System, periods):
     matrix = periodic_system_matrix(system, periods)
     width = system.l * math.prod(periods)
     if isinstance(field, PrimeField):
-        pivots = rref(matrix, field.p)
-        return width - len(pivots), lambda: _nullspace(pivots, width, field.p)
+        p = field.p
+        pivots, fill = _forward(matrix, p)
+        return width - len(pivots), lambda: _nullspace(_clear(pivots, fill, p), width, p)
     rows = _rational_kernel(matrix, width)
     return len(rows), lambda: rows
 
@@ -355,8 +364,8 @@ def kernel_dimension(system: System, periods) -> int:
     """Dimension of the behaviour on a period lattice.
 
     For rank 1 it comes from the invariant factors of R, and over GF(p) from
-    one elimination, so no basis is built and MAX_KERNEL_CELLS does not
-    apply.  Over Q at rank >= 2 it is the size of the certified basis.
+    the forward pass of rref, so no basis is built and MAX_KERNEL_CELLS does
+    not apply.  Over Q at rank >= 2 it is the size of the certified basis.
     """
     return _solve(system, periods)[0]
 
@@ -364,10 +373,10 @@ def kernel_dimension(system: System, periods) -> int:
 def periodic_kernel_basis(system: System, periods) -> KernelBasis:
     """Exact basis of the behaviour restricted to a period lattice."""
     periods = check_periods(periods, system.rank, "periods")
-    dimension, rows = _solve(system, periods)
+    _, rows = _solve(system, periods)
     field = system.field
     basis = tuple(SeqVector._stacked(system.rank, field, periods, row) for row in rows())
-    return KernelBasis(system.rank, field, periods, dimension, basis)
+    return KernelBasis(system.rank, field, periods, basis)
 
 
 def enumerate_periodic_vectors(system: System, periods):

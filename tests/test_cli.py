@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bishift import io as formats
-from bishift import pgm, systems
+from bishift import operators, pgm, systems
 from bishift._univariate import PolyRing
 from bishift.cli import build_parser, main
 from bishift.errors import DigitLimitError
@@ -305,6 +305,27 @@ class TestKernel:
         assert main(argv) == 0
         assert capsys.readouterr().out == with_report == "dimension: 18\n"
 
+    def test_rank2_dimension_without_report_skips_the_clearing_pass(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # over GF(p) the dimension is read off the forward pass; only the
+        # report's basis clears the pivot rows
+        path = tmp_path / "system.json"
+        doc = {"rank": 2, "field": "gf:7", "k": 1, "l": 2, "entries": [["X1 - X1^-1", "X2 - 1"]]}
+        path.write_text(json.dumps(doc))
+        argv = ["kernel", "--system", str(path), "--period", "6,4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "dimension: 26\n"
+
+        def no_clearing(*args):
+            raise AssertionError("pivot rows cleared for the dimension alone")
+
+        monkeypatch.setattr(systems, "_clear", no_clearing)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "dimension: 26\n"
+        with pytest.raises(AssertionError, match="cleared for the dimension alone"):
+            main([*argv, "--report", str(tmp_path / "report.json")])
+
     def test_dimension_over_the_int_digit_limit(self, tmp_path, capsys, int_digit_limit):
         # 20 free components on a period of 4300 nines: a dimension of 4302 digits
         path = tmp_path / "system.json"
@@ -570,6 +591,21 @@ class TestSelftest:
 
     def test_negative_trials_rejected(self):
         assert main(["selftest", "--trials", "-1", "--field", "gf:2"]) == 2
+
+    def test_broken_law_fails_with_its_first_instance(self, capsys, monkeypatch):
+        # a shift that drops every sample breaks the identity 1 o W = W
+        def vanishing(d, w):
+            return w * 0
+
+        monkeypatch.setattr(operators, "shift", vanishing)
+        code = main(["selftest", "--trials", "3", "--seed", "5", "--field", "gf:7"])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = {line.split()[0]: line.split()[1:] for line in captured.out.splitlines()}
+        assert len(lines) == 21 and "all" not in lines
+        trials, failures, status = lines["module-action[gf:7,r=1,finite]"]
+        assert (trials, status) == ("trials=3", "FAIL") and failures != "failures=0"
+        assert "  first failure: seed=5, trial=" in captured.err
 
     def test_same_seed_same_output(self, capsys):
         main(["selftest", "--trials", "10", "--seed", "3", "--field", "gf:2"])

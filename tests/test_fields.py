@@ -405,3 +405,15 @@ def test_format_value_refuses_another_fields_value():
             field.format_value(value)
     assert FloatField().format_value(FloatField().value(0.5)) == "0.5"
     assert Q.format_value(Q.value(1, 3)) == "1/3"
+
+
+def test_value_refuses_a_denominator_with_a_field_value():
+    for field in (Q, GF7, FloatField()):
+        with pytest.raises(TypeError, match="denominator not allowed with a FieldValue"):
+            field.value(field.one, 2)
+        assert field.value(field.one) is field.one
+
+
+def test_float_value_refuses_text():
+    with pytest.raises(TypeError, match="cannot build a float value from str"):
+        FloatField().value("x")

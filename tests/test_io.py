@@ -270,6 +270,12 @@ class TestPgm:
         pgm.write_pgm(out, seq, 2, 2, 255)
         assert out.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 0, 0, 64])
 
+    def test_write_needs_a_rank_two_signal(self, tmp_path):
+        out = tmp_path / "r1.pgm"
+        with pytest.raises(RankMismatchError, match="image output needs a rank-2 signal"):
+            pgm.write_pgm(out, FiniteSeq(1, F, {(0,): 0.5}), 1, 1)
+        assert not out.exists()
+
     def test_write_clamps_and_quantizes(self, tmp_path):
         seq = FiniteSeq(2, F, {(0, 0): 1.7, (1, 0): -0.4, (2, 0): 0.5019})
         out = tmp_path / "q.pgm"
@@ -380,15 +386,23 @@ class TestPgmEdgeCases:
         assert out.read_bytes() == f"P5\n3 3\n{maxval}\n".encode() + raster
 
     def test_write_non_finite_samples(self, tmp_path):
-        # infinities clamp; a NaN outside the window is never quantized
+        # an infinity or a NaN in the window is refused and nothing is written;
+        # outside the window none is quantized
         odd = FiniteSeq._wrap(2, F, {
-            (0, 0): math.inf, (1, 0): -math.inf, (-1, 0): math.nan, (1, 1): -0.0
+            (2, 0): math.inf, (0, 2): -math.inf, (-1, 0): math.nan, (1, 1): -0.0, (0, 0): 0.5
         })
         out = tmp_path / "out.pgm"
         pgm.write_pgm(out, odd, 2, 2, 255)
-        assert out.read_bytes() == b"P5\n2 2\n255\n\xff\x00\x00\x00"
+        assert out.read_bytes() == b"P5\n2 2\n255\n\x80\x00\x00\x00"
+        out.unlink()
+        for bad in (math.inf, -math.inf):
+            seq = FiniteSeq._wrap(2, F, {(0, 0): 0.5, (1, 0): bad})
+            with pytest.raises(ImageWriteError, match="cannot quantize an infinite sample"):
+                pgm.write_pgm(out, seq, 2, 1, 255)
+            assert not out.exists()
         with pytest.raises(ValueError, match="NaN"):
             pgm.write_pgm(out, FiniteSeq._wrap(2, F, {(0, 0): math.nan}), 1, 1, 255)
+        assert not out.exists()
 
     @pytest.mark.parametrize("maxval", [255, 1000])
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
@@ -543,7 +557,7 @@ class TestKernelReport:
 
             header = {"rank": rank, "field": field.spec(), "periods": list(periods)}
             basis = tuple(vector() for _ in range(rng.randint(1, 4) if trial else 0))
-            formats.write_kernel_report(KernelBasis(rank, field, periods, len(basis), basis), path)
+            formats.write_kernel_report(KernelBasis(rank, field, periods, basis), path)
             doc = dict(header, dimension=len(basis), basis=[tokens(vec) for vec in basis])
             assert path.read_text() == json.dumps(doc, indent=2) + "\n"
             vec = vector()
@@ -648,6 +662,14 @@ class TestPeriodicDocument:
             assert type(json.loads(path.read_text())["rank"]) is int
             assert formats.read_periodic_json(path)[0] == w
 
+    def test_finite_signal_refused(self, tmp_path):
+        path = tmp_path / "p.json"
+        finite = FiniteSeq(1, Q, {(0,): 1})
+        for signal in (finite, SeqVector([finite])):
+            with pytest.raises(TypeError, match="expected a periodic signal or signal vector"):
+                formats.write_periodic_json(path, signal)
+        assert not path.exists()
+
     def test_component_count_checked(self, tmp_path):
         path = tmp_path / "p.json"
         formats.write_periodic_json(path, PeriodicSeq(1, Q, (2,), [1, 0]))
@@ -704,7 +726,7 @@ class TestIntDigitLimit:
         big = Fraction(10**int_digit_limit, 3)
         vec = SeqVector([PeriodicSeq(1, Q, (2,), [1, big])])
         writes = [
-            lambda path: formats.write_kernel_report(KernelBasis(1, Q, (2,), 1, (vec,)), path),
+            lambda path: formats.write_kernel_report(KernelBasis(1, Q, (2,), (vec,)), path),
             lambda path: formats.write_periodic_json(path, vec),
             lambda path: formats.write_seq_csv(path, FiniteSeq(1, Q, {(0,): big})),
         ]

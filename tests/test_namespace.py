@@ -99,9 +99,10 @@ def test_kernel_basis_equality():
     def basis(*values):
         return (SeqVector([PeriodicSeq(1, q, (2,), [Fraction(v) for v in values])]),)
 
-    one = KernelBasis(1, q, (2,), 1, basis(1, 1))
-    assert one == KernelBasis(1, RationalField(), (2,), 1, basis(1, 1))
-    assert one != KernelBasis(1, q, (2,), 1, basis(1, 2))
-    assert one != KernelBasis(1, PrimeField(7), (2,), 1, basis(1, 1))
-    assert one != (1, q, (2,), 1, basis(1, 1))
-    assert repr(one).startswith("KernelBasis(rank=1, field=RationalField(), periods=(2,), dimension=1,")
+    one = KernelBasis(1, q, (2,), basis(1, 1))
+    assert one == KernelBasis(1, RationalField(), (2,), basis(1, 1))
+    assert one != KernelBasis(1, q, (2,), basis(1, 2))
+    assert one != KernelBasis(1, PrimeField(7), (2,), basis(1, 1))
+    assert one != (1, q, (2,), basis(1, 1))
+    assert one.dimension == 1
+    assert repr(one).startswith("KernelBasis(rank=1, field=RationalField(), periods=(2,), basis=(")

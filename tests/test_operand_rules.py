@@ -150,3 +150,12 @@ def test_what_value_refuses_is_no_scalar(x):
             x * other
         with pytest.raises(TypeError):
             other * x
+
+
+@pytest.mark.parametrize("other", [poly(1, Q), 3], ids=["poly", "int"])
+def test_signal_vector_refuses_a_non_signal_in_every_position(other):
+    want = (TypeError, "components must be FiniteSeq or PeriodicSeq")
+    for signal in (finite(1, Q), periodic(1, Q)):
+        assert raised(lambda: SeqVector([other, signal])) == want
+        assert raised(lambda: SeqVector([signal, other])) == want
+        assert raised(lambda: SeqVector([signal, signal, other])) == want

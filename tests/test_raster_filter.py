@@ -177,6 +177,23 @@ def test_nan_in_the_window_is_a_typed_error(tmp_path, capsys):
     assert isinstance(caught.value, BishiftError) and isinstance(caught.value, ValueError)
 
 
+@pytest.mark.parametrize("sign", ["", "-"], ids=["inf", "-inf"])
+def test_infinity_in_the_window_is_a_typed_error(tmp_path, capsys, sign):
+    # on a white 2x1 image, pixel (1, 0) sums B twice and overflows to an infinity
+    big = f"1{'0' * 308}"
+    kernel = f"{sign}{big} {'-' if sign else '+'} {big}*X1^-1"
+    code, out = run_filter(tmp_path, pgm_bytes(2, 1, 255, [255, 255]), kernel, "float")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: cannot quantize an infinite sample\n"
+    # the same overflow through a CSV signal is refused by the CSV writer
+    src, csv_out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("0,0,1\n1,0,1\n")
+    argv = ["filter", "--rank", "2", "--field", "float", "--kernel", kernel,
+            "--input", str(src), "--output", str(csv_out)]
+    assert main(argv) == 2 and not csv_out.exists()
+    assert f"non-finite value {sign}inf" in capsys.readouterr().err
+
+
 def test_filter_pgm_needs_a_rank_two_kernel(tmp_path):
     src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
     src.write_bytes(pgm_bytes(3, 2, 255, range(6)))

@@ -118,7 +118,7 @@ class TestAtTheDigitLimit:
         assert parse_poly(format_poly(d), 1, Q) == d
         w = FiniteSeq(1, Q, {(0,): at, (1,): 1})
         vec = SeqVector([PeriodicSeq(1, Q, (2,), [at, 1])])
-        kernel = KernelBasis(1, Q, (2,), 1, (vec,))
+        kernel = KernelBasis(1, Q, (2,), (vec,))
         path = tmp_path / "doc"
         formats.write_seq_csv(path, w)
         assert formats.read_seq_csv(path, 1, Q) == w

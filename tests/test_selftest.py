@@ -11,10 +11,8 @@ from bishift.fields import FieldValue, FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly
 from bishift.selftest import (
     _KINDS,
-    adjoint_suite,
     bilinearity_suite,
     extraction_suite,
-    module_action_suite,
     random_exponent,
     random_finite_seq,
     random_periodic_seq,
@@ -22,6 +20,7 @@ from bishift.selftest import (
     random_poly,
     random_value,
     run_all,
+    shift_law_suites,
     support_bound_suite,
 )
 from bishift.sequences import FiniteSeq, PeriodicSeq
@@ -33,10 +32,12 @@ Q = RationalField()
 @pytest.mark.parametrize("field", [GF7, Q])
 @pytest.mark.parametrize("kind", ["finite", "periodic"])
 def test_adjoint_suite_passes(field, kind):
-    result = adjoint_suite(field, 2, kind, 100, seed=11)
-    assert result.passed
-    assert result.trials == 100
-    assert result.example is None
+    adjoint, action = shift_law_suites(field, 2, kind, 100, seed=11)
+    assert adjoint.name.startswith("adjoint[") and action.name.startswith("module-action[")
+    for result in (adjoint, action):
+        assert result.passed
+        assert result.trials == 100
+        assert result.example is None
 
 
 class PublicDraws:
@@ -133,7 +134,7 @@ class WrapperDraws:
 
     def instance(self, suite, rank, kind):
         """One draw of ``suite``, in the order its ``draw`` makes it."""
-        if suite in ("adjoint", "module_action"):
+        if suite in ("shift_law", "adjoint", "module_action"):
             return {"c": self.terms(rank), "d": self.terms(rank), "w": self.signal(rank, kind)}
         if suite == "extraction":
             gamma, d = self.exponent(rank), self.terms(rank)
@@ -189,7 +190,7 @@ def test_draw_stream_matches_randrange_and_choice(field, seed):
 
 @pytest.mark.parametrize("field", [GF7, Q], ids=lambda f: f.spec())
 @pytest.mark.parametrize(
-    "suite", ["adjoint", "module_action", "extraction", "bilinearity", "support_bound"]
+    "suite", ["shift_law", "extraction", "bilinearity", "support_bound"]
 )
 def test_suite_draws_match_randrange_and_choice(monkeypatch, field, suite):
     # each suite's draw, the choice sites included, gives the instances and
@@ -200,8 +201,8 @@ def test_suite_draws_match_randrange_and_choice(monkeypatch, field, suite):
         selftest, "_run",
         lambda names, seed, trials, draw, check: draws.append(draw) or [None] * len(names),
     )
-    run_suite = getattr(selftest, f"{suite}_suite")
-    with_kind = suite in ("adjoint", "module_action")
+    with_kind = suite == "shift_law"
+    run_suite = selftest.shift_law_suites if with_kind else getattr(selftest, f"{suite}_suite")
     for seed in (5, 77):
         for rank in (1, 2, 3):
             for kind in _KINDS if with_kind else [None]:
@@ -331,19 +332,21 @@ def test_all_suites_pass_small():
 
 
 def test_suites_are_deterministic():
-    a = adjoint_suite(GF7, 1, "finite", 50, seed=13)
-    b = adjoint_suite(GF7, 1, "finite", 50, seed=13)
-    assert (a.trials, a.failures, a.example) == (b.trials, b.failures, b.example)
+    a = shift_law_suites(GF7, 1, "finite", 50, seed=13)
+    b = shift_law_suites(GF7, 1, "finite", 50, seed=13)
+    assert [(r.trials, r.failures, r.example) for r in a] == [
+        (r.trials, r.failures, r.example) for r in b
+    ]
 
 
 def test_float_field_rejected():
     with pytest.raises(FloatFieldUnsupportedError):
-        adjoint_suite(FloatField(), 1, "finite", 5)
+        shift_law_suites(FloatField(), 1, "finite", 5)
 
 
 def test_zero_trials_vacuous():
-    result = module_action_suite(Q, 1, "finite", 0)
-    assert result.passed and result.trials == 0
+    for result in shift_law_suites(Q, 1, "finite", 0):
+        assert result.passed and result.trials == 0
 
 
 def test_corrupted_shift_is_caught(monkeypatch):
@@ -365,7 +368,7 @@ def test_corrupted_shift_is_caught(monkeypatch):
         return real_shift(d, w)
 
     monkeypatch.setattr(bishift.operators, "shift", flipped)
-    result = adjoint_suite(GF7, 1, "finite", 200, seed=14)
+    result = shift_law_suites(GF7, 1, "finite", 200, seed=14)[0]
     assert not result.passed
     assert result.example is not None
     assert "seed=14" in result.example

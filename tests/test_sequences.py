@@ -5,11 +5,12 @@ import pytest
 
 from bishift.errors import (
     MixedFieldError,
+    NonFiniteValueError,
     PeriodMismatchError,
     RankMismatchError,
     RepresentationMismatchError,
 )
-from bishift.fields import PrimeField, RationalField
+from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.laurent import LaurentPoly
 from bishift.selftest import random_finite_seq, random_poly
 from bishift.sequences import (
@@ -261,3 +262,24 @@ def test_stacked_vector_matches_checked_components():
     assert [type(c._values) for c in got] == [tuple, tuple]
     with pytest.raises(ValueError):
         SeqVector._stacked(1, GF3, (2,), ())
+
+
+def test_reprs_print_non_finite_floats():
+    # float arithmetic on signals is unchecked; a repr shows what it made,
+    # while format_value, which the writers share, keeps refusing it
+    field = FloatField()
+    w = FiniteSeq(1, field, {(0,): 1e308, (1,): 1e308}) * 2
+    nan = w - w * 1.0
+    assert repr(w) == "FiniteSeq(rank=1, field=float:1e-09, terms={(0,): 'inf', (1,): 'inf'})"
+    assert repr(nan).endswith("terms={(0,): 'nan', (1,): 'nan'})")
+    assert repr(w.coeff((0,))) == "FieldValue(inf, float:1e-09)"
+    assert repr(-w.coeff((0,))) == "FieldValue(-inf, float:1e-09)"
+    assert repr(w.terms) == (
+        "TermsView({(0,): FieldValue(inf, float:1e-09), (1,): FieldValue(inf, float:1e-09)})"
+    )
+    p = PeriodicSeq(1, field, (2,), [1e308, 0.5]) * 2
+    assert repr(p) == "PeriodicSeq(rank=1, field=float:1e-09, periods=(2,), values=['inf', '1.0'])"
+    with pytest.raises(NonFiniteValueError):
+        field.format_value(w.coeff((0,)))
+    # finite values print as before
+    assert repr(FiniteSeq(1, field, {(0,): 0.5})).endswith("terms={(0,): '0.5'})")

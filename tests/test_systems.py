@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -346,6 +347,10 @@ class TestKernelSolver:
         with pytest.raises(FloatFieldUnsupportedError):
             kernel_dimension(system, (2,))
 
+    def test_enumeration_needs_a_finite_field(self):
+        with pytest.raises(FloatFieldUnsupportedError, match="enumeration needs a finite field"):
+            next(enumerate_periodic_vectors(difference_system(Q), (2,)))
+
     def test_kernel_basis_record(self):
         result = periodic_kernel_basis(difference_system(GF2), (2,))
         assert isinstance(result, KernelBasis)
@@ -654,6 +659,54 @@ class TestSparseElimination:
         assert any(dims)
         if p is None:
             assert max(heights) > 2**62
+
+
+class TestDimensionOnly:
+    """Over GF(p) at rank >= 2 the dimension comes from the forward pass alone."""
+
+    def test_forward_pass_has_the_pivots_of_rref(self):
+        rng = random.Random("forward")
+        for p, rank, shape in itertools.product((2, 7), (2, 3), ((1, 2), (2, 2), (2, 3))):
+            field, periods = PrimeField(p), SPARSE_PERIODS[rank][rng.randrange(3)]
+            rows = periodic_system_matrix(stencil_system(rng, field, rank, *shape), periods)
+            pivots, fill = systems._forward(rows, p)
+            assert fill == sum(map(len, rows)) + sum(map(len, pivots.values()))
+            assert pivots.keys() == rref(rows, p).keys()
+
+    def test_dimension_skips_the_clearing_pass(self, monkeypatch):
+        rng = random.Random("no-clearing")
+        cases = []
+        for p, rank in itertools.product((2, 7), (2, 3)):
+            system, periods = stencil_system(rng, PrimeField(p), rank, 1, 2), SPARSE_PERIODS[rank][1]
+            cases.append((system, periods, kernel_dimension(system, periods)))
+
+        def no_clearing(*args):
+            raise AssertionError("pivot rows cleared for the dimension alone")
+
+        monkeypatch.setattr(systems, "_clear", no_clearing)
+        for system, periods, dimension in cases:
+            assert kernel_dimension(system, periods) == dimension
+            with pytest.raises(AssertionError, match="cleared for the dimension alone"):
+                periodic_kernel_basis(system, periods)
+        assert any(dimension for _, _, dimension in cases)
+
+    @pytest.mark.parametrize("p", [2, 7, pytest.param(None, id="rational")])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_dimension_and_basis_agree(self, rank, p):
+        field = field_of(p)
+        rng = random.Random(f"agree:{rank}:{p or 'rational'}")
+        lattices = {1: [(1,), (4,), (6,)], **SPARSE_PERIODS}[rank]
+        dims = []
+        for periods, l in zip(lattices, (1, 2, 3)):
+            first = [stencil_poly(rng, rank, field) for _ in range(l)]
+            # a second row that is a multiple of the first keeps a kernel of (l - 1)|D| or more
+            q = stencil_poly(rng, rank, field)
+            system = System(PolyMatrix([first, [q * e for e in first]]))
+            result = periodic_kernel_basis(system, periods)
+            dims.append(kernel_dimension(system, periods))
+            assert dims[-1] == result.dimension == len(result.basis)
+            assert all(system.contains(vec) for vec in result.basis)
+        assert any(dims)
 
 
 class TestRankOneOracle:
