@@ -21,7 +21,7 @@ included; ``filter --pgm`` never builds it (one flat raster).
 from collections.abc import Mapping
 
 from .errors import MixedFieldError, RankMismatchError
-from .fields import FieldValue
+from .fields import FieldValue, shown_int
 
 
 def exponent_tuple(alpha, rank):
@@ -34,9 +34,22 @@ def exponent_tuple(alpha, rank):
     return t
 
 
-def check_rank(rank):
+# largest rank of a container, an expression or a document
+MAX_RANK = 64
+
+
+def check_rank(rank, name="rank"):
+    """ValueError naming ``name`` unless ``rank`` is an int from 1 to MAX_RANK."""
     if type(rank) is not int or rank < 1:
-        raise ValueError(f"rank must be a positive int, got {rank!r}")
+        raise ValueError(f"{name} must be a positive int, got {rank!r}")
+    if rank > MAX_RANK:
+        raise ValueError(f"{name} {rank} is above the largest supported rank {MAX_RANK}")
+
+
+def shown_index(alpha):
+    """``repr(alpha)`` with each component written by :func:`~bishift.fields.shown_int`."""
+    body = ", ".join(map(shown_int, alpha))
+    return f"({body},)" if len(alpha) == 1 else f"({body})"
 
 
 def canonical_terms(rank, field, mapping):
@@ -80,7 +93,8 @@ class TermsView(Mapping):
         return len(self._terms)
 
     def __repr__(self):
-        return f"TermsView({dict(self)!r})"
+        shown = ", ".join(f"{shown_index(k)}: {v!r}" for k, v in self.items())
+        return f"TermsView({{{shown}}})"
 
 
 class SparseTerms:
@@ -202,8 +216,9 @@ class SparseTerms:
     __hash__ = None
 
     def __repr__(self):
-        shown = {k: self.field._show(v) for k, v in sorted(self._terms.items())}
+        show = self.field._show
+        shown = ", ".join(f"{shown_index(k)}: {show(v)!r}" for k, v in sorted(self._terms.items()))
         return (
             f"{type(self).__name__}(rank={self.rank}, field={self.field.spec()}, "
-            f"terms={shown})"
+            f"terms={{{shown}}})"
         )

@@ -78,6 +78,14 @@ def decimal_text(n: int, what: str = "an integer") -> str:
         ) from None
 
 
+def shown_int(n: int) -> str:
+    """``n`` in decimal for a repr, or by its digit count past int()'s digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{Decimal(n).adjusted() + 1} digits>"
+
+
 def short_text(text: str, limit: int = 40) -> str:
     """``repr(text)``, cut to its first ``limit`` characters and its length if longer."""
     if len(text) <= limit:
@@ -392,6 +400,10 @@ class RationalField(Field):
         num, den = a.as_integer_ratio()
         num = decimal_text(num, "a rational")
         return num if den == 1 else f"{num}/{decimal_text(den, 'a rational')}"
+
+    def _show(self, a):
+        num, den = a.as_integer_ratio()
+        return shown_int(num) if den == 1 else f"{shown_int(num)}/{shown_int(den)}"
 
     def spec(self):
         return "rational"

@@ -13,12 +13,13 @@ import math
 from itertools import chain
 from pathlib import Path
 
+from ._sparse import check_rank
 from .errors import (
     BadValueTokenError, DuplicateIndexError, ParseError, RankMismatchError, SchemaError
 )
 from .fields import decimal_int, decimal_text, parse_field_spec
 from .laurent import PolyMatrix, System
-from .parsing import MAX_RANK, format_poly, parse_poly
+from .parsing import format_poly, parse_poly
 
 _SYSTEM_KEYS = ("rank", "field", "k", "l", "entries")
 
@@ -92,8 +93,10 @@ def _load_document(data, what, keys, path=None):
     if missing:
         raise SchemaError(f"{where}{what} is missing {missing}")
     rank = _positive_int(doc["rank"], f"{where}'rank'")
-    if rank > MAX_RANK:
-        raise SchemaError(f"{where}'rank' {rank} is above the largest supported rank {MAX_RANK}")
+    try:
+        check_rank(rank, f"{where}'rank'")
+    except ValueError as e:  # above MAX_RANK
+        raise SchemaError(str(e)) from None
     spec = doc["field"]
     if not isinstance(spec, str):
         raise SchemaError(f"{where}'field' must be a field spec string, got {spec!r}")

@@ -25,9 +25,6 @@ from .errors import ParseError, PolySyntaxError, VariableIndexOutOfRangeError
 from .fields import decimal_text, short_text
 from .laurent import LaurentPoly
 
-# largest rank an expression or a document may have
-MAX_RANK = 64
-
 _WS = " \t\r\n"
 _DIGITS = "0123456789"
 
@@ -156,8 +153,6 @@ def parse_poly(text: str, rank: int = 1, field=None) -> LaurentPoly:
     if field is None:
         raise TypeError("parse_poly needs a field")
     check_rank(rank)
-    if rank > MAX_RANK:
-        raise ValueError(f"rank {rank} is above the largest supported rank {MAX_RANK}")
     cur = _Cursor(text, rank, field)
     acc = {}
 

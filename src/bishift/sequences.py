@@ -279,6 +279,7 @@ class KernelBasis:
     __slots__ = ("rank", "field", "periods", "basis")
 
     def __init__(self, rank, field, periods, basis):
+        check_rank(rank)
         self.rank, self.field, self.periods = rank, field, periods
         self.basis = basis  # of SeqVector, each periodic with the stated periods
 

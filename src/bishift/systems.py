@@ -33,9 +33,9 @@ Over Q no elimination runs on ``Fraction``s.  Each row of the matrix is
 cleared of denominators once and reduced modulo 31-bit primes for the
 same loop.  A prime whose kernel is larger, or whose pivots sit further
 right, than another prime's is unlucky and dropped.  The residues of
-the others are combined by CRT and rational reconstruction, and the
-result is certified by an exact check of M w = 0 on the sparse integer
-rows (see :func:`_rational_kernel`).
+the others are combined by CRT and rationally reconstructed after 1, 2,
+4, ... primes.  One rule accepts a reconstruction: an exact check of
+M w = 0 on the sparse integer rows (see :func:`_rational_kernel`).
 """
 
 from __future__ import annotations
@@ -276,8 +276,8 @@ def _rational_kernel(matrix, width):
     is (dimension, pivot tuple); the true one is the smallest possible,
     so a prime with a larger signature is unlucky and dropped, and a
     smaller one restarts the residues.  The residues of the non-pivot
-    columns are combined by CRT and reconstructed; once two successive
-    reconstructions agree, the rows are checked exactly against M.  The
+    columns are combined by CRT and reconstructed after 1, 2, 4, ... kept
+    primes, and every reconstruction is checked exactly against M: the
     rows are in RREF by construction and number width - rank_p >= dim_Q,
     so passing the check proves they are the unique RREF basis over Q.
 
@@ -292,7 +292,7 @@ def _rational_kernel(matrix, width):
         cleared.append({col: c.numerator * (scale // c.denominator) for col, c in row.items()})
     # H < 2**height_bits: each row's 2-norm is at most its 1-norm
     height_bits = sum(sum(map(abs, row.values())).bit_length() for row in cleared)
-    best = candidate = None
+    best = None
     tried = 1
     for p in _primes():
         pivots = rref([{col: c % p for col, c in row.items() if c % p} for row in cleared], p)
@@ -304,18 +304,18 @@ def _rational_kernel(matrix, width):
         image = [-pivots[q].get(f, 0) % p for f in free for q in bound]
         if best is None or signature < best:
             # the first prime, or every kept one was unlucky: start over
-            best, candidate, columns, kept = signature, None, bound, 1
+            best, columns, kept = signature, bound, 1
             residues, modulus = image, p
         elif signature == best:
             residues, modulus, kept = _crt(residues, modulus, image, p), modulus * p, kept + 1
         elif not capped:
             continue
         # Reconstruction costs more than a prime once the entries need many
-        # primes, so until it first succeeds it runs after 1, 2, 4, ... primes.
-        if kept & (kept - 1) and candidate is None and not capped:
+        # primes, so it runs after 1, 2, 4, ... kept primes, and at the cap.
+        if kept & (kept - 1) and not capped:
             continue
-        previous, candidate = candidate, _reconstruct(residues, modulus)
-        if candidate is not None and (candidate == previous or capped):
+        candidate = _reconstruct(residues, modulus)
+        if candidate is not None:
             (_, leads), (den, numerators) = best, candidate
             rows = []
             for i, lead in enumerate(leads):

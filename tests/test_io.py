@@ -20,11 +20,12 @@ from bishift.errors import (
     SchemaError,
     TruncatedPixelDataError,
 )
+from bishift._sparse import MAX_RANK
 from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.io import format_system, parse_system
 from bishift.laurent import PolyMatrix
 from bishift.operators import shift
-from bishift.parsing import MAX_RANK, format_poly, parse_poly
+from bishift.parsing import format_poly, parse_poly
 from bishift.selftest import random_finite_seq, random_poly
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
 from bishift.systems import KernelBasis, System, periodic_kernel_basis
@@ -484,6 +485,22 @@ class TestSystemDocument:
                 else:
                     with pytest.raises(SchemaError, match=f"'rank' {rank} is above"):
                         read(path)
+
+    def test_every_writer_reads_back_at_the_bound(self, tmp_path):
+        # containers refuse a rank above MAX_RANK, so no writer emits a document its reader refuses
+        field, periods = PrimeField(7), (1,) * MAX_RANK
+        poly = parse_poly(f"3*X{MAX_RANK} + X1^-1", MAX_RANK, field)
+        assert parse_poly(format_poly(poly), MAX_RANK, field) == poly
+        system = System(PolyMatrix([[poly, poly * 2]]))
+        assert parse_system(format_system(system)).matrix == system.matrix
+        signal = PeriodicSeq(MAX_RANK, field, periods, [3])
+        path = tmp_path / "signal.json"
+        formats.write_periodic_json(path, signal)
+        assert formats.read_periodic_json(path) == SeqVector([signal])
+        kernel = KernelBasis(MAX_RANK, field, periods, (SeqVector([signal, signal * 2]),))
+        path = tmp_path / "report.json"
+        formats.write_kernel_report(kernel, path)
+        assert formats.read_kernel_report(path) == kernel
 
 
 class TestKernelReport:

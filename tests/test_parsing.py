@@ -16,10 +16,11 @@ from bishift.errors import (
     VariableIndexOutOfRangeError,
     ZeroDenominatorError,
 )
+from bishift._sparse import MAX_RANK
 from bishift.fields import FloatField, PrimeField, RationalField
 from bishift.io import format_system, parse_system
 from bishift.laurent import LaurentPoly
-from bishift.parsing import MAX_RANK, format_poly, parse_poly
+from bishift.parsing import format_poly, parse_poly
 from bishift.selftest import random_poly
 
 Q = RationalField()

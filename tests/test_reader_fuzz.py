@@ -16,8 +16,8 @@ import pytest
 from bishift import io as formats
 from bishift import pgm
 from bishift.errors import BishiftError
+from bishift._sparse import MAX_RANK
 from bishift.fields import FloatField, PrimeField, RationalField
-from bishift.parsing import MAX_RANK
 
 SEED = 8
 CASES = 800

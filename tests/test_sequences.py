@@ -1,9 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from bishift._sparse import MAX_RANK
 from bishift.errors import (
+    DigitLimitError,
     MixedFieldError,
     NonFiniteValueError,
     PeriodMismatchError,
@@ -15,6 +18,7 @@ from bishift.laurent import LaurentPoly
 from bishift.selftest import random_finite_seq, random_poly
 from bishift.sequences import (
     FiniteSeq,
+    KernelBasis,
     PeriodicSeq,
     SeqVector,
     check_periods,
@@ -136,6 +140,19 @@ def test_bool_rank_rejected():
         lambda: LaurentPoly(True, GF3, {(0,): 1}),
     ):
         with pytest.raises(ValueError, match="rank must be a positive int"):
+            build()
+
+
+def test_rank_above_the_bound_rejected():
+    # every reader refuses a document above MAX_RANK, so no container holds one
+    periods = (1,) * (MAX_RANK + 1)
+    for build in (
+        lambda: PeriodicSeq(MAX_RANK + 1, GF3, periods, [1]),
+        lambda: FiniteSeq(MAX_RANK + 1, GF3, {(0,) * (MAX_RANK + 1): 1}),
+        lambda: LaurentPoly(MAX_RANK + 1, GF3, {}),
+        lambda: KernelBasis(MAX_RANK + 1, GF3, periods, ()),
+    ):
+        with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is above the largest supported"):
             build()
 
 
@@ -283,3 +300,24 @@ def test_reprs_print_non_finite_floats():
         field.format_value(w.coeff((0,)))
     # finite values print as before
     assert repr(FiniteSeq(1, field, {(0,): 0.5})).endswith("terms={(0,): '0.5'})")
+
+
+def test_reprs_print_numbers_past_the_digit_limit():
+    # int() writes at most 4300 digits by default; a repr shows a longer number
+    # by its digit count, while format_value and the writers keep refusing it
+    big = Q.value(Fraction(10**5000, 3))
+    assert repr(big) == "FieldValue(<5001 digits>/3, rational)"
+    assert repr(-big.inverse()) == "FieldValue(-3/<5001 digits>, rational)"
+    w = FiniteSeq(1, Q, {(10**5000,): 1, (-(10**5000),): big})
+    assert repr(w) == (
+        "FiniteSeq(rank=1, field=rational, "
+        "terms={(-<5001 digits>,): '<5001 digits>/3', (<5001 digits>,): '1'})"
+    )
+    assert repr(w.terms).startswith("TermsView({(<5001 digits>,): FieldValue(1, rational), ")
+    assert repr(PeriodicSeq(2, Q, (1, 2), [big, 1])) == (
+        "PeriodicSeq(rank=2, field=rational, periods=(1, 2), values=['<5001 digits>/3', '1'])"
+    )
+    with pytest.raises(DigitLimitError, match="5001 digits"):
+        Q.format_value(big)
+    # numbers within the limit print as before
+    assert repr(FiniteSeq(2, Q, {(1, -2): Fraction(-7, 3)})).endswith("terms={(1, -2): '-7/3'})")

@@ -609,6 +609,44 @@ class TestRationalKernel:
         assert basis == oracle_kernel(system, (2, 1))
         assert basis == [[1, 0, -c, 0], [0, 1, 0, -c]]
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_every_reconstruction_is_certified_at_once(self, monkeypatch, rank):
+        # the exact check alone accepts a basis: each reconstruction that
+        # succeeds is checked before the next prime, and one is tried after
+        # 1, 2, 4, ... primes
+        events = []
+
+        def logged(name, function):
+            def call(*args):
+                result = function(*args)
+                events.append((name, result is not None and result is not False))
+                return result
+            return call
+
+        for name in ("rref", "_reconstruct", "_certifies"):
+            monkeypatch.setattr(systems, name, logged(name, getattr(systems, name)))
+        rng = random.Random(f"certified:{rank}")
+        counts = []
+        for trial in range(4):
+            # 1 x 2 systems have a kernel of |D| or more; the 2 x 2 one has none
+            system = stencil_system(rng, Q, rank, 1 + (trial == 3), 2)
+            periods = SPARSE_PERIODS[rank][trial % 3]
+            width = 2 * math.prod(periods)
+            events.clear()
+            assert systems._rational_kernel(periodic_system_matrix(system, periods), width) == (
+                oracle_kernel(system, periods)
+            )
+            primes = sum(name == "rref" for name, _ in events)
+            attempts = [ok for name, ok in events if name == "_reconstruct"]
+            assert primes & (primes - 1) == 0 and len(attempts) == primes.bit_length()
+            for (name, ok), (after, _) in zip(events, events[1:] + [(None, None)]):
+                if name == "_reconstruct" and ok:
+                    assert after == "_certifies"
+            assert events[-1] == ("_certifies", True)
+            assert sum(name == "_certifies" for name, _ in events) == sum(attempts)
+            counts.append(primes)
+        assert max(counts) >= 16 and min(counts) == 1
+
     def test_cap_raises_when_nothing_certifies(self, monkeypatch):
         monkeypatch.setattr(systems, "_certifies", lambda *args: False)
         with pytest.raises(RuntimeError, match="Hadamard"):
@@ -805,6 +843,28 @@ class TestRankOnePath:
         assert any(dims)
         if shape in ("1x2", "rank-deficient", "zero"):
             assert all(dims)  # l > rank R leaves a free direction
+
+    @pytest.mark.parametrize("p", [2, 7, pytest.param(None, id="rational")])
+    def test_rank2_form_on_periods_n_1_agrees(self, p):
+        # the same system written in X1 at rank 2 takes GF(p) elimination or the
+        # multi-modular path on periods (N, 1), whose lattice is that of period N
+        field = field_of(p)
+        rng = random.Random(f"paths:{p or 'rational'}")
+        dims = []
+        for shape in RANK1_SHAPES:
+            for n in rng.sample(range(1, 25), 4):
+                system = rank1_system(rng, field, shape, n)
+                rank2 = System(PolyMatrix([
+                    [LaurentPoly(2, field, {(a, 0): c for (a,), c in e._terms.items()})
+                     for e in row]
+                    for row in system.matrix.entries
+                ]))
+                rows = basis_payloads(system, (n,))
+                assert basis_payloads(rank2, (n, 1)) == rows
+                assert kernel_dimension(rank2, (n, 1)) == len(rows)
+                assert kernel_dimension(system, (n,)) == len(rows)
+                dims.append(len(rows))
+        assert any(dims) and not all(dims)
 
     @pytest.mark.parametrize(
         "poly, periods, dims",

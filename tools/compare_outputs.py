@@ -12,7 +12,10 @@ The job then runs as ``python -m bishift.cli ...`` against the ``src`` of
 each side.  Exit code, stdout, stderr and the output file's bytes must be
 equal on both sides; a job that writes no file (``selftest``) compares its
 exit code, stdout and stderr, where it prints its first-failure lines and
-its ``--trials 0`` warning.  The parent's tree is exported with ``git
+its ``--trials 0`` warning.  Each ``kernel`` job runs a second time without
+``--report``, which prints the dimension alone and reaches the paths that
+compute only it: the rank-1 invariant factors, the GF(p) forward pass and
+the certified rational basis.  The parent's tree is exported with ``git
 archive`` under the git-ignored ``.perfbench/`` and removed at the end.
 
 Prints one line per job and a summary line; exits 1 if any job differs.
@@ -21,6 +24,7 @@ Prints one line per job and a summary line; exits 1 if any job differs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -54,6 +58,15 @@ def run_job(root: Path, job) -> tuple:
     return result.returncode, result.stdout, result.stderr, report
 
 
+def runs(job):
+    """The job, and for a ``kernel`` job the same run without ``--report``, with its label."""
+    yield "", job
+    if job.kind == "kernel":
+        i = job.argv.index("--report")
+        argv = job.argv[:i] + job.argv[i + 2:]
+        yield " without --report", dataclasses.replace(job, argv=argv, output=None)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare the working tree with")
@@ -75,15 +88,17 @@ def main(argv=None) -> int:
                 for seed in range(1, args.seeds + 1):
                     for index in range(len(workload.shapes)):
                         job = inputs.make_job(workload, seed, index, Path(work))
-                        outcomes = {side: run_job(root, job) for side, root in roots.items()}
-                        same = outcomes["parent"] == outcomes["change"]
-                        code, stdout, stderr, report = outcomes["change"]
-                        jobs += 1
-                        differing += not same
-                        print(f"{name} seed {seed} job {index}: "
-                              f"{'identical' if same else 'DIFFERENT'} (exit {code}, "
-                              f"stdout {len(stdout)} B, stderr {len(stderr)} B, output "
-                              f"{'none' if report is None else f'{len(report)} B'})", flush=True)
+                        for label, run in runs(job):
+                            outcomes = {side: run_job(root, run) for side, root in roots.items()}
+                            same = outcomes["parent"] == outcomes["change"]
+                            code, stdout, stderr, report = outcomes["change"]
+                            jobs += 1
+                            differing += not same
+                            print(f"{name} seed {seed} job {index}{label}: "
+                                  f"{'identical' if same else 'DIFFERENT'} (exit {code}, "
+                                  f"stdout {len(stdout)} B, stderr {len(stderr)} B, output "
+                                  f"{'none' if report is None else f'{len(report)} B'})",
+                                  flush=True)
     finally:
         shutil.rmtree(parent_root, ignore_errors=True)
     print(f"{jobs - differing} of {jobs} jobs identical to {parent[:12]}")
