@@ -3,23 +3,26 @@
 One loader reads the three JSON documents and checks the ``rank`` and ``field``
 they share; one writer joins their members by hand.  All writers are
 deterministic (same data, same bytes).  All readers raise a typed error from
-:mod:`bishift.errors` on malformed input.  Signal classes and the JSON codec are
-imported where they are used.  P5 images are read and written by :mod:`bishift.pgm`.
+:mod:`bishift.errors` on malformed input: the constructors of :mod:`bishift.sequences`
+own the rank, the periods and the row shape, and a reader re-raises their errors as
+SchemaError naming the path.  The JSON codec is imported where it is used.  P5 images
+are read and written by :mod:`bishift.pgm`.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from pathlib import Path
 
 from ._sparse import check_rank
 from .errors import (
-    BadValueTokenError, DuplicateIndexError, ParseError, RankMismatchError, SchemaError
+    BadValueTokenError, BishiftError, DuplicateIndexError, ParseError, RankMismatchError,
+    SchemaError,
 )
 from .fields import decimal_int, decimal_text, parse_field_spec
 from .laurent import PolyMatrix, System
 from .parsing import format_poly, parse_poly
+from .sequences import FiniteSeq, KernelBasis, PeriodicSeq, SeqVector, check_periods
 
 _SYSTEM_KEYS = ("rank", "field", "k", "l", "entries")
 
@@ -29,8 +32,6 @@ def read_seq_csv(path, rank: int, field):
 
     The file is UTF-8 text; one leading byte-order mark is dropped.
     """
-    from .sequences import FiniteSeq
-
     try:
         # the mark is dropped after decoding, so an error's offset counts the file's bytes
         text = Path(path).read_bytes().decode().removeprefix("\ufeff")
@@ -72,6 +73,14 @@ def _positive_int(value, what):
     return value
 
 
+def _checked(where, build, *args):
+    """``build(*args)``, its ValueError or package error raised as SchemaError after ``where``."""
+    try:
+        return build(*args)
+    except (ValueError, BishiftError) as e:
+        raise SchemaError(f"{where}{e}") from None
+
+
 def _load_document(data, what, keys, path=None):
     """The JSON object in ``data`` (text or bytes), with its rank and its field.
 
@@ -92,15 +101,11 @@ def _load_document(data, what, keys, path=None):
     missing = [key for key in keys if key not in doc]
     if missing:
         raise SchemaError(f"{where}{what} is missing {missing}")
-    rank = _positive_int(doc["rank"], f"{where}'rank'")
-    try:
-        check_rank(rank, f"{where}'rank'")
-    except ValueError as e:  # above MAX_RANK
-        raise SchemaError(str(e)) from None
+    _checked(where, check_rank, doc["rank"], "'rank'")
     spec = doc["field"]
     if not isinstance(spec, str):
         raise SchemaError(f"{where}'field' must be a field spec string, got {spec!r}")
-    return doc, rank, parse_field_spec(spec)
+    return doc, doc["rank"], parse_field_spec(spec)
 
 
 def _json_list(items, depth):
@@ -156,16 +161,12 @@ def _read_lattice_doc(path, what, keys):
     """Load a JSON document on a period lattice; check its rank, field and periods."""
     keys = ("rank", "field", "periods", *keys)
     doc, rank, field = _load_document(Path(path).read_bytes(), what, keys, path)
-    periods = doc["periods"]
-    if not isinstance(periods, list) or len(periods) != rank:
-        raise SchemaError(f"{path}: 'periods' must be a list of {rank} ints, got {periods!r}")
-    periods = tuple(_positive_int(n, f"{path}: period") for n in periods)
-    return doc, rank, field, periods
+    if not isinstance(doc["periods"], list):
+        raise SchemaError(f"{path}: 'periods' must be a list, got {doc['periods']!r}")
+    return doc, rank, field, _checked(f"{path}: ", check_periods, doc["periods"], rank, "periods")
 
 
 def read_kernel_report(path):
-    from .sequences import KernelBasis, SeqVector
-
     doc, rank, field, periods = _read_lattice_doc(path, "kernel report", ("dimension", "basis"))
     if type(doc["dimension"]) is not int:
         raise SchemaError(f"{path}: 'dimension' must be an int, got {doc['dimension']!r}")
@@ -175,27 +176,18 @@ def read_kernel_report(path):
         and all(isinstance(row, list) and all(isinstance(t, str) for t in row) for row in rows)
     ):
         raise SchemaError(f"{path}: 'basis' must be a list of lists of value strings")
-    if len({len(row) for row in rows}) > 1:
-        raise SchemaError(f"{path}: basis rows differ in length")
-    size = math.prod(periods)
     basis = []
     for row in rows:
-        if not row or len(row) % size:
-            raise SchemaError(
-                f"{path}: basis row length {len(row)} not a positive multiple of {size}"
-            )
         values = [field.parse_token(t).payload for t in row]
-        basis.append(SeqVector._stacked(rank, field, periods, values))
+        basis.append(_checked(f"{path}: ", SeqVector._stacked, rank, field, periods, values))
     if doc["dimension"] != len(basis):
         raise SchemaError(f"{path}: dimension {doc['dimension']} but {len(basis)} basis rows")
-    return KernelBasis(rank, field, periods, tuple(basis))
+    return _checked(f"{path}: ", KernelBasis, rank, field, periods, basis)
 
 
 def write_periodic_json(path, signal) -> None:
     """Write a periodic signal or signal vector as one stacked document."""
     from json.encoder import encode_basestring_ascii
-
-    from .sequences import PeriodicSeq, SeqVector
 
     if isinstance(signal, PeriodicSeq):
         signal = SeqVector([signal])
@@ -208,19 +200,15 @@ def write_periodic_json(path, signal) -> None:
 
 def read_periodic_json(path, components: int = 1):
     """Read a stacked periodic document with the given component count, as a ``SeqVector``."""
-    from .sequences import SeqVector
-
     doc, rank, field, periods = _read_lattice_doc(path, "periodic document", ("values",))
-    size = math.prod(periods)
     values = doc["values"]
     if not isinstance(values, list):
         raise SchemaError(f"{path}: 'values' must be a list")
-    if len(values) != components * size:
-        raise SchemaError(
-            f"{path}: {len(values)} values for {components} components of size {size}"
-        )
     parsed = [field.parse_token(str(t)).payload for t in values]
-    return SeqVector._stacked(rank, field, periods, parsed)
+    vec = _checked(f"{path}: ", SeqVector._stacked, rank, field, periods, parsed)
+    if len(vec) != components:
+        raise SchemaError(f"{path}: {len(vec)} components, expected {components}")
+    return vec
 
 
 def parse_system(text) -> System:

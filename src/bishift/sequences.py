@@ -21,7 +21,9 @@ import math
 from operator import mod, mul
 
 from ._sparse import SparseTerms, check_rank, exponent_tuple, require_same_context
-from .errors import PeriodMismatchError, RankMismatchError, RepresentationMismatchError
+from .errors import (
+    DimensionMismatchError, PeriodMismatchError, RankMismatchError, RepresentationMismatchError
+)
 from .fields import FieldValue
 from .laurent import LaurentPoly
 
@@ -104,7 +106,8 @@ class PeriodicSeq:
 
     @classmethod
     def zero(cls, rank, field, periods):
-        return cls(rank, field, periods, [field.zero] * math.prod(tuple(periods)))
+        periods = check_periods(periods, rank, "periods")
+        return cls(rank, field, periods, [field.zero] * math.prod(periods))
 
     @property
     def values(self):
@@ -264,6 +267,8 @@ class SeqVector:
         # trusted constructor: checked periods and component-major canonical
         # payloads, one fundamental domain per component
         size = math.prod(periods)
+        if len(payloads) % size:
+            raise ValueError(f"{len(payloads)} values do not split into domains of size {size}")
         return cls(
             PeriodicSeq._wrap(rank, field, periods, tuple(payloads[i : i + size]))
             for i in range(0, len(payloads), size)
@@ -274,14 +279,26 @@ class SeqVector:
 
 
 class KernelBasis:
-    """Basis of the behaviour restricted to one period lattice."""
+    """Basis of the behaviour restricted to one period lattice.
+
+    Invariants, checked when built: ``rank`` is an int from 1 to MAX_RANK,
+    ``periods`` a tuple of ``rank`` ints >= 1, and ``basis`` a tuple, maybe
+    empty, of periodic SeqVectors of that rank, field and periods, all of one length.
+    """
 
     __slots__ = ("rank", "field", "periods", "basis")
 
     def __init__(self, rank, field, periods, basis):
         check_rank(rank)
-        self.rank, self.field, self.periods = rank, field, periods
-        self.basis = basis  # of SeqVector, each periodic with the stated periods
+        periods, basis = check_periods(periods, rank, "periods"), tuple(basis)
+        lattice = PeriodicSeq._wrap(rank, field, periods, ())  # only its lattice is read
+        for row in basis:
+            if not isinstance(row, SeqVector):
+                raise TypeError(f"basis rows must be SeqVectors, got {type(row).__name__}")
+            lattice._same_kind(row[0])  # the SeqVector checked its other components
+            if len(row) != len(basis[0]):
+                raise DimensionMismatchError("basis rows differ in their number of components")
+        self.rank, self.field, self.periods, self.basis = rank, field, periods, basis
 
     dimension = property(lambda self: len(self.basis))
 

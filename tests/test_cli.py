@@ -527,6 +527,15 @@ class TestMember:
         assert code == 0
         assert capsys.readouterr().out.strip() == "yes"
 
+    def test_golden_periodic_member(self, capsys):
+        # the first basis row of kernel-gf7.json, which CI also checks without numpy
+        doc = DATA / "periodic-gf7.json"
+        report = formats.read_kernel_report(DATA / "kernel-gf7.json")
+        assert formats.read_periodic_json(doc, components=2) == report.basis[0]
+        code = main(["member", "--system", str(DATA / "system-gf7.json"), "--periodic", str(doc)])
+        assert code == 0
+        assert capsys.readouterr().out == "yes\n"
+
     def test_periodic_document_above_the_rank_bound_exits_2(self, difference_file, tmp_path, capsys):
         doc = tmp_path / "w.json"
         doc.write_text(json.dumps({"rank": 65, "field": "gf:2", "periods": [1] * 65, "values": [1]}))

@@ -618,7 +618,7 @@ class TestKernelReport:
                "basis": [["1", "1"], ["1", "0", "0", "1"]]}
         path = tmp_path / "report.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="differ in length"):
+        with pytest.raises(SchemaError, match="basis rows differ in their number of components"):
             formats.read_kernel_report(path)
 
     @pytest.mark.parametrize(

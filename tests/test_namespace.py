@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bishift
+from bishift.errors import MixedFieldError
 from bishift.fields import FloatField, PrimeField, RationalField, parse_field_spec
 from bishift.sequences import KernelBasis, PeriodicSeq, SeqVector
 
@@ -96,13 +97,16 @@ def test_fields_compare_hash_and_print_by_type_and_parameter():
 def test_kernel_basis_equality():
     q = RationalField()
 
-    def basis(*values):
-        return (SeqVector([PeriodicSeq(1, q, (2,), [Fraction(v) for v in values])]),)
+    def basis(*values, field=q):
+        return (SeqVector([PeriodicSeq(1, field, (2,), [Fraction(v) for v in values])]),)
 
     one = KernelBasis(1, q, (2,), basis(1, 1))
     assert one == KernelBasis(1, RationalField(), (2,), basis(1, 1))
     assert one != KernelBasis(1, q, (2,), basis(1, 2))
-    assert one != KernelBasis(1, PrimeField(7), (2,), basis(1, 1))
+    gf7 = PrimeField(7)
+    assert one != KernelBasis(1, gf7, (2,), basis(1, 1, field=gf7))
+    with pytest.raises(MixedFieldError):
+        KernelBasis(1, gf7, (2,), basis(1, 1))
     assert one != (1, q, (2,), basis(1, 1))
     assert one.dimension == 1
     assert repr(one).startswith("KernelBasis(rank=1, field=RationalField(), periods=(2,), basis=(")

@@ -2,6 +2,8 @@
 
 Each writer's output reads back equal over gf:2, gf:7 and the rationals
 (for expressions, see ``test_parsing.py::TestFormatPoly::test_round_trip_seeded``).
+Hand-built periodic documents and kernel reports at the lattice's edges
+(periods of 1, empty bases, rank MAX_RANK) read back equal too.
 At the integer digit limit (``sys.get_int_max_str_digits()``), exponents,
 indices and rationals with exactly that many digits read back equal; an
 exponent or index with one digit more raises DigitLimitError, and the CSV
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from bishift import io as formats
+from bishift._sparse import MAX_RANK
 from bishift.errors import DigitLimitError
 from bishift.fields import PrimeField, RationalField
 from bishift.io import format_system, parse_system
@@ -28,13 +31,20 @@ Q = RationalField()
 FIELDS = [PrimeField(2), PrimeField(7), Q]
 
 
-def random_vector(rng, rank, field, components):
-    periods = random_periods(rng, rank, max_size=12)
+# lattices at the edges the constructors accept: periods of 1, and the largest rank
+EDGE_PERIODS = [(1,), (1, 3), (2, 1, 1), (1,) * MAX_RANK]
+
+
+def vector_on(rng, field, periods, components):
     size = math.prod(periods)
     return SeqVector([
-        PeriodicSeq(rank, field, periods, [random_value(rng, field) for _ in range(size)])
+        PeriodicSeq(len(periods), field, periods, [random_value(rng, field) for _ in range(size)])
         for _ in range(components)
     ])
+
+
+def random_vector(rng, rank, field, components):
+    return vector_on(rng, field, random_periods(rng, rank, max_size=12), components)
 
 
 def random_system(rng, rank, field):
@@ -70,6 +80,11 @@ class TestSeededRoundTrips:
             vec = random_vector(rng, rng.randint(1, 3), field, components)
             formats.write_periodic_json(path, vec)
             assert formats.read_periodic_json(path, components) == vec
+        for periods in EDGE_PERIODS:
+            for components in (1, 2, 3):
+                vec = vector_on(rng, field, periods, components)
+                formats.write_periodic_json(path, vec)
+                assert formats.read_periodic_json(path, components) == vec
 
     def test_kernel_report(self, tmp_path, field):
         rng = random.Random(1505)
@@ -83,6 +98,14 @@ class TestSeededRoundTrips:
             assert formats.read_kernel_report(path) == kernel
             dimensions.add(kernel.dimension)
         assert 0 in dimensions and len(dimensions) > 2
+        # hand-built bases: empty ones too, whatever their lattice
+        for periods in EDGE_PERIODS:
+            for components in (1, 2, 3):
+                for dimension in (0, 1, 2):
+                    basis = [vector_on(rng, field, periods, components) for _ in range(dimension)]
+                    kernel = KernelBasis(len(periods), field, periods, basis)
+                    formats.write_kernel_report(kernel, path)
+                    assert formats.read_kernel_report(path) == kernel
 
 
 class TestAtTheDigitLimit:

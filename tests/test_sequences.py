@@ -7,6 +7,7 @@ import pytest
 from bishift._sparse import MAX_RANK
 from bishift.errors import (
     DigitLimitError,
+    DimensionMismatchError,
     MixedFieldError,
     NonFiniteValueError,
     PeriodMismatchError,
@@ -130,6 +131,9 @@ def test_bool_periods_rejected():
         PeriodicSeq(2, GF3, (2, False), [])
     with pytest.raises(ValueError):
         PeriodicSeq(1, GF3, (2,), [1, 0]).tile((True,))
+    for bad in (("a",), (2.5,)):
+        with pytest.raises(ValueError, match=f"periods must be ints >= 1, got {bad[0]!r}"):
+            PeriodicSeq.zero(1, PrimeField(7), bad)
 
 
 def test_bool_rank_rejected():
@@ -154,6 +158,25 @@ def test_rank_above_the_bound_rejected():
     ):
         with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is above the largest supported"):
             build()
+
+
+def test_kernel_basis_refuses_rows_off_its_lattice():
+    # a basis its writer could write but its reader would refuse is refused when built
+    gf7 = PrimeField(7)
+    on_2 = SeqVector([PeriodicSeq(1, gf7, (2,), [1, 6])])
+    for basis, error in (
+        ((SeqVector([PeriodicSeq(1, gf7, (3,), [1, 2, 3])]),), PeriodMismatchError),
+        ((SeqVector([PeriodicSeq(1, Q, (2,), [1, 6])]),), MixedFieldError),
+        ((SeqVector([PeriodicSeq(2, gf7, (2, 1), [1, 6])]),), RankMismatchError),
+        ((on_2, SeqVector([*on_2, *on_2])), DimensionMismatchError),
+        ((SeqVector([FiniteSeq.delta(1, gf7, (0,))]),), RepresentationMismatchError),
+        ((on_2[0],), TypeError),
+    ):
+        with pytest.raises(error):
+            KernelBasis(1, gf7, (2,), basis)
+    with pytest.raises(RankMismatchError, match="2 periods given for rank 1"):
+        KernelBasis(1, gf7, (1, 1), ())
+    assert KernelBasis(1, gf7, [2], [on_2]) == KernelBasis(1, gf7, (2,), (on_2,))
 
 
 def test_mixed_representation_rejected():
