@@ -1,9 +1,9 @@
 """Dense univariate polynomials over an exact field, and the rank-1 kernel solver on them.
 
 A rank-1 system's kernel on period N is computed in F[X]/(X^N - 1)
-(:func:`_rank1_solve`), under the budgets MAX_POLY_WORK and, for the
-basis only, MAX_KERNEL_CELLS.  :mod:`bishift.systems` imports this module
-only in its rank-1 branch, so rank-2 jobs never compile it.  A
+(:func:`_rank1_solve`), under the budget MAX_POLY_WORK.  :mod:`bishift.systems`
+checks its basis against MAX_KERNEL_CELLS, as on every path, and imports
+this module only in its rank-1 branch, so rank-2 jobs never compile it.  A
 polynomial is a list of the field's payloads, lowest degree first, with
 no trailing zero, so the zero polynomial is ``[]``.  Every coefficient
 comes from the field's payload hooks (``_add``, ``_mul``, ``_neg``,
@@ -18,8 +18,6 @@ from __future__ import annotations
 from .errors import LatticeTooLargeError
 from .fields import PrimeField, _is_prime
 
-# largest basis, in cells (dimension x l x N), that the rank-1 solver builds
-MAX_KERNEL_CELLS = 2**17
 # largest k * l * (D + 1)**2 * bit length of N, for entries of degree D, that
 # the rank-1 solver takes on: about its coefficient operations before the
 # basis.  Every system within systems.MAX_MATRIX_CELLS has N <= 4096 and
@@ -341,9 +339,7 @@ def _rank1_solve(system, n: int):
 
     Returns ``(dimension, rows)``; ``rows()`` gives the kernel's RREF basis
     as rows of payloads.  Raises LatticeTooLargeError, before building any
-    polynomial, when the work estimate exceeds MAX_POLY_WORK; ``rows()``
-    raises it, before any row exists, when the basis would have more than
-    MAX_KERNEL_CELLS cells.
+    polynomial, when the work estimate exceeds MAX_POLY_WORK.
     """
     add, zero = system.field._add, system.field.zero.payload
     folded = []
@@ -371,12 +367,6 @@ def _rank1_solve(system, n: int):
     dimension = sum(len(g) - 1 for g in gcds) + n * (system.l - len(gcds))
 
     def rows():
-        cells = dimension * system.l * n
-        if cells > MAX_KERNEL_CELLS:
-            raise LatticeTooLargeError(
-                f"period {n} gives a kernel of dimension {dimension} in l = {system.l} "
-                f"components: {cells} basis cells, more than {MAX_KERNEL_CELLS}"
-            )
         if not dimension:
             return []
         modulus = ring.cyclic(n)

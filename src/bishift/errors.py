@@ -38,7 +38,7 @@ class FloatFieldUnsupportedError(BishiftError):
 
 
 class LatticeTooLargeError(BishiftError):
-    """A period lattice needs a larger constraint matrix than the solver builds."""
+    """A kernel job exceeds a solver budget, such as the basis cells of MAX_KERNEL_CELLS."""
 
 
 class DigitLimitError(BishiftError):

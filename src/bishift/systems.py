@@ -14,9 +14,11 @@ Rank-1 systems build no matrix.  A period-N signal is a polynomial in
 F[X]/(X^N - 1), where the shift by R is multiplication, so the kernel
 follows from the invariant factors of R and a Hermite basis over F[X],
 in pure Python, with RREF rows written in time of the order of the
-output.  That solver and its budgets live in :mod:`bishift._univariate`,
-which only the rank-1 branch of :func:`_solve` imports, so a rank-2 job
-never compiles it.  The rest of this docstring is about rank 2 and above.
+output.  That solver lives in :mod:`bishift._univariate`, which only the
+rank-1 branch of :func:`_solve` imports, so a rank-2 job never compiles
+it.  :func:`_solve`, the one gate of every kernel job, checks the periods
+once and refuses a basis of more than MAX_KERNEL_CELLS cells before
+building it.  The rest of this docstring is about rank 2 and above.
 
 The constraint matrix is a list of sparse rows, dicts {column: payload}
 of its nonzero entries (:func:`periodic_system_matrix`).  One
@@ -63,6 +65,8 @@ MAX_MATRIX_CELLS = 2**24
 # bytes, 5 to 11 times an int64 cell, so over GF(p) this keeps memory below
 # the 128 MiB of a dense int64 matrix of MAX_MATRIX_CELLS cells.
 MAX_FILL = 2**20
+# largest kernel basis, in cells (dimension x l x |D|), that any solver path builds
+MAX_KERNEL_CELLS = 2**22
 
 
 def periodic_system_matrix(system: System, periods):
@@ -80,7 +84,11 @@ def periodic_system_matrix(system: System, periods):
     M would have more than MAX_MATRIX_CELLS cells or more than MAX_FILL
     nonzero entries.
     """
-    periods = check_periods(periods, system.rank, "periods")
+    return _system_matrix(system, check_periods(periods, system.rank, "periods"))
+
+
+def _system_matrix(system: System, periods):
+    """:func:`periodic_system_matrix` on periods that are already checked."""
     size = math.prod(periods)
     height, width = system.k * size, system.l * size
     if height * width > MAX_MATRIX_CELLS:
@@ -194,6 +202,14 @@ def _fill_error():
     )
 
 
+def _check_basis(dimension, width):
+    """Refuse a basis of ``dimension`` rows of ``width`` cells past MAX_KERNEL_CELLS cells."""
+    if dimension * width > MAX_KERNEL_CELLS:
+        raise LatticeTooLargeError(
+            f"dimension {dimension} needs {dimension * width} basis cells, more than {MAX_KERNEL_CELLS}"
+        )
+
+
 def _nullspace(pivots, width, p):
     """The kernel's RREF basis mod p, as rows of ints, from the pivot rows :func:`rref` returns.
 
@@ -297,6 +313,8 @@ def _rational_kernel(matrix, width):
     for p in _primes():
         pivots = rref([{col: c % p for col, c in row.items() if c % p} for row in cleared], p)
         free, bound = [f for f in range(width) if f not in pivots], sorted(pivots)
+        if best is None:  # the first prime's kernel is at least as large as the one over Q
+            _check_basis(len(free), width)
         signature = (len(free), tuple(free))
         tried *= p
         capped = tried.bit_length() > 5 * height_bits + 1
@@ -334,9 +352,9 @@ def _rational_kernel(matrix, width):
 
 
 def _solve(system: System, periods):
-    """The behaviour's dimension on a period lattice, and a function building its basis.
+    """The checked periods, the behaviour's dimension on them, and a function building its basis.
 
-    Returns ``(dimension, rows)``; ``rows()`` gives the kernel's RREF
+    Returns ``(periods, dimension, rows)``; ``rows()`` gives the kernel's RREF
     basis as rows of payloads.  Rank 1 takes the polynomial path, whose
     dimension needs no basis.  Otherwise, over GF(p) the forward pass of
     rref gives the dimension and ``rows`` clears its pivot rows into the
@@ -346,18 +364,20 @@ def _solve(system: System, periods):
     field = system.field
     if not field.is_exact:
         raise FloatFieldUnsupportedError("kernel computation needs an exact field")
+    width = system.l * math.prod(periods)
     if system.rank == 1:
         from ._univariate import _rank1_solve
 
-        return _rank1_solve(system, periods[0])
-    matrix = periodic_system_matrix(system, periods)
-    width = system.l * math.prod(periods)
-    if isinstance(field, PrimeField):
+        dimension, build = _rank1_solve(system, periods[0])
+    elif isinstance(field, PrimeField):
         p = field.p
-        pivots, fill = _forward(matrix, p)
-        return width - len(pivots), lambda: _nullspace(_clear(pivots, fill, p), width, p)
-    rows = _rational_kernel(matrix, width)
-    return len(rows), lambda: rows
+        pivots, fill = _forward(_system_matrix(system, periods), p)
+        dimension, build = width - len(pivots), lambda: _nullspace(_clear(pivots, fill, p), width, p)
+    else:
+        basis = _rational_kernel(_system_matrix(system, periods), width)
+        return periods, len(basis), lambda: basis
+    # _check_basis returns None, so rows() builds only a basis within the budget
+    return periods, dimension, lambda: _check_basis(dimension, width) or build()
 
 
 def kernel_dimension(system: System, periods) -> int:
@@ -365,15 +385,14 @@ def kernel_dimension(system: System, periods) -> int:
 
     For rank 1 it comes from the invariant factors of R, and over GF(p) from
     the forward pass of rref, so no basis is built and MAX_KERNEL_CELLS does
-    not apply.  Over Q at rank >= 2 it is the size of the certified basis.
+    not apply.  Over Q at rank >= 2 it is the size of the basis, so it does.
     """
-    return _solve(system, periods)[0]
+    return _solve(system, periods)[1]
 
 
 def periodic_kernel_basis(system: System, periods) -> KernelBasis:
     """Exact basis of the behaviour restricted to a period lattice."""
-    periods = check_periods(periods, system.rank, "periods")
-    _, rows = _solve(system, periods)
+    periods, _, rows = _solve(system, periods)
     field = system.field
     basis = tuple(SeqVector._stacked(system.rank, field, periods, row) for row in rows())
     return KernelBasis(system.rank, field, periods, basis)

@@ -267,9 +267,9 @@ class TestKernel:
         assert main(["kernel", "--system", str(path), "--period", "2"]) == 2
 
     def test_oversized_lattice_rejected_fast(self, difference_file, tmp_path, capsys):
-        # the basis budget refuses the report; the dimension alone is admitted
+        # 2 x 3000000 basis cells: the basis budget refuses the report
         report = tmp_path / "report.json"
-        argv = ["kernel", "--system", str(difference_file), "--period", "100000"]
+        argv = ["kernel", "--system", str(difference_file), "--period", "3000000"]
         start = time.perf_counter()
         assert main([*argv, "--report", str(report)]) == 2
         assert time.perf_counter() - start < 1.0
@@ -277,6 +277,32 @@ class TestKernel:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert not report.exists()
+
+    @pytest.mark.parametrize("field", ["gf:7", "rational"])
+    def test_huge_rank2_basis_refused_fast(self, field, tmp_path, capsys, monkeypatch):
+        # a 1 x 20 zero system at (30,30): a 900 x 18000 matrix within
+        # MAX_MATRIX_CELLS, but a basis of 18000 x 18000 cells
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"rank": 2, "field": field, "k": 1, "l": 20,
+                                    "entries": [["0"] * 20]}))
+
+        def no_basis(*args):
+            raise AssertionError("basis built past the budget")
+
+        monkeypatch.setattr(systems, "_nullspace", no_basis)
+        monkeypatch.setattr(systems, "_reconstruct", no_basis)
+        report = tmp_path / "report.json"
+        argv = ["kernel", "--system", str(path), "--period", "30,30"]
+        start = time.process_time()
+        assert main([*argv, "--report", str(report)]) == 2
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "324000000 basis cells" in captured.err
+        assert not report.exists()
+        if field == "gf:7":
+            assert main(argv) == 0
+            assert capsys.readouterr().out == "dimension: 18000\n"
 
     def test_dimension_without_report_builds_no_basis(self, difference_file, capsys, monkeypatch):
         def no_basis(*args):

@@ -3,6 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,20 +15,22 @@ from oracles import (
     rref_boxed,
 )
 
-from bishift import systems
+from bishift import sequences, systems
 from bishift.errors import (
     FloatFieldUnsupportedError,
     LatticeTooLargeError,
     RankMismatchError,
 )
 from bishift.fields import FieldValue, FloatField, PrimeField, RationalField, _is_prime
+from bishift.io import read_system
 from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.parsing import parse_poly
 from bishift.selftest import random_poly
 from bishift.sequences import FiniteSeq, PeriodicSeq, SeqVector
-from bishift._univariate import MAX_KERNEL_CELLS, PolyRing
+from bishift._univariate import PolyRing
 from bishift.systems import (
     MAX_FILL,
+    MAX_KERNEL_CELLS,
     MAX_MATRIX_CELLS,
     KernelBasis,
     System,
@@ -979,6 +982,63 @@ class TestLatticeBudget:
         with pytest.raises(LatticeTooLargeError, match=f"{2 * n} basis cells"):
             periodic_kernel_basis(system, (n,))
         assert kernel_dimension(system, (n,)) == 2  # the dimension builds no basis
+
+    def test_rank1_basis_of_period_100000(self):
+        # 2 x 100000 basis cells, within MAX_KERNEL_CELLS
+        system = difference_system(PrimeField(7))
+        result = periodic_kernel_basis(system, (100000,))
+        assert len(result.basis) == 2
+        assert all(system.contains(vec) for vec in result.basis)
+
+    @pytest.mark.parametrize("p", [2, 7, pytest.param(None, id="rational")])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_one_basis_budget_on_every_path(self, rank, p, monkeypatch):
+        # the basis is admitted at exactly dim * l * |D| cells and refused,
+        # before any row is built, at one cell less
+        field = field_of(p)
+        rng = random.Random(f"basis-budget:{rank}:{p or 'rational'}")
+        lattices = {1: [(1,), (4,), (6,)], **SPARSE_PERIODS}[rank]
+        cases = []
+        for periods, l in zip(lattices, (1, 2, 3)):
+            first = [stencil_poly(rng, rank, field) for _ in range(l)]
+            q = stencil_poly(rng, rank, field)
+            system = System(PolyMatrix([first, [q * e for e in first]]))
+            cases.append((system, periods, kernel_dimension(system, periods) * l * math.prod(periods)))
+
+        def no_rows(*args):
+            raise AssertionError("basis built before the budget check")
+
+        builders = ((systems, "_nullspace"), (systems, "_reconstruct"),
+                    (PolyRing, "kernel_hermite"), (PolyRing, "rref_rows"))
+        for system, periods, cells in cases:
+            monkeypatch.setattr(systems, "MAX_KERNEL_CELLS", cells)
+            result = periodic_kernel_basis(system, periods)
+            assert result.dimension * system.l * math.prod(periods) == cells
+            with monkeypatch.context() as m:
+                m.setattr(systems, "MAX_KERNEL_CELLS", cells - 1)
+                for owner, name in builders:
+                    m.setattr(owner, name, no_rows)
+                with pytest.raises(LatticeTooLargeError, match=f" {cells} basis cells"):
+                    periodic_kernel_basis(system, periods)
+        assert any(cells for _, _, cells in cases)
+
+    def test_periods_checked_once_per_solve(self, monkeypatch):
+        # kernel_dimension checks the lattice once; periodic_kernel_basis once
+        # more, in the KernelBasis it returns
+        system = read_system(Path(__file__).parent / "data" / "system-gf7.json")
+        calls, check = [], sequences.check_periods
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(systems, "check_periods", counted)
+        monkeypatch.setattr(sequences, "check_periods", counted)
+        periodic_kernel_basis(system, (3, 2))
+        assert len(calls) == 2
+        calls.clear()
+        kernel_dimension(system, (3, 2))
+        assert len(calls) == 1
 
     def test_rank1_degree_bounded(self):
         system = System(PolyMatrix([[P("X^100000 - 1", field=GF2)]]))
