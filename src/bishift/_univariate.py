@@ -20,8 +20,8 @@ from .fields import PrimeField, _is_prime
 
 # largest k * l * (D + 1)**2 * bit length of N, for entries of degree D, that
 # the rank-1 solver takes on: about its coefficient operations before the
-# basis.  Every system within systems.MAX_MATRIX_CELLS has N <= 4096 and
-# D < N, so it stays admitted.
+# basis.  The rank >= 2 budgets of systems do not apply to this path; this one
+# admits, for example, a 1 x 1 entry of folded degree 4095 at any N below 2**16.
 MAX_POLY_WORK = 2**28
 
 

@@ -38,7 +38,14 @@ class FloatFieldUnsupportedError(BishiftError):
 
 
 class LatticeTooLargeError(BishiftError):
-    """A kernel job exceeds a solver budget, such as the basis cells of MAX_KERNEL_CELLS."""
+    """A kernel job exceeds a solver budget, checked before the work it bounds or during it.
+
+    The budgets count what a solver holds and does: the rank-1 solver's
+    coefficient operations (``_univariate.MAX_POLY_WORK``); the entries the
+    rank >= 2 elimination holds (``systems.MAX_FILL``) and the entry updates
+    it makes (``systems.MAX_UPDATES``); and the cells of any basis
+    (``systems.MAX_KERNEL_CELLS``).
+    """
 
 
 class DigitLimitError(BishiftError):

@@ -314,9 +314,13 @@ class Field:
         return self._format(a)
 
     def _format_rows(self, rows, encode):
-        """Per row of payloads, lazily, the tokens ``encode(self._format(a))`` of its ``a``."""
-        fmt = self._format
-        return ([encode(fmt(a)) for a in row] for row in rows)
+        """Per row of payloads, lazily, the tokens ``encode(self._format(a))`` of its ``a``.
+
+        A basis is mostly zeros, so an exact field's zero is formatted once
+        per call; an inexact zero is formatted each time, so -0.0 keeps its sign.
+        """
+        fmt, exact, zero = self._format, self.is_exact, encode(self._format(self.zero.payload))
+        return ([encode(fmt(a)) if a or not exact else zero for a in row] for row in rows)
 
     def spec(self) -> str:
         raise NotImplementedError

@@ -28,8 +28,11 @@ a pivot of the kernel's RREF exactly when it lies in the span of the
 columns to its right, that is, when it is not a pivot of that
 reduction.  Each such column f gives the kernel row e_f minus the sum of
 r_q[f] e_q over the reduced pivot rows r_q, which is already its RREF
-row, so no second elimination runs.  The loop's cost and memory follow
-the entries it holds, which MAX_FILL bounds.
+row, so no second elimination runs.  Two budgets bound the loop by what
+it holds and does, not by the cells of a dense matrix: MAX_FILL counts
+the entries it holds, and the rows and columns it allocates for them,
+and MAX_UPDATES the entries it updates, so a lattice of many cells but
+few entries is solved and a dense fill is refused within seconds.
 
 Over Q no elimination runs on ``Fraction``s.  Each row of the matrix is
 cleared of denominators once and reduced modulo 31-bit primes for the
@@ -58,13 +61,14 @@ from .sequences import (
     row_major_strides,
 )
 
-# largest constraint matrix, in cells, that periodic_system_matrix builds
-MAX_MATRIX_CELLS = 2**24
 # most nonzero entries the rank >= 2 solver holds at once, in the constraint
 # rows and the pivot rows together.  A dict entry of a residue takes 40 to 90
 # bytes, 5 to 11 times an int64 cell, so over GF(p) this keeps memory below
-# the 128 MiB of a dense int64 matrix of MAX_MATRIX_CELLS cells.
+# the 128 MiB of a dense int64 matrix of 2**24 cells.
 MAX_FILL = 2**20
+# most entries one elimination updates, summed over the pivot rows it subtracts.
+# 2**24 of them take about 1.5 s mod 7 and 3 s mod a 31-bit prime (CPython 3.11, one Xeon core)
+MAX_UPDATES = 2**24
 # largest kernel basis, in cells (dimension x l x |D|), that any solver path builds
 MAX_KERNEL_CELLS = 2**22
 
@@ -81,8 +85,9 @@ def periodic_system_matrix(system: System, periods):
 
     Returns the k * D rows as dicts {column: payload} of the nonzero
     entries.  Raises LatticeTooLargeError, before building any row, when
-    M would have more than MAX_MATRIX_CELLS cells or more than MAX_FILL
-    nonzero entries.
+    the k * D rows, the l * D columns (the length of the elimination's
+    work list) and the up to D * terms starting entries count more than
+    MAX_FILL together.
     """
     return _system_matrix(system, check_periods(periods, system.rank, "periods"))
 
@@ -91,17 +96,13 @@ def _system_matrix(system: System, periods):
     """:func:`periodic_system_matrix` on periods that are already checked."""
     size = math.prod(periods)
     height, width = system.k * size, system.l * size
-    if height * width > MAX_MATRIX_CELLS:
-        raise LatticeTooLargeError(
-            f"periods {','.join(map(str, periods))} need a {height} x "
-            f"{width} constraint matrix, more than {MAX_MATRIX_CELLS} cells"
-        )
     entries = [[system.matrix.entry(i, j)._terms for j in range(system.l)] for i in range(system.k)]
-    nonzeros = size * sum(len(terms) for row in entries for terms in row)
-    if nonzeros > MAX_FILL:
+    # the row dicts, the elimination's work list and the starting entries
+    held = height + width + size * sum(len(terms) for row in entries for terms in row)
+    if held > MAX_FILL:
         raise LatticeTooLargeError(
-            f"periods {','.join(map(str, periods))} give a constraint matrix with up to "
-            f"{nonzeros} nonzero entries, more than {MAX_FILL}"
+            f"periods {','.join(map(str, periods))} give a {height} x {width} constraint "
+            f"matrix holding up to {held} rows, columns and entries, more than {MAX_FILL}"
         )
     field = system.field
     add = field._add
@@ -135,15 +136,18 @@ def rref(rows, p):
     every row is in (:func:`_forward`), each pivot row is cleared at the
     pivot columns it holds, in ascending order, so it subtracts rows that
     are already reduced (:func:`_clear`).  Raises LatticeTooLargeError
-    once ``rows`` and the pivot rows together hold more than MAX_FILL entries.
+    once ``rows`` and the pivot rows together hold more than MAX_FILL
+    entries, or once the two passes have updated more than MAX_UPDATES
+    entries: each subtraction of a pivot row updates as many entries as
+    that row holds, and the clearing pass carries the forward pass's count on.
     """
     return _clear(*_forward(rows, p), p)
 
 
 def _forward(rows, p):
-    """The pivot rows of :func:`rref` before clearing, and the entries held with ``rows``."""
+    """The pivot rows of :func:`rref` before clearing, with the fill and update counts so far."""
     pivots = {}
-    fill = sum(map(len, rows))
+    fill, updates = sum(map(len, rows)), 0
     rows = sorted(filter(None, rows), key=max)
     work = [0] * (max(rows[-1]) + 1 if rows else 0)  # zero between rows
     for row in rows:
@@ -160,6 +164,9 @@ def _forward(rows, p):
             pivot = pivots.get(col)
             if pivot is None:
                 break
+            updates += len(pivot)
+            if updates > MAX_UPDATES:
+                raise _budget_error("updates", MAX_UPDATES)
             for c, x in pivot.items():
                 w = work[c]
                 if not w:
@@ -176,29 +183,32 @@ def _forward(rows, p):
                 new[-c] = x
         fill += len(new)
         if fill > MAX_FILL:
-            raise _fill_error()
-    return pivots, fill
+            raise _budget_error("fills", MAX_FILL)
+    return pivots, fill, updates
 
 
-def _clear(pivots, fill, p):
+def _clear(pivots, fill, updates, p):
     """The pivot rows of :func:`_forward`, cleared in place into those of :func:`rref`."""
     for q in sorted(pivots):
         row = pivots[q]
         fill -= len(row)
         for col in [col for col in row if col in pivots]:
-            v = row.pop(col)
-            for c, x in pivots[col].items():
+            v, subtracted = row.pop(col), pivots[col]
+            updates += len(subtracted)
+            if updates > MAX_UPDATES:
+                raise _budget_error("updates", MAX_UPDATES)
+            for c, x in subtracted.items():
                 row[c] = row.get(c, 0) - v * x
         pivots[q] = {c: x for c, x in ((c, x % p) for c, x in row.items()) if x}
         fill += len(pivots[q])
         if fill > MAX_FILL:
-            raise _fill_error()
+            raise _budget_error("fills", MAX_FILL)
     return pivots
 
 
-def _fill_error():
+def _budget_error(verb, budget):
     return LatticeTooLargeError(
-        f"the elimination fills more than {MAX_FILL} entries of the constraint matrix"
+        f"the elimination {verb} more than {budget} entries of the constraint matrix"
     )
 
 
@@ -303,7 +313,7 @@ def _rational_kernel(matrix, width):
     reconstruction is exact; failing the check then is a bug.
     """
     cleared = []
-    for row in matrix:
+    for row in filter(None, matrix):  # an empty row constrains nothing
         scale = math.lcm(*(c.denominator for c in row.values()))
         cleared.append({col: c.numerator * (scale // c.denominator) for col, c in row.items()})
     # H < 2**height_bits: each row's 2-norm is at most its 1-norm
@@ -371,8 +381,8 @@ def _solve(system: System, periods):
         dimension, build = _rank1_solve(system, periods[0])
     elif isinstance(field, PrimeField):
         p = field.p
-        pivots, fill = _forward(_system_matrix(system, periods), p)
-        dimension, build = width - len(pivots), lambda: _nullspace(_clear(pivots, fill, p), width, p)
+        forward = _forward(_system_matrix(system, periods), p)  # (pivots, fill, updates)
+        dimension, build = width - len(forward[0]), lambda: _nullspace(_clear(*forward, p), width, p)
     else:
         basis = _rational_kernel(_system_matrix(system, periods), width)
         return periods, len(basis), lambda: basis

@@ -280,8 +280,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("field", ["gf:7", "rational"])
     def test_huge_rank2_basis_refused_fast(self, field, tmp_path, capsys, monkeypatch):
-        # a 1 x 20 zero system at (30,30): a 900 x 18000 matrix within
-        # MAX_MATRIX_CELLS, but a basis of 18000 x 18000 cells
+        # a 1 x 20 zero system at (30,30): a 900 x 18000 matrix of no
+        # entries, within MAX_FILL, but a basis of 18000 x 18000 cells
         path = tmp_path / "zeros.json"
         path.write_text(json.dumps({"rank": 2, "field": field, "k": 1, "l": 20,
                                     "entries": [["0"] * 20]}))
@@ -303,6 +303,16 @@ class TestKernel:
         if field == "gf:7":
             assert main(argv) == 0
             assert capsys.readouterr().out == "dimension: 18000\n"
+
+    def test_sparse_lattice_answered(self, tmp_path, capsys):
+        # a 20000 x 40000 matrix with 40000 entries
+        path = tmp_path / "stencil.json"
+        doc = {"rank": 2, "field": "gf:7", "k": 1, "l": 2, "entries": [["X1 - X1^-1", "X2 - 1"]]}
+        path.write_text(json.dumps(doc))
+        start = time.process_time()
+        assert main(["kernel", "--system", str(path), "--period", "1,20000"]) == 0
+        assert time.process_time() - start < 5.0
+        assert capsys.readouterr().out == "dimension: 20001\n"
 
     def test_dimension_without_report_builds_no_basis(self, difference_file, capsys, monkeypatch):
         def no_basis(*args):

@@ -687,6 +687,17 @@ class TestPeriodicDocument:
                 formats.write_periodic_json(path, signal)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field, values, tokens", [
+        (FloatField(), [0.0, -0.0, 1.5, 0.0], ["0.0", "-0.0", "1.5", "0.0"]),
+        (Q, [0, Fraction(-1, 2), 0, 3], ["0", "-1/2", "0", "3"]),
+        (PrimeField(7), [0, 6, 0, 1], ["0", "6", "0", "1"]),
+    ])
+    def test_zero_tokens(self, tmp_path, field, values, tokens):
+        # every zero gets the field's zero token; a float -0.0 keeps its sign
+        path = tmp_path / "p.json"
+        formats.write_periodic_json(path, PeriodicSeq(1, field, (4,), values))
+        assert json.loads(path.read_text())["values"] == tokens
+
     def test_component_count_checked(self, tmp_path):
         path = tmp_path / "p.json"
         formats.write_periodic_json(path, PeriodicSeq(1, Q, (2,), [1, 0]))

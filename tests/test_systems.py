@@ -31,7 +31,7 @@ from bishift._univariate import PolyRing
 from bishift.systems import (
     MAX_FILL,
     MAX_KERNEL_CELLS,
-    MAX_MATRIX_CELLS,
+    MAX_UPDATES,
     KernelBasis,
     System,
     enumerate_periodic_vectors,
@@ -655,6 +655,20 @@ class TestRationalKernel:
         with pytest.raises(RuntimeError, match="Hadamard"):
             kernel_dimension(System(PolyMatrix([[P("X1 - 2", rank=2)]])), (2, 2))
 
+    def test_certificate_reads_no_empty_rows(self, monkeypatch):
+        # a zero row of R gives |D| constraint rows without entries, which
+        # constrain nothing: the check reads only the |D| others
+        system = System(PolyMatrix([[P("X1 - 1/2", 2), P("X2", 2)], [P("0", 2), P("0", 2)]]))
+        checked, certifies = [], systems._certifies
+
+        def recorded(cleared, rows):
+            checked.append(cleared)
+            return certifies(cleared, rows)
+
+        monkeypatch.setattr(systems, "_certifies", recorded)
+        assert basis_payloads(system, (4, 3)) == oracle_kernel(system, (4, 3))
+        assert checked and all(len(cleared) == 12 and all(cleared) for cleared in checked)
+
 
 SPARSE_PERIODS = {2: [(4, 1), (3, 2), (2, 3)], 3: [(2, 1, 2), (3, 2, 1), (1, 2, 2)]}
 
@@ -710,7 +724,7 @@ class TestDimensionOnly:
         for p, rank, shape in itertools.product((2, 7), (2, 3), ((1, 2), (2, 2), (2, 3))):
             field, periods = PrimeField(p), SPARSE_PERIODS[rank][rng.randrange(3)]
             rows = periodic_system_matrix(stencil_system(rng, field, rank, *shape), periods)
-            pivots, fill = systems._forward(rows, p)
+            pivots, fill, _ = systems._forward(rows, p)
             assert fill == sum(map(len, rows)) + sum(map(len, pivots.values()))
             assert pivots.keys() == rref(rows, p).keys()
 
@@ -905,31 +919,109 @@ class TestRankOnePath:
         assert kernel_dimension(x_minus_2, (10**18,)) == 0
 
 
+def seeded_dense_system(seed, field):
+    """A 2 x 2 rank-2 system whose constraint matrix fills in densely.
+
+    For each entry in row-major order, two ``randint(-3, 3)`` draw an
+    exponent and ``randint(1, 6)`` its coefficient, until the entry has
+    five exponents.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(2):
+        row = []
+        for _ in range(2):
+            terms = {}
+            while len(terms) < 5:
+                terms[rng.randint(-3, 3), rng.randint(-3, 3)] = rng.randint(1, 6)
+            row.append(LaurentPoly(2, field, terms))
+        rows.append(row)
+    return System(PolyMatrix(rows))
+
+
 class TestLatticeBudget:
     def test_api_refuses_periods_20_20_20(self, monkeypatch):
-        system = System(PolyMatrix([[P("X1 - X2^-1 + X3", rank=3, field=GF2)]]))
+        # 132 terms on 8000 lattice points: 8000 rows and columns and up to
+        # 1056000 starting entries, more than MAX_FILL together
+        terms = {(a, b, 0): 1 for a in range(12) for b in range(11)}
+        system = System(PolyMatrix([[LaurentPoly(3, GF2, terms)]]))
 
         def no_rows(*args, **kwargs):
             raise AssertionError("lattice built before the budget check")
 
         monkeypatch.setattr(systems, "rolled_indices", no_rows)
+        message = "8000 x 8000 constraint matrix holding up to 1072000 "
         for solve in (periodic_system_matrix, kernel_dimension, periodic_kernel_basis):
-            with pytest.raises(LatticeTooLargeError, match="8000 x 8000"):
+            with pytest.raises(LatticeTooLargeError, match=message):
                 solve(system, (20, 20, 20))
 
     def test_constraint_nonzeros_bounded(self, monkeypatch):
-        # 300 terms on a 60 x 60 lattice: 3600**2 cells are admitted, but up
-        # to 1080000 nonzero entries are not
+        # 300 terms on a 60 x 60 lattice: 3600 rows and 3600 columns are
+        # admitted, but up to 1080000 starting entries are not
         terms = {(a, b): 1 for a in range(20) for b in range(15)}
         system = System(PolyMatrix([[LaurentPoly(2, GF2, terms)]]))
-        assert 3600**2 <= MAX_MATRIX_CELLS and 3600 * 300 > MAX_FILL
+        assert 2 * 3600 <= MAX_FILL < 3600 * 300
 
         def no_rows(*args, **kwargs):
             raise AssertionError("rows built before the budget check")
 
         monkeypatch.setattr(systems, "rolled_indices", no_rows)
-        with pytest.raises(LatticeTooLargeError, match="1080000 nonzero entries"):
+        with pytest.raises(LatticeTooLargeError, match=f"up to {2 * 3600 + 3600 * 300} rows"):
             kernel_dimension(system, (60, 60))
+
+    def test_sparse_lattices_answered(self):
+        # lattices of many cells but few entries: the 20000 x 40000 matrix of
+        # [X1 - X1^-1, X2 - 1] at (1,20000) is that of [0, X2 - 1], whose
+        # rank-1 form [0, X - 1] has the period-N signals times the constants
+        gf7 = PrimeField(7)
+        start = time.process_time()
+        stencil = System(PolyMatrix([[P("X1 - X1^-1", 2, gf7), P("X2 - 1", 2, gf7)]]))
+        assert kernel_dimension(stencil, (1, 20000)) == 20001
+        rank1 = System(PolyMatrix([[P("0", field=gf7), P("X - 1", field=gf7)]]))
+        assert kernel_dimension(rank1, (20000,)) == 20001
+        # an 8000 x 8000 matrix of 24000 entries
+        assert kernel_dimension(System(PolyMatrix([[P("X1 - X2^-1 + X3", 3, GF2)]])), (20, 20, 20)) == 0
+        assert time.process_time() - start < 5.0
+
+    def test_dense_elimination_time_bounded(self):
+        # the seed-5 system at (32,32) holds at most about 340000 entries, within
+        # MAX_FILL, but its forward pass needs about 87M updates: the update
+        # budget refuses it long before that pass would end
+        system = seeded_dense_system(5, PrimeField(7))
+        assert kernel_dimension(system, (8, 8)) == len(oracle_kernel(system, (8, 8)))
+        start = time.process_time()
+        with pytest.raises(LatticeTooLargeError, match=f"updates more than {MAX_UPDATES} entries"):
+            kernel_dimension(system, (32, 32))
+        assert time.process_time() - start < 5.0
+
+    def test_update_budget_covers_both_passes(self, monkeypatch):
+        # one count runs through both passes of rref, checked at each
+        # pivot-row subtraction: a budget of the forward pass's count admits
+        # the dimension, which runs that pass alone, and refuses the basis
+        system = stencil_system(random.Random("back-fill"), PrimeField(7), 2, 1, 2)
+        rows = periodic_system_matrix(system, (4, 4))
+        forward = systems._forward(rows, 7)[2]
+        dimension = kernel_dimension(system, (4, 4))
+        checked = []
+
+        class Recorder(int):
+            # `updates > MAX_UPDATES` asks the right operand, an int subclass, first
+            def __lt__(self, updates):
+                checked.append(updates)
+                return False
+
+        monkeypatch.setattr(systems, "MAX_UPDATES", Recorder(0))
+        rref(rows, 7)
+        assert forward in checked and checked == sorted(checked) and checked[-1] > forward
+        monkeypatch.setattr(systems, "MAX_UPDATES", forward)
+        assert kernel_dimension(system, (4, 4)) == dimension
+        with pytest.raises(LatticeTooLargeError, match=f"updates more than {forward} entries"):
+            periodic_kernel_basis(system, (4, 4))
+        monkeypatch.setattr(systems, "MAX_UPDATES", checked[-1])
+        assert periodic_kernel_basis(system, (4, 4)).dimension == dimension
+        monkeypatch.setattr(systems, "MAX_UPDATES", forward - 1)
+        with pytest.raises(LatticeTooLargeError, match=f"updates more than {forward - 1} entries"):
+            kernel_dimension(system, (4, 4))
 
     def test_dense_fill_refused(self, monkeypatch):
         # the 2 x 2 five-term system fills most of its 512 x 512 matrix mod 7;
@@ -1046,9 +1138,21 @@ class TestLatticeBudget:
             kernel_dimension(system, (10**12,))
         assert kernel_dimension(system, (100000,)) == 100000  # folds to 0
 
-    def test_budget_counts_both_matrix_sides(self):
-        size = 2049  # 2 x 2 blocks of 2049 rows and columns: just over 2**24
-        assert (2 * size) ** 2 > MAX_MATRIX_CELLS >= (2 * 2048) ** 2
-        with pytest.raises(LatticeTooLargeError):
-            periodic_system_matrix(two_variable_system(), (size,))
-        assert kernel_dimension(difference_system(GF2), (60,)) == 2
+    def test_budget_counts_both_matrix_sides(self, monkeypatch):
+        # a 2 x 2 zero system has no entries: its 2 * size rows and 2 * size
+        # columns are each within MAX_FILL, but not together
+        zeros = System(PolyMatrix([[P("0", field=GF2)] * 2] * 2))
+        size = MAX_FILL // 4 + 1
+        assert 2 * size <= MAX_FILL < 4 * size
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("rows built before the budget check")
+
+        with monkeypatch.context() as m:
+            m.setattr(systems, "rolled_indices", no_rows)
+            with pytest.raises(LatticeTooLargeError, match=f"up to {4 * size} rows"):
+                periodic_system_matrix(zeros, (size,))
+        monkeypatch.setattr(systems, "MAX_FILL", 4 * 64)
+        assert periodic_system_matrix(zeros, (64,)) == [{}] * 128
+        with pytest.raises(LatticeTooLargeError, match="up to 260 rows"):
+            periodic_system_matrix(zeros, (65,))
