@@ -21,11 +21,12 @@ tolerances that defeat the point.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
-from operator import sub
+from functools import cache, partial
+from itertools import islice, repeat
+from operator import add, gt, itemgetter, mul, sub, truediv
 
 from . import operators
 from .errors import FloatFieldUnsupportedError
@@ -39,104 +40,152 @@ _RANKS = (1, 2, 3)
 _KINDS = ("finite", "periodic")
 
 
-# Every draw calls rng._randbelow(n) directly: randrange(a, b) returns
-# a + _randbelow(b - a) and choice(seq) returns seq[_randbelow(len(seq))],
-# so the stream, and every printed failure example, is the one those
-# wrappers draw.
+# Every draw reads a random.Random's getrandbits through C-level iterators.
+# below(n) keeps the getrandbits(n.bit_length()) candidates under n, which
+# is how random's _randbelow(n) draws, and randrange(a, b) returns
+# a + _randbelow(b - a) and choice(seq) returns seq[_randbelow(len(seq))].
+# An iterator pulls a candidate only when asked for a value, so the stream,
+# and every printed failure example, is the one those wrappers draw.
 
 
-@functools.cache
-def _payload_drawer(field: Field):
-    """``draw(randbelow, nonzero=False)`` for ``field``, chosen once per field.
+def _below(rng: random.Random):
+    """``below(n)``: an endless iterator of draws from range(n), read from ``rng.getrandbits``."""
+    getrandbits = rng.getrandbits
 
-    It draws what ``randrange(0 or 1, p)``, ``Fraction(randrange(-9, 10),
-    randrange(1, 10))`` or ``randrange(-8, 9) / 4.0`` draws, redrawing a
-    zero when ``nonzero`` is set.
+    def below(n):
+        return filter(partial(gt, n), map(getrandbits, repeat(n.bit_length())))
+
+    return below
+
+
+def _tuples(below, rank, lo, hi):
+    """Endless tuples of ``rank`` entries, each drawn from lo..hi."""
+    return zip(*repeat(map(add, below(hi - lo + 1), repeat(lo)), rank))
+
+
+@cache
+def _fractions():
+    """Fraction(n, d) for n in -9..9 and d in 1..9; built on first use, not at import."""
+    return tuple([Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)])
+
+
+def _payloads(below, field: Field):
+    """Endless iterators of ``field`` payloads: any payload, and nonzero ones.
+
+    They draw what ``randrange(0 or 1, p)``, ``Fraction(randrange(-9, 10),
+    randrange(1, 10))`` or ``randrange(-8, 9) / 4.0`` draws; a nonzero
+    rational or float draw skips each zero.
     """
     if isinstance(field, PrimeField):
         p = field.p
-
-        def draw(randbelow, nonzero=False):
-            return 1 + randbelow(p - 1) if nonzero else randbelow(p)
-
-        return draw
+        return below(p), map(add, below(p - 1), repeat(1))
     if isinstance(field, RationalField):
-        # built here, not at import: Fraction(n, d) for n in -9..9, d in 1..9
-        table = [Fraction(n, d) for n in range(-9, 10) for d in range(1, 10)]
+        values = map(_fractions().__getitem__, map(add, map(mul, below(19), repeat(9)), below(9)))
+    else:
+        values = map(truediv, map(sub, below(17), repeat(8)), repeat(4.0))
+    return values, filter(None, values)
 
-        def draw(randbelow, nonzero=False):
-            while True:
-                v = table[randbelow(19) * 9 + randbelow(9)]
-                if not nonzero or v:
-                    return v
 
-        return draw
+def _fitting(periods, max_size):
+    """The first of the ``periods`` tuples whose product is at most ``max_size``."""
+    if max_size < 1:
+        raise ValueError(f"no periods have a product of at most {max_size}")
+    return next(t for t in periods if math.prod(t) <= max_size)
 
-    def draw(randbelow, nonzero=False):
-        while True:
-            v = (randbelow(17) - 8) / 4.0
-            if not nonzero or v:
-                return v
 
-    return draw
+class _Draws:
+    """Lazy draws of ``field`` objects at ``rank`` from one generator's getrandbits.
+
+    A suite run builds one and draws every instance from it; the helpers
+    below build a one-off source per call.
+    """
+
+    __slots__ = ("rank", "field", "values", "nonzero", "exponents", "_items", "_counts",
+                 "_kinds", "_periods")
+
+    def __init__(self, rng: random.Random, field: Field, rank: int, max_terms=6, span=4):
+        below = _below(rng)
+        self.rank, self.field = rank, field
+        self.values, self.nonzero = _payloads(below, field)
+        self.exponents = _tuples(below, rank, -span, span)
+        # (index, payload) items; a term draws its payload, then its index,
+        # as an assignment evaluates its right-hand side before its target
+        self._items = map(itemgetter(1, 0), zip(self.values, self.exponents))
+        self._counts = below(max_terms + 1)
+        self._kinds = below(len(_KINDS))
+        self._periods = _tuples(below, rank, 1, 4)
+
+    def terms(self):
+        """A canonical payload map: later draws at a repeated index overwrite."""
+        terms = dict(islice(self._items, next(self._counts)))
+        is_zero = self.field._is_zero
+        return {k: v for k, v in terms.items() if not is_zero(v)}
+
+    def value(self, nonzero=False) -> FieldValue:
+        return FieldValue(self.field, next(self.nonzero if nonzero else self.values))
+
+    def kind(self) -> str:
+        return _KINDS[next(self._kinds)]
+
+    def poly(self) -> LaurentPoly:
+        return LaurentPoly._wrap(self.rank, self.field, self.terms())
+
+    def finite(self) -> FiniteSeq:
+        return FiniteSeq._wrap(self.rank, self.field, self.terms())
+
+    def samples(self, periods) -> PeriodicSeq:
+        values = tuple(islice(self.values, math.prod(periods)))
+        return PeriodicSeq._wrap(len(periods), self.field, periods, values)
+
+    def signal(self, kind: str):
+        if kind == "finite":
+            return self.finite()
+        if kind == "periodic":
+            # keep the fundamental domain small enough for thousand-trial runs
+            return self.samples(_fitting(self._periods, 24))
+        raise ValueError(f"unknown signal kind {kind!r}")
+
+
+# The public helpers each read ``rng.getrandbits`` through a one-off source,
+# so calls to them interleave with other draws from ``rng``.
 
 
 def random_value(rng: random.Random, field: Field, nonzero: bool = False):
-    return FieldValue(field, _payload_drawer(field)(rng._randbelow, nonzero))
+    """A ``FieldValue`` drawn from ``rng.getrandbits``, as ``randrange`` would draw it."""
+    return _Draws(rng, field, 1).value(nonzero)
 
 
 def random_exponent(rng: random.Random, rank: int, span: int = 4):
-    randbelow, width = rng._randbelow, 2 * span + 1
-    return tuple([randbelow(width) - span for _ in range(rank)])
-
-
-def _random_terms(rng, rank, field, max_terms, span):
-    """A canonical payload map: later draws at a repeated index overwrite.
-
-    Each term draws its payload, then its index as ``random_exponent`` does:
-    an assignment evaluates its right-hand side before its target.
-    """
-    randbelow, draw, width = rng._randbelow, _payload_drawer(field), 2 * span + 1
-    terms = {}
-    for _ in range(randbelow(max_terms + 1)):
-        terms[tuple([randbelow(width) - span for _ in range(rank)])] = draw(randbelow)
-    is_zero = field._is_zero
-    return {k: v for k, v in terms.items() if not is_zero(v)}
+    """An exponent tuple from ``rng.getrandbits``, each entry as ``randrange(-span, span + 1)``."""
+    return next(_tuples(_below(rng), rank, -span, span))
 
 
 def random_poly(rng, rank, field, max_terms: int = 6, span: int = 4) -> LaurentPoly:
-    return LaurentPoly._wrap(rank, field, _random_terms(rng, rank, field, max_terms, span))
+    """A polynomial of up to ``max_terms`` terms drawn from ``rng.getrandbits``."""
+    return _Draws(rng, field, rank, max_terms, span).poly()
 
 
 def random_finite_seq(rng, rank, field, max_terms: int = 6, span: int = 4) -> FiniteSeq:
-    return FiniteSeq._wrap(rank, field, _random_terms(rng, rank, field, max_terms, span))
+    """A finite signal of up to ``max_terms`` terms drawn from ``rng.getrandbits``."""
+    return _Draws(rng, field, rank, max_terms, span).finite()
 
 
 def random_periods(rng, rank, max_size: int = 24):
-    # keep the fundamental domain small enough for thousand-trial runs
-    randbelow = rng._randbelow
-    while True:
-        periods = tuple([1 + randbelow(4) for _ in range(rank)])
-        if math.prod(periods) <= max_size:
-            return periods
+    """Periods in 1..4 with a product of at most ``max_size``, drawn from ``rng.getrandbits``.
 
-
-def _random_samples(rng, field, periods) -> PeriodicSeq:
-    randbelow, draw = rng._randbelow, _payload_drawer(field)
-    values = tuple([draw(randbelow) for _ in range(math.prod(periods))])
-    return PeriodicSeq._wrap(len(periods), field, periods, values)
+    Raises ValueError when ``max_size`` is below 1, which no periods fit.
+    """
+    return _fitting(_tuples(_below(rng), rank, 1, 4), max_size)
 
 
 def random_periodic_seq(rng, rank, field) -> PeriodicSeq:
-    return _random_samples(rng, field, random_periods(rng, rank))
+    """A periodic signal drawn from ``rng.getrandbits``: its periods, then its samples."""
+    return _Draws(rng, field, rank).signal("periodic")
 
 
 def random_signal(rng, rank, field, kind: str):
-    if kind == "finite":
-        return random_finite_seq(rng, rank, field)
-    if kind == "periodic":
-        return random_periodic_seq(rng, rank, field)
-    raise ValueError(f"unknown signal kind {kind!r}")
+    """A ``kind`` signal ("finite" or "periodic") drawn from ``rng.getrandbits``."""
+    return _Draws(rng, field, rank).signal(kind)
 
 
 class SuiteResult:
@@ -162,13 +211,16 @@ def _describe(seed, trial, parts):
     return ", ".join(bits)
 
 
-def _run(names, seed, trials, draw, check):
-    """One result per law in ``names``; ``check`` returns one verdict per law."""
-    rng = random.Random(seed)
+def _run(names, seed, trials, field, rank, draw, check):
+    """One result per law in ``names``; ``check`` returns one verdict per law.
+
+    ``draw`` takes each instance from one ``_Draws`` source on ``random.Random(seed)``.
+    """
+    source = _Draws(random.Random(seed), field, rank)
     failures = [0] * len(names)
     examples = [None] * len(names)
     for trial in range(trials):
-        instance = draw(rng)
+        instance = draw(source)
         for law, ok in enumerate(check(**instance)):
             if not ok:
                 failures[law] += 1
@@ -187,12 +239,8 @@ def shift_law_suites(field, rank, kind, trials, seed=DEFAULT_SEED):
     _require_exact(field)
     one = LaurentPoly.one(rank, field)
 
-    def draw(rng):
-        return {
-            "c": random_poly(rng, rank, field),
-            "d": random_poly(rng, rank, field),
-            "w": random_signal(rng, rank, field, kind),
-        }
+    def draw(src):
+        return {"c": src.poly(), "d": src.poly(), "w": src.signal(kind)}
 
     def check(c, d, w):
         shift, pair = operators.shift, operators.scalar_product
@@ -202,19 +250,16 @@ def shift_law_suites(field, rank, kind, trials, seed=DEFAULT_SEED):
         return adjoint, action
 
     spec = f"{field.spec()},r={rank},{kind}"
-    return _run([f"adjoint[{spec}]", f"module-action[{spec}]"], seed, trials, draw, check)
+    names = [f"adjoint[{spec}]", f"module-action[{spec}]"]
+    return _run(names, seed, trials, field, rank, draw, check)
 
 
 def extraction_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
     """Monomial pairing reads samples; delta pairing reads coefficients."""
     _require_exact(field)
 
-    def draw(rng):
-        return {
-            "gamma": random_exponent(rng, rank),
-            "d": random_poly(rng, rank, field),
-            "w": random_signal(rng, rank, field, rng.choice(_KINDS)),
-        }
+    def draw(src):
+        return {"gamma": next(src.exponents), "d": src.poly(), "w": src.signal(src.kind())}
 
     def check(gamma, d, w):
         mono = LaurentPoly.monomial(rank, field, gamma)
@@ -223,27 +268,19 @@ def extraction_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
         ok_coeff = field.eq(operators.scalar_product(d, delta), d.coeff(gamma))
         return (ok_sample and ok_coeff,)
 
-    return _run([f"extraction[{field.spec()},r={rank}]"], seed, trials, draw, check)[0]
+    names = [f"extraction[{field.spec()},r={rank}]"]
+    return _run(names, seed, trials, field, rank, draw, check)[0]
 
 
 def bilinearity_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
     """Linearity of the pairing in each argument separately."""
     _require_exact(field)
 
-    def draw(rng):
-        kind = rng.choice(_KINDS)
-        w1 = random_signal(rng, rank, field, kind)
-        if kind == "periodic":
-            w2 = _random_samples(rng, field, w1.periods)
-        else:
-            w2 = random_finite_seq(rng, rank, field)
-        return {
-            "c": random_poly(rng, rank, field),
-            "d": random_poly(rng, rank, field),
-            "a": random_value(rng, field),
-            "w1": w1,
-            "w2": w2,
-        }
+    def draw(src):
+        kind = src.kind()
+        w1 = src.signal(kind)
+        w2 = src.samples(w1.periods) if kind == "periodic" else src.finite()
+        return {"c": src.poly(), "d": src.poly(), "a": src.value(), "w1": w1, "w2": w2}
 
     def check(c, d, a, w1, w2):
         pair = operators.scalar_product
@@ -252,24 +289,23 @@ def bilinearity_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
         right_ok = field.eq(pair(c, w1 * a + w2), field.add(a_cw1, pair(c, w2)))
         return (left_ok and right_ok,)
 
-    return _run([f"bilinearity[{field.spec()},r={rank}]"], seed, trials, draw, check)[0]
+    names = [f"bilinearity[{field.spec()},r={rank}]"]
+    return _run(names, seed, trials, field, rank, draw, check)[0]
 
 
 def support_bound_suite(field, rank, trials, seed=DEFAULT_SEED) -> SuiteResult:
     """supp(d o W) fits inside the Minkowski difference supp(W) - supp(d)."""
     _require_exact(field)
 
-    def draw(rng):
-        return {
-            "d": random_poly(rng, rank, field),
-            "w": random_finite_seq(rng, rank, field),
-        }
+    def draw(src):
+        return {"d": src.poly(), "w": src.finite()}
 
     def check(d, w):
         allowed = {tuple(map(sub, idx, alpha)) for idx in w.support() for alpha in d.support()}
         return (operators.shift(d, w).support() <= allowed,)
 
-    return _run([f"support-bound[{field.spec()},r={rank}]"], seed, trials, draw, check)[0]
+    names = [f"support-bound[{field.spec()},r={rank}]"]
+    return _run(names, seed, trials, field, rank, draw, check)[0]
 
 
 def run_all(field, trials, seed=DEFAULT_SEED):

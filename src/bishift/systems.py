@@ -30,9 +30,10 @@ reduction.  Each such column f gives the kernel row e_f minus the sum of
 r_q[f] e_q over the reduced pivot rows r_q, which is already its RREF
 row, so no second elimination runs.  Two budgets bound the loop by what
 it holds and does, not by the cells of a dense matrix: MAX_FILL counts
-the entries it holds, and the rows and columns it allocates for them,
-and MAX_UPDATES the entries it updates, so a lattice of many cells but
-few entries is solved and a dense fill is refused within seconds.
+the entries it holds, and the rows (ROW_FILL entries each) and columns
+it allocates for them, and MAX_UPDATES the entries it updates, so a
+lattice of many cells but few entries is solved and a dense fill is
+refused within seconds.
 
 Over Q no elimination runs on ``Fraction``s.  Each row of the matrix is
 cleared of denominators once and reduced modulo 31-bit primes for the
@@ -66,6 +67,10 @@ from .sequences import (
 # bytes, 5 to 11 times an int64 cell, so over GF(p) this keeps memory below
 # the 128 MiB of a dense int64 matrix of 2**24 cells.
 MAX_FILL = 2**20
+# entries that one constraint row weighs in MAX_FILL with its pivot row.  On
+# CPython 3.10-3.13 a one-entry row dict takes about 264 bytes and an empty
+# pivot row 72, against 65 to 69 bytes for an entry mod 7 in a long row.
+ROW_FILL = 5
 # most entries one elimination updates, summed over the pivot rows it subtracts.
 # 2**24 of them take about 1.5 s mod 7 and 3 s mod a 31-bit prime (CPython 3.11, one Xeon core)
 MAX_UPDATES = 2**24
@@ -85,9 +90,9 @@ def periodic_system_matrix(system: System, periods):
 
     Returns the k * D rows as dicts {column: payload} of the nonzero
     entries.  Raises LatticeTooLargeError, before building any row, when
-    the k * D rows, the l * D columns (the length of the elimination's
-    work list) and the up to D * terms starting entries count more than
-    MAX_FILL together.
+    the k * D rows, each weighing ROW_FILL entries, the l * D columns (the
+    length of the elimination's work list) and the up to D * terms
+    starting entries count more than MAX_FILL together.
     """
     return _system_matrix(system, check_periods(periods, system.rank, "periods"))
 
@@ -97,12 +102,14 @@ def _system_matrix(system: System, periods):
     size = math.prod(periods)
     height, width = system.k * size, system.l * size
     entries = [[system.matrix.entry(i, j)._terms for j in range(system.l)] for i in range(system.k)]
-    # the row dicts, the elimination's work list and the starting entries
-    held = height + width + size * sum(len(terms) for row in entries for terms in row)
+    # the row dicts with their pivot rows, the elimination's work list and the
+    # starting entries, in entries
+    held = ROW_FILL * height + width + size * sum(len(terms) for row in entries for terms in row)
     if held > MAX_FILL:
         raise LatticeTooLargeError(
             f"periods {','.join(map(str, periods))} give a {height} x {width} constraint "
-            f"matrix holding up to {held} rows, columns and entries, more than {MAX_FILL}"
+            f"matrix whose rows, columns and entries weigh up to {held} entries, "
+            f"more than {MAX_FILL}"
         )
     field = system.field
     add = field._add

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -188,6 +189,85 @@ def test_draw_stream_matches_randrange_and_choice(field, seed):
         assert got_rng.getstate() == want_rng.getstate()
 
 
+# Edge draws, each as (helper call, WrapperDraws call) on generators of one seed.
+EDGE_DRAWS = {
+    # no terms: only the count is drawn
+    "max_terms=0": lambda rng, ref, rank, field: (
+        random_poly(rng, rank, field, max_terms=0)._terms, ref.terms(rank, max_terms=0)),
+    # below(1) rejects every getrandbits(1) candidate of 1, half of them
+    "span=0": lambda rng, ref, rank, field: (
+        random_poly(rng, rank, field, span=0)._terms, ref.terms(rank, span=0)),
+    "exponent span=0": lambda rng, ref, rank, field: (
+        random_exponent(rng, rank, span=0), ref.exponent(rank, span=0)),
+    "span=10**6": lambda rng, ref, rank, field: (
+        _raw(random_finite_seq(rng, rank, field, span=10**6)),
+        ("finite", ref.terms(rank, span=10**6)),
+    ),
+    "max_size=1": lambda rng, ref, rank, field: (
+        random_periods(rng, rank, max_size=1), ref.periods(rank, max_size=1)),
+    "nonzero": lambda rng, ref, rank, field: (
+        random_value(rng, field, nonzero=True).payload, ref.payload(nonzero=True)),
+    "value": lambda rng, ref, rank, field: (random_value(rng, field).payload, ref.payload()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_DRAWS))
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(2**61 - 1), Q], ids=lambda f: f.spec())
+def test_edge_draws_match_randrange_and_choice(field, case):
+    # gf:2 draws a nonzero payload from below(1); gf:2^61-1 draws 61 bits,
+    # which getrandbits reads as two 32-bit words
+    draw = EDGE_DRAWS[case]
+    for seed in (0, 9, 2**31 - 1):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        ref = WrapperDraws(want_rng, field)
+        for trial in range(40):
+            got, want = draw(got_rng, ref, trial % 3 + 1, field)
+            _same(got, want)
+            assert got_rng.getstate() == want_rng.getstate()
+
+
+def _helper_draws(field, seed, count):
+    """``count`` helper draws on ``random.Random(seed)``, each as one line of text."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rank, step = i % 3 + 1, i % 7
+        if step == 0:
+            x = random_value(rng, field).payload
+        elif step == 1:
+            x = random_value(rng, field, nonzero=True).payload
+        elif step == 2:
+            x = random_exponent(rng, rank, span=i % 5)
+        elif step == 3:
+            x = random_poly(rng, rank, field)._terms
+        elif step == 4:
+            x = _raw(random_finite_seq(rng, rank, field, 3, 1))
+        elif step == 5:
+            x = _raw(random_periodic_seq(rng, rank, field))
+        else:
+            x = random_periods(rng, rank, 1 + i % 30)
+        yield repr(x)
+
+
+def test_helper_draws_pinned():
+    # 2000 draws, 500 per field, hashed as the rng._randbelow draws of
+    # earlier versions wrote them; the same on CPython 3.10 to 3.13
+    digest = hashlib.sha256()
+    for field in (Q, GF7, PrimeField(2**61 - 1), FloatField()):
+        for line in _helper_draws(field, 2024, 500):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "ee1f5a4c0987dfeb598b7d776108410a0dd97ab6cd11e3baa68bce4edb336645"
+
+
+@pytest.mark.parametrize("max_size", [0, -3])
+def test_periods_need_a_positive_size(max_size):
+    # no tuple of periods has a product below 1: refused before any draw
+    rng = random.Random(4)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"at most {max_size}"):
+        random_periods(rng, 2, max_size)
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("field", [GF7, Q], ids=lambda f: f.spec())
 @pytest.mark.parametrize(
     "suite", ["shift_law", "extraction", "bilinearity", "support_bound"]
@@ -199,7 +279,9 @@ def test_suite_draws_match_randrange_and_choice(monkeypatch, field, suite):
     draws = []
     monkeypatch.setattr(
         selftest, "_run",
-        lambda names, seed, trials, draw, check: draws.append(draw) or [None] * len(names),
+        lambda names, seed, trials, field, rank, draw, check: (
+            draws.append(draw) or [None] * len(names)
+        ),
     )
     with_kind = suite == "shift_law"
     run_suite = selftest.shift_law_suites if with_kind else getattr(selftest, f"{suite}_suite")
@@ -209,9 +291,9 @@ def test_suite_draws_match_randrange_and_choice(monkeypatch, field, suite):
                 run_suite(field, rank, *([kind] if with_kind else []), 0, seed)
                 draw = draws.pop()
                 got_rng, want_rng = random.Random(seed), random.Random(seed)
-                ref = WrapperDraws(want_rng, field)
+                source, ref = selftest._Draws(got_rng, field, rank), WrapperDraws(want_rng, field)
                 for _ in range(25):
-                    got = {k: _raw(v) for k, v in draw(got_rng).items()}
+                    got = {k: _raw(v) for k, v in draw(source).items()}
                     _same(got, ref.instance(suite, rank, kind))
                     assert got_rng.getstate() == want_rng.getstate()
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from bishift.errors import (
     LatticeTooLargeError,
     RankMismatchError,
 )
-from bishift.fields import FieldValue, FloatField, PrimeField, RationalField, _is_prime
+from bishift.fields import FieldValue, FloatField, PrimeField, RationalField
 from bishift.io import read_system
 from bishift.laurent import LaurentPoly, PolyMatrix
 from bishift.parsing import parse_poly
@@ -32,6 +33,7 @@ from bishift.systems import (
     MAX_FILL,
     MAX_KERNEL_CELLS,
     MAX_UPDATES,
+    ROW_FILL,
     KernelBasis,
     System,
     enumerate_periodic_vectors,
@@ -550,7 +552,7 @@ def leading_columns(rows):
     return [next(i for i, v in enumerate(row) if v) for row in rows]
 
 
-FIRST_PRIMES = [p for p in range(2**31 - 1, 2**31 - 400, -2) if _is_prime(p)][:3]
+FIRST_PRIMES = list(itertools.islice(systems._primes(), 3))
 
 
 class TestRationalKernel:
@@ -580,14 +582,14 @@ class TestRationalKernel:
     @pytest.mark.parametrize(
         "entries, periods, unlucky",
         [
-            # mod 2**31 - 1 this is X - 1, with the constants as kernel; over Q it is 0
-            (["2147483648*X1 - 1"], (5, 1), FIRST_PRIMES[0]),
+            # mod the first prime this is X - 1, with the constants as kernel; over Q it is 0
+            ([f"{FIRST_PRIMES[0] + 1}*X1 - 1"], (5, 1), FIRST_PRIMES[0]),
             # same dimension, but mod the prime the kernel pivot moves to column 1
-            (["1", "2147483647"], (1, 1), FIRST_PRIMES[0]),
-            (["1", "2147483647"], (4, 1), FIRST_PRIMES[0]),
-            # mod 2**31 - 1 the leading term vanishes, but the second entry still
-            # acts invertibly (determinant 3**6 there), so that prime is lucky
-            (["X1 - 2147483647", "2147483647*X1^2 + 3"], (6, 1), None),
+            (["1", str(FIRST_PRIMES[0])], (1, 1), FIRST_PRIMES[0]),
+            (["1", str(FIRST_PRIMES[0])], (4, 1), FIRST_PRIMES[0]),
+            # mod the first prime the leading term vanishes, but the second entry
+            # still acts invertibly (determinant 3**6 there), so that prime is lucky
+            ([f"X1 - {FIRST_PRIMES[0]}", f"{FIRST_PRIMES[0]}*X1^2 + 3"], (6, 1), None),
             # a lucky first prime, then an unlucky one
             (["1", str(FIRST_PRIMES[1])], (3, 1), FIRST_PRIMES[1]),
         ],
@@ -941,8 +943,8 @@ def seeded_dense_system(seed, field):
 
 class TestLatticeBudget:
     def test_api_refuses_periods_20_20_20(self, monkeypatch):
-        # 132 terms on 8000 lattice points: 8000 rows and columns and up to
-        # 1056000 starting entries, more than MAX_FILL together
+        # 132 terms on 8000 lattice points: 8000 rows of ROW_FILL entries each,
+        # 8000 columns and up to 1056000 starting entries, more than MAX_FILL together
         terms = {(a, b, 0): 1 for a in range(12) for b in range(11)}
         system = System(PolyMatrix([[LaurentPoly(3, GF2, terms)]]))
 
@@ -950,7 +952,7 @@ class TestLatticeBudget:
             raise AssertionError("lattice built before the budget check")
 
         monkeypatch.setattr(systems, "rolled_indices", no_rows)
-        message = "8000 x 8000 constraint matrix holding up to 1072000 "
+        message = f"8000 x 8000 constraint matrix whose .* weigh up to {8000 * ROW_FILL + 1064000} "
         for solve in (periodic_system_matrix, kernel_dimension, periodic_kernel_basis):
             with pytest.raises(LatticeTooLargeError, match=message):
                 solve(system, (20, 20, 20))
@@ -960,13 +962,14 @@ class TestLatticeBudget:
         # admitted, but up to 1080000 starting entries are not
         terms = {(a, b): 1 for a in range(20) for b in range(15)}
         system = System(PolyMatrix([[LaurentPoly(2, GF2, terms)]]))
-        assert 2 * 3600 <= MAX_FILL < 3600 * 300
+        assert (ROW_FILL + 1) * 3600 <= MAX_FILL < 3600 * 300
 
         def no_rows(*args, **kwargs):
             raise AssertionError("rows built before the budget check")
 
         monkeypatch.setattr(systems, "rolled_indices", no_rows)
-        with pytest.raises(LatticeTooLargeError, match=f"up to {2 * 3600 + 3600 * 300} rows"):
+        held = (ROW_FILL + 1) * 3600 + 3600 * 300
+        with pytest.raises(LatticeTooLargeError, match=f"up to {held} entries"):
             kernel_dimension(system, (60, 60))
 
     def test_sparse_lattices_answered(self):
@@ -1142,17 +1145,54 @@ class TestLatticeBudget:
         # a 2 x 2 zero system has no entries: its 2 * size rows and 2 * size
         # columns are each within MAX_FILL, but not together
         zeros = System(PolyMatrix([[P("0", field=GF2)] * 2] * 2))
-        size = MAX_FILL // 4 + 1
-        assert 2 * size <= MAX_FILL < 4 * size
+        weight = 2 * ROW_FILL + 2  # per lattice point
+        size = MAX_FILL // weight + 1
+        assert 2 * ROW_FILL * size <= MAX_FILL < weight * size
 
         def no_rows(*args, **kwargs):
             raise AssertionError("rows built before the budget check")
 
         with monkeypatch.context() as m:
             m.setattr(systems, "rolled_indices", no_rows)
-            with pytest.raises(LatticeTooLargeError, match=f"up to {4 * size} rows"):
+            with pytest.raises(LatticeTooLargeError, match=f"up to {weight * size} entries"):
                 periodic_system_matrix(zeros, (size,))
-        monkeypatch.setattr(systems, "MAX_FILL", 4 * 64)
+        monkeypatch.setattr(systems, "MAX_FILL", weight * 64)
         assert periodic_system_matrix(zeros, (64,)) == [{}] * 128
-        with pytest.raises(LatticeTooLargeError, match="up to 260 rows"):
+        with pytest.raises(LatticeTooLargeError, match=f"up to {weight * 65} entries"):
             periodic_system_matrix(zeros, (65,))
+
+    def test_rows_weigh_their_dicts(self, monkeypatch):
+        # X2 at (1,N) has N one-entry rows: each weighs ROW_FILL entries, so
+        # (1,349000), which held 198 MB when a row weighed one entry, is
+        # refused before any row is built
+        x2 = System(PolyMatrix([[P("X2", 2, PrimeField(7))]]))
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("rows built before the budget check")
+
+        with monkeypatch.context() as m:
+            m.setattr(systems, "rolled_indices", no_rows)
+            with pytest.raises(LatticeTooLargeError, match=f"up to {(ROW_FILL + 2) * 349000} entries"):
+                kernel_dimension(x2, (1, 349000))
+        monkeypatch.setattr(systems, "MAX_FILL", 500 * (ROW_FILL + 2))
+        assert kernel_dimension(x2, (1, 500)) == 0
+        with pytest.raises(LatticeTooLargeError, match=f"up to {501 * (ROW_FILL + 2)} entries"):
+            kernel_dimension(x2, (1, 501))
+
+    def test_row_weight_matches_its_bytes(self):
+        # a one-entry constraint row and its empty pivot row, against an entry
+        # mod 7 of a long row, in bytes as tracemalloc counts them
+        def held(make):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = make()  # alive while it is counted
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        n, first = 20000, 10**6  # columns past the small-int cache, as on a large lattice
+        row = held(lambda: [{col: 3} for col in range(first, first + n)]) / n
+        pivot = held(lambda: [{} for _ in range(n)]) / n
+        entry = held(lambda: [dict.fromkeys(range(first, first + 1000), 3) for _ in range(n // 1000)]) / n
+        assert ROW_FILL == round((row + pivot) / entry)
