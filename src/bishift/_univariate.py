@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .errors import LatticeTooLargeError
 from .fields import PrimeField, _is_prime
+from .sequences import fold
 
 # largest k * l * (D + 1)**2 * bit length of N, for entries of degree D, that
 # the rank-1 solver takes on: about its coefficient operations before the
@@ -322,9 +323,9 @@ def _rank1_solve(system, n: int):
 
     Reading a period-n signal w as the polynomial w^ = sum of w_b X^-b in
     F[X]/(X^n - 1) turns d o w into d * w^, so the behaviour is the kernel
-    of R over that ring.  Row i of R is multiplied by X^-m_i, m_i its
-    lowest exponent, and its exponents are folded mod n: X is a unit of
-    the ring and X^n = 1 there, so neither changes the kernel.  The
+    of R over that ring.  Row i of R is folded mod n by sequences.fold and
+    multiplied by X^-m_i, m_i its lowest exponent: X is a unit of the
+    ring and X^n = 1 there, so neither changes the kernel.  The
     kernel's dimension is the sum of deg gcd(s_i, X^n - 1) over the
     invariant factors s_1, ..., s_r of the resulting polynomial matrix,
     plus n for each of its l - r free directions.
@@ -341,19 +342,12 @@ def _rank1_solve(system, n: int):
     as rows of payloads.  Raises LatticeTooLargeError, before building any
     polynomial, when the work estimate exceeds MAX_POLY_WORK.
     """
-    add, zero = system.field._add, system.field.zero.payload
-    folded = []
+    field, folded = system.field, []
     for i in range(system.k):
         row = [system.matrix.entry(i, j)._terms for j in range(system.l)]
         m = min((a for terms in row for (a,) in terms), default=0)
-        entries = []
-        for terms in row:
-            entry = {}
-            for (a,), c in terms.items():
-                e = (a - m) % n
-                entry[e] = add(entry.get(e, zero), c)
-            entries.append(entry)
-        folded.append(entries)
+        # each residue turned by -m; one whose sum cancels still counts in the degree
+        folded.append([{(r - m) % n: c for (r,), c in fold(t, (n,), field).items()} for t in row])
     degree = max((e for row in folded for entry in row for e in entry), default=0)
     work = system.k * system.l * (degree + 1) ** 2 * n.bit_length()
     if work > MAX_POLY_WORK:

@@ -11,7 +11,8 @@ in the package can actually evaluate:
 Monomials correspond to Kronecker deltas, which makes finite-support
 signals and Laurent polynomials the same data seen from two sides;
 :func:`poly_to_seq` and :func:`seq_to_poly` realize that identification
-exactly.
+exactly.  :func:`fold` owns the rule that X^a acts on a period lattice as
+X^(a mod periods): periodize, the constraint rows and the rank-1 solver read it.
 """
 
 from __future__ import annotations
@@ -317,23 +318,37 @@ class KernelBasis:
         return f"KernelBasis({args})"
 
 
-def rolled_indices(alphas, periods, strides):
+def rolled_indices(alphas, periods, strides, start=0):
     """Per exponent alpha, the storage position of (alpha + beta) mod periods for each beta.
 
     Along axis i these are ((alpha_i + j) mod N_i) * stride_i for j = 0 .. N_i - 1:
     the list of j * stride_i, built once per call, rotated left by alpha_i mod N_i.
-    A position adds one entry of each axis list, the last axis fastest.
+    A position adds ``start`` and one entry of each axis list, the last axis fastest.
     """
     bases = [list(range(0, n * stride, stride)) for n, stride in zip(periods, strides)]
     rolled = []
     for alpha in alphas:
-        flat = [0]
+        flat = [start]
         for a, base in zip(alpha, bases):
             r = a % len(base)
             axis = base[r:] + base[:r]
             flat = [i + k for i in flat for k in axis]
         rolled.append(flat)
     return rolled
+
+
+def fold(terms, periods, field) -> dict:
+    """The sum of the payloads of ``terms`` in each residue class alpha mod ``periods``.
+
+    Keys are the residues, in the order the terms first reach them.  Each
+    sum adds its payloads in term order, and a sum that cancels is kept.
+    """
+    add = field._add
+    out = {}
+    for alpha, c in terms.items():
+        r = tuple(map(mod, alpha, periods))
+        out[r] = add(out[r], c) if r in out else c
+    return out
 
 
 def poly_to_seq(d: LaurentPoly) -> FiniteSeq:
@@ -349,13 +364,11 @@ def seq_to_poly(w: FiniteSeq) -> LaurentPoly:
 def periodize(w: FiniteSeq, periods) -> PeriodicSeq:
     """Fold a finite-support signal onto a period lattice.
 
-    Each fundamental-domain sample collects the (finite) sum of all
-    samples of ``w`` congruent to it modulo the periods.
+    Each fundamental-domain sample is the (finite) sum of all samples of
+    ``w`` congruent to it modulo the periods, as :func:`fold` adds them.
     """
-    out = PeriodicSeq.zero(w.rank, w.field, tuple(periods))
-    add = w.field._add
-    acc = list(out._values)
-    for alpha, v in w._terms.items():
-        i = out._flat(alpha)
-        acc[i] = add(acc[i], v)
-    return PeriodicSeq._wrap(w.rank, w.field, out.periods, tuple(acc))
+    out = PeriodicSeq.zero(w.rank, w.field, periods)
+    values = list(out._values)
+    for r, v in fold(w._terms, out.periods, w.field).items():
+        values[out._flat(r)] = v
+    return out._with(values)

@@ -6,9 +6,9 @@ Over all signals that kernel is usually infinite-dimensional, but
 restricted to a fixed period lattice it becomes the nullspace of a
 finite matrix over the coefficient field: each monomial X^a acts on the
 fundamental domain as the permutation b -> (a + b) mod periods, so each
-matrix entry folds the polynomial's coefficients along that rule.  The
-nullspace is then computed by exact Gauss-Jordan elimination, which is
-why kernel work is restricted to exact fields.
+entry R_ij is folded once onto the lattice (:func:`bishift.sequences.fold`),
+and its nonzero residue sums fill every row it meets.  The nullspace is
+computed by exact Gauss-Jordan elimination, so kernel work needs an exact field.
 
 Rank-1 systems build no matrix.  A period-N signal is a polynomial in
 F[X]/(X^N - 1), where the shift by R is multiplication, so the kernel
@@ -58,6 +58,7 @@ from .sequences import (
     KernelBasis,
     SeqVector,
     check_periods,
+    fold,
     rolled_indices,
     row_major_strides,
 )
@@ -112,17 +113,17 @@ def _system_matrix(system: System, periods):
             f"more than {MAX_FILL}"
         )
     field = system.field
-    add = field._add
     strides = row_major_strides(periods)
     matrix = []
     for row in entries:
-        block = [{} for _ in range(size)]
+        columns, coefficients = [], []
         for base, terms in zip(range(0, width, size), row):
-            for c, flat in zip(terms.values(), rolled_indices(terms, periods, strides)):
-                for out, col in zip(block, flat):
-                    col += base
-                    out[col] = add(out[col], c) if col in out else c
-        matrix += [{col: v for col, v in out.items() if not field._is_zero(v)} for out in block]
+            folded = {r: c for r, c in fold(terms, periods, field).items() if not field._is_zero(c)}
+            columns += rolled_indices(folded, periods, strides, base)
+            coefficients += folded.values()
+        # residues are distinct mod periods, so row (i, beta) meets each column once
+        rows = zip(*columns) if columns else itertools.repeat((), size)
+        matrix += [dict(zip(cols, coefficients)) for cols in rows]
     return matrix
 
 
@@ -303,8 +304,8 @@ def _certifies(cleared, rows):
 def _rational_kernel(matrix, width):
     """RREF kernel basis over Q as rows of ``Fraction``s, by multi-modular elimination.
 
-    ``matrix`` holds the rows of M over Q.  Each row is cleared of
-    denominators once; each prime p, downward from 2**31 - 1, then gives
+    ``matrix`` holds the rows of M over Q, and is emptied once each row is
+    cleared of denominators; each prime p, downward from 2**31 - 1, then gives
     the kernel's RREF over GF(p) from the one loop.  A prime's signature
     is (dimension, pivot tuple); the true one is the smallest possible,
     so a prime with a larger signature is unlucky and dropped, and a
@@ -323,6 +324,7 @@ def _rational_kernel(matrix, width):
     for row in filter(None, matrix):  # an empty row constrains nothing
         scale = math.lcm(*(c.denominator for c in row.values()))
         cleared.append({col: c.numerator * (scale // c.denominator) for col, c in row.items()})
+    matrix.clear()  # no Fraction row is read again
     # H < 2**height_bits: each row's 2-norm is at most its 1-norm
     height_bits = sum(sum(map(abs, row.values())).bit_length() for row in cleared)
     best = None

@@ -23,6 +23,7 @@ from bishift.sequences import (
     PeriodicSeq,
     SeqVector,
     check_periods,
+    fold,
     periodize,
     poly_to_seq,
     rolled_indices,
@@ -86,6 +87,23 @@ def test_periodize_examples():
     assert periodize(FiniteSeq.delta(1, Q, (-1,)), (2,)) == PeriodicSeq(1, Q, (2,), [0, 1])
     acc = periodize(FiniteSeq(1, Q, {(0,): 1, (2,): 1}), (2,))
     assert acc == PeriodicSeq(1, Q, (2,), [2, 0])
+
+
+def test_fold_sums_each_residue_in_first_order():
+    gf7 = PrimeField(7)
+    terms = {(3, -1): 1, (0, 0): 2, (1, 1): 4, (-3, 3): 6}
+    # (3, -1), (1, 1) and (-3, 3) share the residue (1, 1) mod (2, 2)
+    assert list(fold(terms, (2, 2), gf7).items()) == [((1, 1), 4), ((0, 0), 2)]
+    assert fold({(1,): 1, (4,): 6}, (3,), gf7) == {(1,): 0}  # a cancelled sum is kept
+    assert fold({}, (3,), gf7) == {}
+
+
+def test_periodize_keeps_a_sub_tolerance_sum():
+    # 0.1 + 0.2 - 0.3 is below the tolerance; the sample keeps it as added, in term order
+    w = FiniteSeq(1, FloatField(), {(0,): 0.1, (2,): 0.2, (1,): 0.5, (4,): -0.3})
+    values = periodize(w, (2,))._values
+    assert [v.hex() for v in values] == [(0.1 + 0.2 - 0.3).hex(), (0.5).hex()]
+    assert values[0] != 0
 
 
 def test_periodicity_law():

@@ -189,6 +189,30 @@ class TestConstraintMatrix:
                 want = sparse_rows(constraint_matrix(system, periods), field)
                 assert periodic_system_matrix(system, periods) == want
 
+    @pytest.mark.parametrize("field", [GF2, PrimeField(7), Q], ids=["gf2", "gf7", "rational"])
+    def test_folded_rows_match_dense_oracle(self, field):
+        # entries whose terms share residues on the lattice, some cancelling
+        # there, plus X1^N1 - 1, which folds to zero
+        rng = random.Random(f"fold:{field.spec()}")
+        for rank in (1, 2, 3):
+            for _ in range(6):
+                periods = tuple(rng.randint(1, 4) for _ in range(rank))
+                origin = (0,) * rank
+                cancel = LaurentPoly(rank, field, {(periods[0],) + origin[1:]: 1, origin: -1})
+
+                def entry():
+                    base = random_poly(rng, rank, field, max_terms=3, span=3)
+                    shift = tuple(n * rng.choice((-2, -1, 1, 2)) for n in periods)
+                    twin = LaurentPoly.monomial(rank, field, shift) * base
+                    return base + twin * field.value(rng.choice((-1, 1, 2))) + cancel
+
+                k, l = rng.randint(1, 2), rng.randint(1, 2)
+                system = System(PolyMatrix([[entry() for _ in range(l)] for _ in range(k)]))
+                want = sparse_rows(constraint_matrix(system, periods), field)
+                assert periodic_system_matrix(system, periods) == want
+            rows = periodic_system_matrix(System(PolyMatrix([[cancel]])), periods)
+            assert rows == [{}] * math.prod(periods)
+
     def test_period_arity_checked(self):
         with pytest.raises(RankMismatchError):
             periodic_system_matrix(difference_system(), (2, 2))
@@ -1141,6 +1165,13 @@ class TestLatticeBudget:
             kernel_dimension(system, (10**12,))
         assert kernel_dimension(system, (100000,)) == 100000  # folds to 0
 
+    def test_rank1_degree_counts_cancelled_residues(self):
+        # X^70535 folds onto X^5000 at N = 65535 and cancels it there, but the
+        # budget counts the degree of every residue the terms reach
+        system = System(PolyMatrix([[P("1 + X^5000 - X^70535", field=PrimeField(7))]]))
+        with pytest.raises(LatticeTooLargeError, match="degree up to 5000 "):
+            kernel_dimension(system, (65535,))
+
     def test_budget_counts_both_matrix_sides(self, monkeypatch):
         # a 2 x 2 zero system has no entries: its 2 * size rows and 2 * size
         # columns are each within MAX_FILL, but not together
@@ -1196,3 +1227,30 @@ class TestLatticeBudget:
         pivot = held(lambda: [{} for _ in range(n)]) / n
         entry = held(lambda: [dict.fromkeys(range(first, first + 1000), 3) for _ in range(n // 1000)]) / n
         assert ROW_FILL == round((row + pivot) / entry)
+
+
+def traced(run):
+    """``run()``, the bytes it left allocated and its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return (result,) + tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeldMemory:
+    def test_rows_are_built_once(self):
+        # X2 at (1,100000) has 100000 one-entry rows; a block of rows copied
+        # into the result would double the peak
+        x2 = System(PolyMatrix([[P("X2", 2, PrimeField(7))]]))
+        matrix, size, peak = traced(lambda: periodic_system_matrix(x2, (1, 100000)))
+        assert len(matrix) == 100000
+        assert peak <= 1.3 * size
+
+    def test_rational_rows_dropped_once_cleared(self):
+        # the Fraction rows are not held through the elimination mod each prime
+        x2 = System(PolyMatrix([[P("X2", 2, Q)]]))
+        dimension, _, peak = traced(lambda: kernel_dimension(x2, (1, 50000)))
+        assert dimension == 0
+        assert peak < 36 * 2**20
