@@ -57,7 +57,11 @@ class InverseOfZeroError(BishiftError, ZeroDivisionError):
 
 
 class ImageWriteError(BishiftError, ValueError):
-    """An image cannot be written: maxval outside 1..65535, or a NaN sample to quantize."""
+    """An image cannot be written: a size its reader refuses, or a NaN or infinite sample.
+
+    The reader refuses a width or height that is not an int >= 1 and a maxval that is
+    not an int in 1..65535; a bool is neither.
+    """
 
 
 class ParseError(BishiftError):

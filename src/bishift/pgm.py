@@ -2,8 +2,9 @@
 
 An image is a rank-2 float signal with pixel (x, y) at index (x, y) and
 value gray / maxval.  The writer is deterministic (same data, same bytes)
-and the reader raises a typed error from :mod:`bishift.errors` on
-malformed input.  ``FiniteSeq`` is imported where a signal is built, so
+and refuses every header the reader refuses: both use one size check and
+one sample codec.  The reader raises a typed error from :mod:`bishift.errors`
+on malformed input.  ``FiniteSeq`` is imported where a signal is built, so
 ``filter --pgm`` loads neither :mod:`bishift.sequences` nor the CSV and
 JSON formats of :mod:`bishift.io`.
 """
@@ -48,6 +49,26 @@ def _pgm_tokens(data: bytes):
     return tokens, pos
 
 
+def _size_error(width, height, maxval):
+    """Why the reader refuses a P5 header of this size, or ``None``; a bool is no int here."""
+    if not (type(width) is type(height) is int and width >= 1 and height >= 1):
+        return f"bad image size {width}x{height}"
+    if not (type(maxval) is int and 1 <= maxval <= 65535):
+        return f"maxval {maxval} outside 1..65535"
+
+
+def _codec(samples, maxval):
+    """Grays from raster bytes, or raster bytes from grays, the same map both ways: below
+    maxval 256 a sample is one byte and the grays are the bytes, otherwise two big-endian
+    bytes, held as an ``array('H')``."""
+    if maxval < 256:
+        return bytes(samples)
+    wide = array("H", samples)
+    if sys.byteorder == "little":
+        wide.byteswap()  # the raster is big-endian
+    return wide
+
+
 def _read_raster(path, field, kernel):
     """Decode a P5 image into one flat list of floats, padded for the ``kernel`` map.
 
@@ -69,12 +90,9 @@ def _read_raster(path, field, kernel):
         width, height, maxval = (decimal_int(t.decode("ascii")) for t in tokens[1:4])
     except ValueError:
         raise BadMagicError(f"{path}: non-numeric P5 header fields") from None
-    if width < 1 or height < 1:
-        raise BadMagicError(f"{path}: bad image size {width}x{height}")
-    if not 1 <= maxval <= 65535:
-        raise BadMagicError(f"{path}: maxval {maxval} outside 1..65535")
-    sample_bytes = 1 if maxval < 256 else 2
-    expected = width * height * sample_bytes
+    if problem := _size_error(width, height, maxval):
+        raise BadMagicError(f"{path}: {problem}")
+    expected = width * height * memoryview(_codec(b"", maxval)).itemsize  # bytes per sample
     raster = data[pos:]
     if len(raster) < expected:
         raise TruncatedPixelDataError(
@@ -82,9 +100,7 @@ def _read_raster(path, field, kernel):
         )
     if len(raster) > expected and raster[expected:].strip():
         raise TruncatedPixelDataError(f"{path}: trailing data after the raster")
-    grays = array("B" if sample_bytes == 1 else "H", raster[:expected])
-    if sample_bytes == 2 and sys.byteorder == "little":
-        grays.byteswap()  # the raster is big-endian
+    grays = _codec(raster[:expected], maxval)
     # a gray above maxval reads as a value above 1
     tol = field.tolerance
     scale = [v if tol < v else 0.0 for v in (g / maxval for g in range(max(grays) + 1))]
@@ -113,13 +129,12 @@ def _write_raster(path, samples, row, width, height, maxval, tol) -> None:
     """Write the ``width`` x ``height`` window of a flat raster with rows ``row`` apart.
 
     A sample at or below ``tol`` is gray 0, one at or above 1 is maxval, and the rest
-    round ``v * maxval`` half up; a NaN or an infinity in the window raises
-    :class:`ImageWriteError`.
+    round ``v * maxval`` half up; a size :func:`read_pgm` refuses, or a NaN or an
+    infinity in the window, raises :class:`ImageWriteError`.
     """
-    if not 1 <= maxval <= 65535:
-        raise ImageWriteError(f"maxval {maxval} outside 1..65535")
-    starts = range(0, height * row, row)
-    window = chain.from_iterable(samples[i : i + width] for i in starts)
+    if problem := _size_error(width, height, maxval):
+        raise ImageWriteError(problem)
+    window = list(chain.from_iterable(samples[i : i + width] for i in range(0, height * row, row)))
     # floor equals int() here, where v * maxval + 0.5 exceeds 0.5, and takes a faster call
     floor = math.floor
     try:
@@ -127,20 +142,18 @@ def _write_raster(path, samples, row, width, height, maxval, tol) -> None:
     except ValueError:  # floor() of a NaN, which fails both comparisons
         raise ImageWriteError("cannot quantize a NaN sample") from None
     # an infinity passed the comparisons above as gray 0 or maxval
-    for s in (samples[i : i + width] for i in starts):
-        if math.inf in (max(s, default=0.0), -min(s, default=0.0)):
-            raise ImageWriteError("cannot quantize an infinite sample")
-    data = array("B" if maxval < 256 else "H", grays)
-    if data.itemsize == 2 and sys.byteorder == "little":
-        data.byteswap()  # the raster is big-endian
+    if math.inf in (max(window), -min(window)):
+        raise ImageWriteError("cannot quantize an infinite sample")
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    Path(path).write_bytes(header + _codec(grays, maxval))
 
 
 def write_pgm(path, seq, width: int, height: int, maxval: int = 255) -> None:
     """Write the window [0,width) x [0,height) of a rank-2 signal, see :func:`_write_raster`."""
     if seq.rank != 2:
         raise RankMismatchError("image output needs a rank-2 signal")
+    if problem := _size_error(width, height, maxval):
+        raise ImageWriteError(problem)
     samples = [0.0] * (width * height)
     for (x, y), v in seq._terms.items():
         if 0 <= x < width and 0 <= y < height:

@@ -521,6 +521,16 @@ class TestNumpyImport:
         assert main(argv) == 0
         assert out.read_bytes() == (DATA / "tiny16-filtered.pgm").read_bytes()
 
+    @pytest.mark.parametrize("name", ["binary", "column", "pixel256"])
+    def test_codec_edge_goldens(self, tmp_path, name):
+        # maxval 1 (5x4), a 1x7 column at maxval 255, and 1x1 at maxval 256, the first
+        # two-byte maxval; written by the codec that read 8-bit grays through array('B')
+        out = tmp_path / "out.pgm"
+        argv = ["filter", "--pgm", "--field", "float", "--kernel", TINY_KERNEL,
+                "--input", str(DATA / f"{name}.pgm"), "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (DATA / f"{name}-filtered.pgm").read_bytes()
+
     def test_signal_commands_load_no_solver(self, difference_file, tmp_path):
         seq = tmp_path / "w.csv"
         seq.write_text("0,1\n")

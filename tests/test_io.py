@@ -424,13 +424,32 @@ class TestPgmEdgeCases:
         else:
             assert raster == b"".join(g.to_bytes(2, "big") for g in expected)
 
-    @pytest.mark.parametrize("maxval, match", [(0, "outside"), (65536, "outside"), (255, "NaN")])
-    def test_write_errors_are_typed(self, tmp_path, maxval, match):
+    @pytest.mark.parametrize(
+        "width, height, maxval, match",
+        [
+            (2, 1, 0, "maxval 0 outside"),
+            (2, 1, 65536, "maxval 65536 outside"),
+            (2, 1, True, "maxval True outside"),
+            (2, 1, 255, "NaN"),
+            # sizes the reader refuses, refused before a sample list is built
+            (0, 3, 255, "bad image size 0x3"),
+            (3, 0, 255, "bad image size 3x0"),
+            (-1, 2, 255, "bad image size -1x2"),
+            (True, 1, 255, "bad image size Truex1"),
+            (2.0, 1, 255, r"bad image size 2\.0x1"),
+        ],
+        ids=["0-outside", "65536-outside", "True-outside", "255-NaN",
+             "0x3", "3x0", "-1x2", "Truex1", "2.0x1"],
+    )
+    def test_write_errors_are_typed(self, tmp_path, width, height, maxval, match):
         out = tmp_path / "out.pgm"
         seq = FiniteSeq._wrap(2, F, {(1, 0): math.nan, (0, 0): 0.5})
         with pytest.raises(ImageWriteError, match=match) as caught:
-            pgm.write_pgm(out, seq, 2, 1, maxval)
+            pgm.write_pgm(out, seq, width, height, maxval)
         assert isinstance(caught.value, BishiftError) and isinstance(caught.value, ValueError)
+        assert not out.exists()
+        with pytest.raises(ImageWriteError, match=match):
+            pgm._write_raster(out, [0.5, math.nan, 0.5], 3, width, height, maxval, 1e-9)
         assert not out.exists()
 
 
@@ -501,6 +520,13 @@ class TestSystemDocument:
         path = tmp_path / "report.json"
         formats.write_kernel_report(kernel, path)
         assert formats.read_kernel_report(path) == kernel
+        # the P5 writer refuses every size its reader refuses: 1x1 at both maxval bounds reads back
+        path = tmp_path / "pixel.pgm"
+        for maxval, raster in ((1, b"\x01"), (65535, b"\xff\xff")):
+            pgm.write_pgm(path, FiniteSeq(2, F, {(0, 0): 1.0}), 1, 1, maxval)
+            assert path.read_bytes() == f"P5\n1 1\n{maxval}\n".encode() + raster
+            seq, width, height, m = pgm.read_pgm(path)
+            assert seq.coeff((0, 0)).payload == 1.0 and (width, height, m) == (1, 1, maxval)
 
 
 class TestKernelReport:

@@ -3,9 +3,11 @@
 Each reader gets a few hundred inputs drawn from a fixed seed: documents
 whose keys hold random JSON values, CSV files of junk rows, and P5 images
 with mutated headers and rasters.  A reader may accept an input or raise
-a BishiftError; any other exception fails the test.  Counts and periods
-are drawn small, so a document the readers accept stays cheap to build;
-ranks also reach past the readers' bound, which must refuse them cheaply.
+a BishiftError; any other exception fails the test.  A P5 image the
+reader accepts must also write back, and read back with the same header.
+Counts and periods are drawn small, so a document the readers accept stays
+cheap to build; ranks also reach past the readers' bound, which must refuse
+them cheaply.
 """
 
 import json
@@ -150,10 +152,19 @@ def _mutated_pgm(rng):
 
 
 def test_pgm_reader_fails_typed(tmp_path):
+    # an image the reader accepts is written back, and its header reads back unchanged
     rng = random.Random(f"{SEED}:pgm")
-    path = tmp_path / "image.pgm"
+    path, out = tmp_path / "image.pgm", tmp_path / "out.pgm"
     fields = [FloatField(), FloatField(0.5), RationalField()]
+    accepted = 0
     for _ in range(CASES):
         path.write_bytes(_mutated_pgm(rng))
         field = rng.choice(fields)
-        _run(lambda p: pgm.read_pgm(p, field), path)
+        try:
+            image = pgm.read_pgm(path, field)
+        except BishiftError:
+            continue
+        pgm.write_pgm(out, *image)
+        assert pgm.read_pgm(out, field)[1:] == image[1:]
+        accepted += 1
+    assert accepted > CASES // 20  # 88 of the 800 images are accepted

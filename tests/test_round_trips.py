@@ -3,7 +3,9 @@
 Each writer's output reads back equal over gf:2, gf:7 and the rationals
 (for expressions, see ``test_parsing.py::TestFormatPoly::test_round_trip_seeded``).
 Hand-built periodic documents and kernel reports at the lattice's edges
-(periods of 1, empty bases, rank MAX_RANK) read back equal too.
+(periods of 1, empty bases, rank MAX_RANK) read back equal too.  A P5 image
+with a canonical header and grays at most maxval is written back byte for
+byte, at one- and two-byte maxvals and in single rows and columns.
 At the integer digit limit (``sys.get_int_max_str_digits()``), exponents,
 indices and rationals with exactly that many digits read back equal; an
 exponent or index with one digit more raises DigitLimitError, and the CSV
@@ -17,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from bishift import io as formats
+from bishift import pgm
 from bishift._sparse import MAX_RANK
 from bishift.errors import DigitLimitError
 from bishift.fields import PrimeField, RationalField
@@ -106,6 +109,20 @@ class TestSeededRoundTrips:
                     kernel = KernelBasis(len(periods), field, periods, basis)
                     formats.write_kernel_report(kernel, path)
                     assert formats.read_kernel_report(path) == kernel
+
+
+def test_pgm_writes_back_what_it_reads(tmp_path):
+    rng = random.Random(1506)
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    for trial in range(300):
+        n = rng.randint(1, 16)
+        width, height = [(1, 1), (1, n), (n, 1), (n, rng.randint(1, 16))][trial % 4]
+        maxval = rng.choice([1, 255, 256, 65535])
+        grays = [rng.randint(0, maxval) for _ in range(width * height)]
+        raster = b"".join(g.to_bytes(1 if maxval < 256 else 2, "big") for g in grays)
+        src.write_bytes(f"P5\n{width} {height}\n{maxval}\n".encode() + raster)
+        pgm.write_pgm(out, *pgm.read_pgm(src))
+        assert out.read_bytes() == src.read_bytes()
 
 
 class TestAtTheDigitLimit:
